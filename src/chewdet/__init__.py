@@ -26,7 +26,6 @@ from .records import (
     GapReport,
     IntervalKind,
     LabeledInterval,
-    SensorFrame,
     Session,
     derive_episode_labels,
     ingest_sensor_csv,
@@ -52,7 +51,6 @@ __all__ = [
     "PipelineConfig",
     "ScenarioSpec",
     "SecondScore",
-    "SensorFrame",
     "Session",
     "SweepConfig",
     "TrainedModel",

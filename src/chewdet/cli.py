@@ -96,18 +96,6 @@ def _require(path: Path, stem: str) -> Path:
     return path
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic(path: Path, writer, *args) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
@@ -118,6 +106,10 @@ def _atomic(path: Path, writer, *args) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_text(path: str, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _append_manifest(out: Path, command: str, cfg: PipelineConfig, inputs: list[Path], outputs: list[Path]) -> None:
@@ -131,7 +123,7 @@ def _append_manifest(out: Path, command: str, cfg: PipelineConfig, inputs: list[
     block = "\n".join(f"{k} = {v}" for k, v in items) + "\n\n"
     manifest = out / "manifest.txt"
     existing = manifest.read_text(encoding="utf-8") if manifest.exists() else ""
-    _atomic_write_text(manifest, existing + block)
+    _atomic(manifest, _write_text, existing + block)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -158,17 +150,31 @@ def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
             writer.writerow([int(round(p.t * 1000.0)), repr(p.height), repr(p.prominence)])
 
 
-def _read_peaks_csv(path: Path) -> list[Peak]:
+def _read_rows(path: Path, expected: tuple[str, ...], parse) -> list:
+    # Check the header, then each row's field count, before parsing it.
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header) != PEAK_HEADER:
+        if header is None or tuple(header) != expected:
             raise StageError(f"{path}: bad header {header!r}")
-        for raw in reader:
-            if raw:
-                out.append(Peak(t=int(raw[0]) / 1000.0, height=float(raw[1]), prominence=float(raw[2])))
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(expected):
+                raise StageError(
+                    f"{path}: line {lineno}: expected {len(expected)} fields, got {len(raw)}"
+                )
+            try:
+                out.append(parse(raw))
+            except ValueError as exc:
+                raise StageError(f"{path}: line {lineno}: malformed row ({exc})") from exc
     return out
+
+
+def _read_peaks_csv(path: Path) -> list[Peak]:
+    return _read_rows(path, PEAK_HEADER, lambda raw: Peak(
+        t=int(raw[0]) / 1000.0, height=float(raw[1]), prominence=float(raw[2])))
 
 
 def _write_predictions_csv(path: str, judged) -> None:
@@ -184,21 +190,14 @@ def _write_predictions_csv(path: str, judged) -> None:
 
 
 def _read_predictions_csv(path: Path) -> list[tuple[CandidateWindow, bool, float]]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != PREDICTION_HEADER:
-            raise StageError(f"{path}: bad header {header!r}")
-        for raw in reader:
-            if not raw:
-                continue
-            cand = CandidateWindow(
-                c1=float(raw[0]), c2=float(raw[1]), p_min=float(raw[2]),
-                p_max=float(raw[3]), epsilon=float(raw[4]), length=int(raw[5]),
-            )
-            out.append((cand, bool(int(raw[7])), float(raw[6])))
-    return out
+    return _read_rows(path, PREDICTION_HEADER, lambda raw: (
+        CandidateWindow(
+            c1=float(raw[0]), c2=float(raw[1]), p_min=float(raw[2]),
+            p_max=float(raw[3]), epsilon=float(raw[4]), length=int(raw[5]),
+        ),
+        bool(int(raw[7])),
+        float(raw[6]),
+    ))
 
 
 def _load_sessions(data_dir: Path, participants: list[str] | None) -> list[Session]:
@@ -417,7 +416,7 @@ def cmd_losocv(args, cfg: PipelineConfig, out: Path) -> list[Path]:
     dst = out / "report.csv"
     _atomic(dst, write_report_csv, report)
     txt = out / "report.txt"
-    _atomic_write_text(txt, report.to_text() + "\n")
+    _atomic(txt, _write_text, report.to_text() + "\n")
     print(report.to_text())
     return [dst, txt]
 

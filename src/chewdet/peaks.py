@@ -6,6 +6,17 @@ the two minima separating it from higher terrain on each side; where no
 higher terrain exists, the search runs to the end of the signal.  Noise
 maxima ride on larger structures and get small prominences, so a single
 threshold separates chew candidates from jitter.
+
+Conventions: a flat plateau counts once, at its leftmost sample; the
+first and last samples are never peaks, nor is a plateau touching an
+end; the base search stops only at strictly higher terrain.
+
+Cost: O(n) time and O(n) extra memory for a trace of n samples, on any
+input (a drifting baseline included).  Runs of equal samples collapse to
+one value and only turning points enter the base search, since a sample
+on a monotone slope is never the lowest point between a maximum and
+higher terrain.  A monotone stack then finds each maximum's base on
+either side, pushing and popping each maximum once per side.
 """
 
 from __future__ import annotations
@@ -22,50 +33,40 @@ class Peak:
     prominence: float
 
 
-def _plateau_maxima(sig: np.ndarray) -> list[int]:
-    # Local maxima; a flat plateau counts once, at its leftmost sample.
-    # Endpoints are never peaks and neither is a plateau touching an end.
-    n = sig.shape[0]
-    maxima: list[int] = []
-    i = 1
-    while i < n - 1:
-        if sig[i] > sig[i - 1]:
-            j = i
-            while j < n - 1 and sig[j + 1] == sig[j]:
-                j += 1
-            if j < n - 1 and sig[j + 1] < sig[j]:
-                maxima.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return maxima
-
-
-def _prominence(sig: np.ndarray, idx: int) -> float:
-    h = sig[idx]
-    bases = []
-    for step in (-1, 1):
-        j = idx + step
-        m = h
-        while 0 <= j < sig.shape[0] and sig[j] <= h:
-            if sig[j] < m:
-                m = sig[j]
-            j += step
-        bases.append(m)
-    return float(h - max(bases))
+def _bases(highs: list[float], valleys: list[float]) -> list[float]:
+    # Per high, the lowest valley back to the nearest strictly higher high
+    # (or the start); valleys[k] lies just before highs[k].  A stack entry
+    # carries the lowest valley since the entry below it; the infinite
+    # sentinel at the bottom is never popped (samples are finite).
+    out: list[float] = []
+    stack_h, stack_low = [np.inf], [np.inf]
+    for h, low in zip(highs, valleys):
+        while stack_h[-1] <= h:
+            stack_h.pop()
+            below = stack_low.pop()
+            if below < low:
+                low = below
+        stack_h.append(h)
+        stack_low.append(low)
+        out.append(low)
+    return out
 
 
 def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
     """Return local maxima whose topographic prominence reaches the threshold.
 
     Args:
-        signal: 1-D sample values.
+        signal: 1-D sample values, all finite.
         t: matching timestamps in seconds.
         min_prominence: keep peaks with prominence >= this (signal units).
 
     Returns:
         Peaks sorted by time.  Fewer than 3 samples cannot contain an
         interior maximum and yield an empty list.
+
+    Raises:
+        ValueError: on a length mismatch, a non-positive threshold, or a
+            non-finite sample (naming the first one's index).
     """
     sig = np.asarray(signal, dtype=float)
     ts = np.asarray(t, dtype=float)
@@ -73,9 +74,29 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
         raise ValueError(f"signal length {sig.shape} != time length {ts.shape}")
     if min_prominence <= 0:
         raise ValueError(f"min_prominence must be positive, got {min_prominence}")
-    out = []
-    for idx in _plateau_maxima(sig):
-        prom = _prominence(sig, idx)
-        if prom >= min_prominence:
-            out.append(Peak(t=float(ts[idx]), height=float(sig[idx]), prominence=prom))
-    return out
+    finite = np.isfinite(sig)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"signal sample {bad} is not finite ({sig[bad]})")
+    if sig.shape[0] < 3:
+        return []
+    # Walls of infinite height at both ends stop every base search there,
+    # as the signal's end does, and keep the end samples from being peaks.
+    # Turning points of the walled signal (leftmost sample of each run that
+    # reverses direction) then alternate low, high, ..., low.
+    step = np.diff(np.concatenate(([np.inf], sig, [np.inf])))
+    change = np.flatnonzero(step)
+    rising = step[change] > 0
+    at = change[:-1][rising[:-1] != rising[1:]]
+    peak_at = at[1::2]
+    heights = sig[peak_at]
+    highs = heights.tolist()
+    lows = sig[at[0::2]].tolist()
+    left = _bases(highs, lows)
+    right = _bases(highs[::-1], lows[:0:-1])[::-1]
+    prom = heights - np.maximum(left, right)
+    sel = prom >= min_prominence
+    return [
+        Peak(t=tv, height=hv, prominence=pv)
+        for tv, hv, pv in zip(ts[peak_at[sel]].tolist(), heights[sel].tolist(), prom[sel].tolist())
+    ]

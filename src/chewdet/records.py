@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,17 +50,6 @@ class LabeledInterval:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-
-@dataclass(frozen=True)
-class SensorFrame:
-    """One 20 Hz sample: timestamp, proximity, ambient light, orientation, acceleration."""
-
-    t: float
-    prox: float
-    ambient: float
-    q: tuple[float, float, float, float]
-    a: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -130,16 +119,6 @@ class Session:
         if not len(self):
             raise ValueError("empty session has no time span")
         return float(self.t[0]), float(self.t[-1])
-
-    def frames(self) -> Iterator[SensorFrame]:
-        for i in range(len(self)):
-            yield SensorFrame(
-                t=float(self.t[i]),
-                prox=float(self.prox[i]),
-                ambient=float(self.ambient[i]),
-                q=tuple(float(v) for v in self.quat[i]),
-                a=tuple(float(v) for v in self.accel[i]),
-            )
 
     def chew_labels(self) -> tuple[LabeledInterval, ...]:
         return tuple(iv for iv in self.labels if iv.kind is IntervalKind.CHEW)

@@ -1,14 +1,17 @@
 """Independent reference implementations used only to check the real ones.
 
 These deliberately take the slow, obvious route: exhaustive subsequence
-enumeration for the banded longest-subsequence problem, and a textbook
-quadratic DBSCAN with explicit neighborhood scans.  They share no code
-with the implementations they validate.
+enumeration for the banded longest-subsequence problem, a textbook
+quadratic DBSCAN with explicit neighborhood scans, and an outward walk
+from every maximum for peak prominence.  They share no code with the
+implementations they validate.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
 
 
 def brute_force_longest_periodic(
@@ -97,3 +100,52 @@ def naive_dbscan_1d(
         if label >= 0:
             clusters.setdefault(label, []).append(pts[i])
     return [tuple(sorted(members)) for _, members in sorted(clusters.items())]
+
+
+def _plateau_maxima(sig: np.ndarray) -> list[int]:
+    # Local maxima; a flat plateau counts once, at its leftmost sample.
+    # Endpoints are never peaks and neither is a plateau touching an end.
+    n = sig.shape[0]
+    maxima: list[int] = []
+    i = 1
+    while i < n - 1:
+        if sig[i] > sig[i - 1]:
+            j = i
+            while j < n - 1 and sig[j + 1] == sig[j]:
+                j += 1
+            if j < n - 1 and sig[j + 1] < sig[j]:
+                maxima.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return maxima
+
+
+def _prominence(sig: np.ndarray, idx: int) -> float:
+    h = sig[idx]
+    bases = []
+    for step in (-1, 1):
+        j = idx + step
+        m = h
+        while 0 <= j < sig.shape[0] and sig[j] <= h:
+            if sig[j] < m:
+                m = sig[j]
+            j += step
+        bases.append(m)
+    return float(h - max(bases))
+
+
+def naive_prominent_peaks(signal, min_prominence: float) -> list[tuple[int, float, float]]:
+    """Walk outward from every plateau maximum until strictly higher terrain.
+
+    Returns (index, height, prominence) for each maximum whose prominence
+    reaches the threshold, in index order.  O(n * w) for maxima whose
+    searches span w samples: quadratic on a drifting baseline.
+    """
+    sig = np.asarray(signal, dtype=float)
+    out = []
+    for idx in _plateau_maxima(sig):
+        prom = _prominence(sig, idx)
+        if prom >= min_prominence:
+            out.append((idx, float(sig[idx]), prom))
+    return out

@@ -100,6 +100,29 @@ class TestErrors:
         assert code == 1
         assert "run `chewdet derive` first" in capsys.readouterr().err
 
+    def test_truncated_peaks_row_names_line_and_field_counts(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "peaks_SYN.csv").write_text(
+            "t_ms,height,prominence\n1000,12.5,6.0\n1700,13.0\n"
+        )
+        code = run("segment", "--participant", "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "peaks_SYN.csv: line 3: expected 3 fields, got 2" in err
+
+    def test_malformed_predictions_row_names_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "predictions_SYN.csv").write_text(
+            "c1_s,c2_s,p_min,p_max,epsilon,length,probability,positive\n"
+            "10.0,20.0,0.5,0.8,0.1,12,0.9,yes\n"
+        )
+        code = run("episodes", "--participant", "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "predictions_SYN.csv: line 2: malformed row" in err
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         bad = tmp_path / "config.txt"
         bad.write_text("not_a_knob = 5\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_prominent_peaks
 from scipy import signal as sp_signal
 
 from chewdet.peaks import find_prominent_peaks
@@ -49,6 +52,15 @@ class TestBasics:
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             peaks_of([0, 1, 0], min_prominence=0.0)
+
+    def test_nan_sample_rejected_with_its_index(self):
+        with pytest.raises(ValueError, match="sample 3 is not finite"):
+            peaks_of([0, 9, 1, np.nan, 0, 8, 0], min_prominence=1.0)
+
+    def test_infinite_sample_rejected_with_its_index(self):
+        # An infinite sample would otherwise be a peak of infinite prominence.
+        with pytest.raises(ValueError, match="sample 2 is not finite"):
+            peaks_of([0, 9, np.inf, 1, 0, 8, 0], min_prominence=1.0)
 
     def test_sorted_by_time(self):
         rng = np.random.default_rng(0)
@@ -101,6 +113,40 @@ class TestInvariants:
         sig = rng.normal(size=500)
         for p in peaks_of(sig, 0.1):
             assert p.prominence <= p.height - sig.min() + 1e-12
+
+
+def _runs(pairs):
+    return [v for v, k in pairs for _ in range(k)]
+
+
+# Small integer alphabets give ties and plateaus; explicit runs give long
+# flat stretches (at the ends too); ranges give monotone slopes.
+signals = st.one_of(
+    st.lists(st.integers(0, 4), max_size=64),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), max_size=12).map(
+        lambda pairs: _runs(pairs)[:64]
+    ),
+    st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(-3, 3), st.integers(1, 8)), max_size=8
+    ).map(lambda parts: [a + d * i for a, d, k in parts for i in range(k)][:64]),
+)
+
+
+class TestOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(values=signals, threshold=st.sampled_from([1e-9, 0.5, 1.0, 2.0, 3.5]))
+    def test_matches_outward_walk(self, values, threshold):
+        ours = [(int(p.t), p.height, p.prominence) for p in peaks_of(values, threshold)]
+        assert ours == naive_prominent_peaks(values, threshold)
+
+    def test_drifting_ramp_closed_form(self):
+        # 0.5 i + 5 [i odd]: each odd sample's right base is its even
+        # neighbour, and its left search runs down to sample 0, so every
+        # interior odd sample is a peak of prominence exactly 4.5.
+        i = np.arange(20_000)
+        found = peaks_of(0.5 * i + 5.0 * (i % 2), min_prominence=4.5)
+        assert [p.t for p in found] == [float(k) for k in range(1, 19_999, 2)]
+        assert {p.prominence for p in found} == {4.5}
 
 
 class TestScipyCrossCheck:
