@@ -22,7 +22,6 @@ are atomic (temp file + rename), and errors exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import tempfile
@@ -37,38 +36,51 @@ from .config import (
     read_config,
     with_overrides,
 )
-from .episodes import cluster, episodes_from_clusters, score_seconds, write_episode_csv
+from .episodes import (
+    cluster,
+    episodes_from_clusters,
+    read_episode_csv,
+    score_seconds,
+    write_episode_csv,
+)
 from .evaluation import (
     ablate_sensors,
     losocv,
-    per_episode_metrics,
-    per_second_metrics,
+    score_chews,
     train_fold,
     write_report_csv,
+    write_scores_csv,
 )
 from .features import extract_table, local_hour, read_feature_csv, write_feature_csv
 from .peaks import Peak, find_prominent_peaks
 from .periodic import (
+    CANDIDATE_HEADER,
+    CANDIDATE_KINDS,
     CandidateWindow,
+    candidate_row,
     read_candidate_csv,
     segment,
     write_candidate_csv,
 )
 from .records import (
+    GAP_CDF_HEADER,
     IntervalKind,
     LabeledInterval,
     Session,
-    derive_episode_labels,
     ingest_sensor_csv,
+    inter_sequence_gap_cdf,
     read_label_csv,
     write_label_csv,
     write_sensor_csv,
 )
 from .signals import derive, read_derived_csv, write_derived_csv
 from .synthetic import generate, read_scenario
+from .tables import read_table, write_table
 
 PEAK_HEADER = ("t_ms", "height", "prominence")
-PREDICTION_HEADER = ("c1_s", "c2_s", "p_min", "p_max", "epsilon", "length", "probability", "positive")
+PEAK_KINDS = "mff"
+PREDICTION_HEADER = (*CANDIDATE_HEADER, "probability", "positive")
+PREDICTION_KINDS = CANDIDATE_KINDS + "fi"
 
 # artifact stem -> command that produces it
 _PRODUCERS = {
@@ -143,61 +155,36 @@ def _out_dir(args) -> Path:
 
 
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PEAK_HEADER)
-        for p in pks:
-            writer.writerow([int(round(p.t * 1000.0)), repr(p.height), repr(p.prominence)])
-
-
-def _read_rows(path: Path, expected: tuple[str, ...], parse) -> list:
-    # Check the header, then each row's field count, before parsing it.
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != expected:
-            raise StageError(f"{path}: bad header {header!r}")
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(expected):
-                raise StageError(
-                    f"{path}: line {lineno}: expected {len(expected)} fields, got {len(raw)}"
-                )
-            try:
-                out.append(parse(raw))
-            except ValueError as exc:
-                raise StageError(f"{path}: line {lineno}: malformed row ({exc})") from exc
-    return out
+    write_table(path, PEAK_HEADER, PEAK_KINDS, ((p.t, p.height, p.prominence) for p in pks))
 
 
 def _read_peaks_csv(path: Path) -> list[Peak]:
-    return _read_rows(path, PEAK_HEADER, lambda raw: Peak(
-        t=int(raw[0]) / 1000.0, height=float(raw[1]), prominence=float(raw[2])))
+    return [Peak(*row) for row in read_table(path, PEAK_HEADER, PEAK_KINDS).rows()]
 
 
 def _write_predictions_csv(path: str, judged) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_HEADER)
-        for cand, positive, proba in judged:
-            writer.writerow(
-                [repr(float(cand.c1)), repr(float(cand.c2)), repr(float(cand.p_min)),
-                 repr(float(cand.p_max)), repr(float(cand.epsilon)), int(cand.length),
-                 repr(proba), int(positive)]
-            )
+    rows = ((*candidate_row(cand), proba, positive) for cand, positive, proba in judged)
+    write_table(path, PREDICTION_HEADER, PREDICTION_KINDS, rows)
 
 
 def _read_predictions_csv(path: Path) -> list[tuple[CandidateWindow, bool, float]]:
-    return _read_rows(path, PREDICTION_HEADER, lambda raw: (
-        CandidateWindow(
-            c1=float(raw[0]), c2=float(raw[1]), p_min=float(raw[2]),
-            p_max=float(raw[3]), epsilon=float(raw[4]), length=int(raw[5]),
-        ),
-        bool(int(raw[7])),
-        float(raw[6]),
-    ))
+    return [
+        (CandidateWindow(*row[:6]), bool(row[7]), row[6])
+        for row in read_table(path, PREDICTION_HEADER, PREDICTION_KINDS).rows()
+    ]
+
+
+def _warn_if_constant(model, path: Path) -> None:
+    if not model.trees:
+        print(
+            f"chewdet: warning: model {path} has no trees; it is constant and gives "
+            "every candidate the same probability",
+            file=sys.stderr,
+        )
+
+
+def _chews(labels: list[LabeledInterval], pid: str) -> list[LabeledInterval]:
+    return [iv for iv in labels if iv.participant == pid and iv.kind is IntervalKind.CHEW]
 
 
 def _load_sessions(data_dir: Path, participants: list[str] | None) -> list[Session]:
@@ -213,8 +200,7 @@ def _load_sessions(data_dir: Path, participants: list[str] | None) -> list[Sessi
         if participants and pid not in participants:
             continue
         session = ingest_sensor_csv(path, participant=pid)
-        chews = [iv for iv in labels if iv.participant == pid and iv.kind is IntervalKind.CHEW]
-        sessions.append(session.with_labels(chews))
+        sessions.append(session.with_labels(_chews(labels, pid)))
     if not sessions:
         raise StageError(f"no sessions matched participants {participants}")
     return sessions
@@ -297,11 +283,7 @@ def cmd_featurize(args, cfg: PipelineConfig, out: Path) -> list[Path]:
     label_file = out / f"labels_{args.participant}.csv"
     chews = None
     if label_file.exists():
-        chews = [
-            iv
-            for iv in read_label_csv(label_file)
-            if iv.participant == args.participant and iv.kind is IntervalKind.CHEW
-        ]
+        chews = _chews(read_label_csv(label_file), args.participant)
     sensors = tuple(args.sensors.split(",")) if args.sensors else None
     table = extract_table(
         trace,
@@ -329,6 +311,7 @@ def cmd_train(args, cfg: PipelineConfig, out: Path) -> list[Path]:
     model = train_fold(tables, cfg.boost())
     dst = out / "model.txt"
     _atomic(dst, save_model, model)
+    _warn_if_constant(model, dst)
     print(f"trained on {sum(len(t) for t in tables)} candidates from {len(pids)} participant(s)")
     return [dst]
 
@@ -337,19 +320,9 @@ def cmd_predict(args, cfg: PipelineConfig, out: Path) -> list[Path]:
     model_file = _require(out / "model.txt", "model")
     features = _require(out / f"features_{args.participant}.csv", "features")
     model = load_model(model_file)
+    _warn_if_constant(model, model_file)
     table = read_feature_csv(features)
-    cands = [
-        CandidateWindow(
-            c1=float(table.c1[k]),
-            c2=float(table.c2[k]),
-            p_min=float(table.X[k, table.names.index("p_min")]),
-            p_max=float(table.X[k, table.names.index("p_max")]),
-            epsilon=float(table.X[k, table.names.index("epsilon")]),
-            length=int(table.X[k, table.names.index("length")]),
-        )
-        for k in range(len(table))
-    ]
-    judged = classify_candidates(model, cands, table.X, cfg.threshold, table.names)
+    judged = classify_candidates(model, table.candidates(), table.X, cfg.threshold, table.names)
     dst = out / f"predictions_{args.participant}.csv"
     _atomic(dst, _write_predictions_csv, judged)
     n_pos = sum(1 for _, positive, _ in judged if positive)
@@ -377,35 +350,20 @@ def cmd_evaluate(args, cfg: PipelineConfig, out: Path) -> list[Path]:
         Path(args.labels) if args.labels else out / f"labels_{args.participant}.csv", "labels"
     )
     judged = _read_predictions_csv(predictions)
-    positives = [cand for cand, positive, _ in judged if positive]
-    scores = score_seconds(positives)
-    from .episodes import read_episode_csv
-
-    episodes = read_episode_csv(episode_file)
-    chews = [
-        iv
-        for iv in read_label_csv(label_file)
-        if iv.participant == args.participant and iv.kind is IntervalKind.CHEW
-    ]
-    truth_episodes = derive_episode_labels(chews, cfg.delta) if chews else []
-    second = per_second_metrics([s.second for s in scores], chews)
-    episode = per_episode_metrics(
-        episodes, truth_episodes, cfg.episode_overlap_threshold, cfg.episode_overlap_base
+    score = score_chews(
+        args.participant,
+        score_seconds([cand for cand, positive, _ in judged if positive]),
+        read_episode_csv(episode_file),
+        _chews(read_label_csv(label_file), args.participant),
+        cfg,
     )
-    rows = [["participant", "level", "precision", "recall", "f1"]]
-    for level, m in (("second", second), ("episode", episode)):
-        rows.append([args.participant, level, repr(m.precision), repr(m.recall), repr(m.f1)])
+    for level, m in score.levels():
         print(
             f"{args.participant} {level:<8} precision={m.precision:.3f} "
             f"recall={m.recall:.3f} f1={m.f1:.3f}"
         )
     dst = out / f"report_{args.participant}.csv"
-
-    def _write(path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-
-    _atomic(dst, _write)
+    _atomic(dst, write_scores_csv, [score])
     return [dst]
 
 
@@ -438,32 +396,10 @@ def cmd_gap_cdf(args, cfg: PipelineConfig, out: Path) -> list[Path]:
     intervals = [iv for iv in read_label_csv(label_file) if iv.kind is IntervalKind.CHEW]
     if args.participant:
         intervals = [iv for iv in intervals if iv.participant == args.participant]
-    gaps: list[float] = []
-    for pid in sorted({iv.participant for iv in intervals}):
-        chews = sorted(
-            (iv for iv in intervals if iv.participant == pid), key=lambda iv: iv.start
-        )
-        if len(chews) >= 2:
-            for prev, nxt in zip(chews, chews[1:]):
-                gaps.append(nxt.start - prev.end)
-    if not gaps:
-        raise StageError("need at least 2 chew intervals for one participant")
-    from collections import Counter
-
-    counts = Counter(gaps)
-    rows = [["gap_s", "cum_frac"]]
-    running = 0
-    for gap in sorted(counts):
-        running += counts[gap]
-        rows.append([repr(float(gap)), repr(running / len(gaps))])
+    cdf = inter_sequence_gap_cdf(intervals)
     dst = out / "cdf.csv"
-
-    def _write(path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-
-    _atomic(dst, _write)
-    print(f"{len(gaps)} gaps over {len(counts)} distinct values")
+    _atomic(dst, write_table, GAP_CDF_HEADER, "ff", cdf)
+    print(f"gap CDF over {len(cdf)} distinct values")
     return [dst]
 
 

@@ -15,7 +15,6 @@ ascending order.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .records import IntervalKind, LabeledInterval, covered_seconds, merge_intervals
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ def episodes_from_clusters(
 
 
 EPISODE_HEADER = ("participant", "start_s", "end_s", "n_seconds", "peak_score")
+EPISODE_KINDS = "sffii"
 
 
 def write_episode_csv(
@@ -143,44 +144,19 @@ def write_episode_csv(
     scores: Sequence[SecondScore],
 ) -> None:
     by_second = {s.second: s.score for s in scores}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EPISODE_HEADER)
-        for ep in episodes:
-            seconds = [s for s in covered_seconds(ep.start, ep.end) if s in by_second]
-            writer.writerow(
-                [
-                    ep.participant,
-                    repr(ep.start),
-                    repr(ep.end),
-                    len(seconds),
-                    max((by_second[s] for s in seconds), default=0),
-                ]
-            )
+    rows = []
+    for ep in episodes:
+        covered = [by_second[s] for s in covered_seconds(ep.start, ep.end) if s in by_second]
+        rows.append((ep.participant, ep.start, ep.end, len(covered), max(covered, default=0)))
+    write_table(path, EPISODE_HEADER, EPISODE_KINDS, rows)
 
 
 def read_episode_csv(path: str | Path) -> list[LabeledInterval]:
-    path = Path(path)
+    table = read_table(path, EPISODE_HEADER, EPISODE_KINDS)
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != EPISODE_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {','.join(EPISODE_HEADER)}")
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(raw)}")
-            try:
-                out.append(
-                    LabeledInterval(
-                        start=float(raw[1]),
-                        end=float(raw[2]),
-                        kind=IntervalKind.EPISODE,
-                        participant=raw[0],
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}")
+    for row, (participant, start, end, _, _) in enumerate(table.rows()):
+        try:
+            out.append(LabeledInterval(start, end, IntervalKind.EPISODE, participant))
+        except ValueError as exc:
+            raise table.error(row, str(exc)) from exc
     return out

@@ -14,7 +14,6 @@ prediction and truth agree at that granularity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,8 +39,11 @@ from .records import (
     derive_episode_labels,
 )
 from .signals import derive
+from .tables import write_table
 
 OVERLAP_BASES = ("truth", "pred", "min")
+REPORT_HEADER = ("participant", "level", "precision", "recall", "f1")
+REPORT_KINDS = "ssfff"
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,9 @@ class ParticipantScore:
     episode: Metrics
     flags: tuple[str, ...] = ()
 
+    def levels(self) -> tuple[tuple[str, Metrics], tuple[str, Metrics]]:
+        return (("second", self.second), ("episode", self.episode))
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -160,13 +165,14 @@ class EvalReport:
 
         return manifest_hash(list(self.manifest))
 
+    def entries(self) -> list[ParticipantScore]:
+        """The per-participant scores, then the AVERAGE row."""
+        return [*self.scores, ParticipantScore("AVERAGE", self.second_avg, self.episode_avg)]
+
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [["participant", "level", "precision", "recall", "f1"]]
-        entries = list(self.scores) + [
-            ParticipantScore("AVERAGE", self.second_avg, self.episode_avg)
-        ]
-        for entry in entries:
-            for level, m in (("second", entry.second), ("episode", entry.episode)):
+        rows = [list(REPORT_HEADER)]
+        for entry in self.entries():
+            for level, m in entry.levels():
                 rows.append(
                     [entry.participant, level, repr(m.precision), repr(m.recall), repr(m.f1)]
                 )
@@ -174,11 +180,8 @@ class EvalReport:
 
     def to_text(self) -> str:
         lines = [f"{'participant':<14}{'level':<10}{'prec':>8}{'recall':>8}{'f1':>8}  flags"]
-        entries = list(self.scores) + [
-            ParticipantScore("AVERAGE", self.second_avg, self.episode_avg)
-        ]
-        for entry in entries:
-            for level, m in (("second", entry.second), ("episode", entry.episode)):
+        for entry in self.entries():
+            for level, m in entry.levels():
                 lines.append(
                     f"{entry.participant:<14}{level:<10}"
                     f"{m.precision:>8.3f}{m.recall:>8.3f}{m.f1:>8.3f}  "
@@ -259,7 +262,20 @@ def score_participant(
     cfg: PipelineConfig,
     flags: Sequence[str] = (),
 ) -> ParticipantScore:
-    chews = session.chew_labels()
+    return score_chews(
+        session.participant, scores, episodes, session.chew_labels(), cfg, flags
+    )
+
+
+def score_chews(
+    participant: str,
+    scores: Sequence[SecondScore],
+    episodes: Sequence[LabeledInterval],
+    chews: Sequence[LabeledInterval],
+    cfg: PipelineConfig,
+    flags: Sequence[str] = (),
+) -> ParticipantScore:
+    """Both metric levels of one participant's predictions against its chews."""
     truth_episodes = derive_episode_labels(chews, cfg.delta) if chews else []
     second = per_second_metrics([s.second for s in scores], chews)
     episode = per_episode_metrics(
@@ -269,7 +285,7 @@ def score_participant(
         cfg.episode_overlap_base,
     )
     return ParticipantScore(
-        participant=session.participant, second=second, episode=episode, flags=tuple(flags)
+        participant=participant, second=second, episode=episode, flags=tuple(flags)
     )
 
 
@@ -418,6 +434,15 @@ def ablate_sensors(
     return losocv(sessions, boost_grid, dbscan_grid, cfg, signals=sensors)
 
 
+def write_scores_csv(path: str | Path, scores: Sequence[ParticipantScore]) -> None:
+    """The report table: one row per participant and metric level."""
+    rows = (
+        (s.participant, level, m.precision, m.recall, m.f1)
+        for s in scores
+        for level, m in s.levels()
+    )
+    write_table(path, REPORT_HEADER, REPORT_KINDS, rows)
+
+
 def write_report_csv(path: str | Path, report: EvalReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(report.to_csv_rows())
+    write_scores_csv(path, report.entries())

@@ -26,7 +26,6 @@ correlations so every vector stays finite.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,8 +36,10 @@ import numpy as np
 
 from .boosting import TrainedModel, split_counts
 from .peaks import find_prominent_peaks
+from .periodic import CandidateWindow
 from .records import LabeledInterval
 from .signals import DerivedTrace
+from .tables import read_table, write_table
 
 SIGNALS = ("prox", "ambient", "lfa", "energy")
 WINDOWS = ("cw", "bw")
@@ -55,6 +56,9 @@ TS_FEATURES = (
     "n_peaks",
 )
 META_FEATURES = ("p_min", "p_max", "epsilon", "length", "hour_of_day")
+# Bookkeeping columns that follow the feature matrix in a feature CSV.
+FEATURE_TAIL = ("c1_s", "c2_s", "participant", "label")
+FEATURE_TAIL_KINDS = "ffsi"
 
 WINDOW_PAD_S = 2.0
 DEFAULT_MIN_PROMINENCE = 4.5
@@ -290,6 +294,17 @@ class FeatureTable:
     def __len__(self) -> int:
         return int(self.X.shape[0])
 
+    def candidates(self) -> list[CandidateWindow]:
+        """The candidate of each row, from its span and band metadata."""
+        p_min, p_max, epsilon, length = (
+            self.X[:, self.names.index(name)].tolist()
+            for name in ("p_min", "p_max", "epsilon", "length")
+        )
+        return [
+            CandidateWindow(*row[:5], int(row[5]))
+            for row in zip(self.c1.tolist(), self.c2.tolist(), p_min, p_max, epsilon, length)
+        ]
+
 
 def extract_table(
     trace: DerivedTrace,
@@ -345,46 +360,22 @@ def rank_features(model: TrainedModel) -> list[tuple[str, int]]:
 
 
 def write_feature_csv(path: str | Path, table: FeatureTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table.names) + ["c1_s", "c2_s", "participant", "label"])
-        for k in range(len(table)):
-            writer.writerow(
-                [repr(float(v)) for v in table.X[k]]
-                + [repr(float(table.c1[k])), repr(float(table.c2[k]))]
-                + [table.participant[k], str(int(table.label[k]))]
-            )
+    write_table(
+        path,
+        (*table.names, *FEATURE_TAIL),
+        "f" * len(table.names) + FEATURE_TAIL_KINDS,
+        zip(*table.X.T, table.c1, table.c2, table.participant, table.label),
+    )
 
 
 def read_feature_csv(path: str | Path) -> FeatureTable:
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 5 or header[-4:] != ["c1_s", "c2_s", "participant", "label"]:
-            raise ValueError(f"{path}: bad feature CSV header")
-        names = tuple(header[:-4])
-        rows, c1, c2, parts, labels = [], [], [], [], []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(raw)}"
-                )
-            try:
-                rows.append([float(v) for v in raw[: len(names)]])
-                c1.append(float(raw[-4]))
-                c2.append(float(raw[-3]))
-                parts.append(raw[-2])
-                labels.append(int(raw[-1]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed row")
+    table = read_table(path, FEATURE_TAIL, FEATURE_TAIL_KINDS, lead="f")
+    *matrix, c1, c2, participant, label = table.columns
     return FeatureTable(
-        names=names,
-        X=np.array(rows, dtype=float).reshape(len(rows), len(names)),
-        c1=np.array(c1),
-        c2=np.array(c2),
-        participant=parts,
-        label=np.array(labels, dtype=int),
+        names=table.header[: len(matrix)],
+        X=np.column_stack(matrix),
+        c1=c1,
+        c2=c2,
+        participant=participant,
+        label=label,
     )

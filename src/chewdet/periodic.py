@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import csv
-
 import numpy as np
 
 from .peaks import Peak
+from .tables import read_table, write_table
 
 _RATIO_SLACK = 1.0 + 1e-12  # absorbs one rounding step in band-edge ratios
 
@@ -279,41 +278,20 @@ def segment(
 
 
 CANDIDATE_HEADER = ("c1_s", "c2_s", "p_min", "p_max", "epsilon", "length")
+CANDIDATE_KINDS = "fffffi"
+
+
+def candidate_row(c: PeriodicSubsequence | CandidateWindow) -> tuple:
+    """The CANDIDATE_HEADER values of one candidate."""
+    return (c.c1, c.c2, c.p_min, c.p_max, c.epsilon, c.length)
 
 
 def write_candidate_csv(path: str | Path, candidates: Sequence[PeriodicSubsequence | CandidateWindow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANDIDATE_HEADER)
-        for c in candidates:
-            writer.writerow(
-                [repr(float(c.c1)), repr(float(c.c2)), repr(float(c.p_min)),
-                 repr(float(c.p_max)), repr(float(c.epsilon)), int(c.length)]
-            )
+    write_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS, map(candidate_row, candidates))
 
 
 def read_candidate_csv(path: str | Path) -> list[CandidateWindow]:
-    path = Path(path)
-    out: list[CandidateWindow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CANDIDATE_HEADER:
-            raise ValueError(
-                f"{path}: bad header {header!r}, expected {','.join(CANDIDATE_HEADER)}"
-            )
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != 6:
-                raise ValueError(f"{path}: line {lineno}: expected 6 fields, got {len(raw)}")
-            try:
-                out.append(
-                    CandidateWindow(
-                        c1=float(raw[0]), c2=float(raw[1]), p_min=float(raw[2]),
-                        p_max=float(raw[3]), epsilon=float(raw[4]), length=int(raw[5]),
-                    )
-                )
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed row {','.join(raw)!r}")
-    return out
+    return [
+        CandidateWindow(*row)
+        for row in read_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS).rows()
+    ]

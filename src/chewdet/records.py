@@ -7,18 +7,22 @@ On-disk formats are two small CSVs: a 20 Hz sensor log
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .tables import read_table, write_table
+
 SENSOR_HEADER = ("t_ms", "prox", "ambient", "qw", "qx", "qy", "qz", "ax", "ay", "az")
+SENSOR_KINDS = "m" + "f" * 9
 LABEL_HEADER = ("participant", "kind", "start_s", "end_s")
+LABEL_KINDS = "ssff"
+GAP_CDF_HEADER = ("gap_s", "cum_frac")
 
 NOMINAL_RATE_HZ = 20.0
 # A frame-to-frame step more than 1.5x the nominal period counts as a gap.
@@ -77,7 +81,6 @@ class Session:
     accel: np.ndarray  # (n, 3) in g
     labels: tuple[LabeledInterval, ...] = ()
     gaps: GapReport = GapReport()
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -135,52 +138,24 @@ def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
     1.5x the nominal 20 Hz period) are reported, not filled.
 
     Raises:
-        ValueError: on a bad header, a malformed row (with its line number),
-            or non-monotonic timestamps (naming the first offending pair).
+        ValueError: on a bad header, a malformed or non-finite row (with its
+            line number), or non-monotonic timestamps (naming the first
+            offending pair).
     """
-    path = Path(path)
-    rows: list[tuple[float, ...]] = []
-    rejected = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {','.join(SENSOR_HEADER)}")
-        if tuple(h.strip() for h in header) != SENSOR_HEADER:
-            raise ValueError(
-                f"{path}: bad header {header!r}, expected {','.join(SENSOR_HEADER)}"
-            )
-        prev_t = None
-        prev_line = None
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(SENSOR_HEADER):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(SENSOR_HEADER)} fields, got {len(raw)}"
-                )
-            try:
-                t_ms = int(raw[0])
-                vals = [float(v) for v in raw[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed row {','.join(raw)!r}")
-            t = t_ms / 1000.0
-            if prev_t is not None and t <= prev_t:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-monotonic timestamp "
-                    f"(t={t:.3f} s follows t={prev_t:.3f} s from line {prev_line})"
-                )
-            prev_t, prev_line = t, lineno
-            norm = math.sqrt(sum(v * v for v in vals[2:6]))
-            if abs(norm - 1.0) > MAX_QUAT_NORM_ERROR:
-                rejected += 1
-                continue
-            q = tuple(v / norm for v in vals[2:6])
-            rows.append((t, vals[0], vals[1], *q, *vals[6:9]))
-
-    data = np.array(rows, dtype=float).reshape(len(rows), 10)
-    t = data[:, 0]
+    table = read_table(path, SENSOR_HEADER, SENSOR_KINDS)
+    t, prox, ambient, qw, qx, qy, qz, ax, ay, az = table.columns
+    back = np.flatnonzero(np.diff(t) <= 0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise table.error(
+            i,
+            f"non-monotonic timestamp (t={t[i]:.3f} s follows t={t[i - 1]:.3f} s "
+            f"from line {table.lines[i - 1]})",
+        )
+    norm = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    keep = np.abs(norm - 1.0) <= MAX_QUAT_NORM_ERROR
+    quat = np.column_stack((qw, qx, qy, qz))[keep] / norm[keep, None]
+    t = t[keep]
     gap_count, max_gap = 0, 0.0
     if len(t) > 1:
         dt = np.diff(t)
@@ -191,60 +166,33 @@ def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
     return Session(
         participant=participant,
         t=t,
-        prox=data[:, 1],
-        ambient=data[:, 2],
-        quat=data[:, 3:7],
-        accel=data[:, 7:10],
-        gaps=GapReport(count=gap_count, max_gap_s=max_gap, rejected_rows=rejected),
+        prox=prox[keep],
+        ambient=ambient[keep],
+        quat=quat,
+        accel=np.column_stack((ax, ay, az))[keep],
+        gaps=GapReport(count=gap_count, max_gap_s=max_gap, rejected_rows=int((~keep).sum())),
     )
 
 
 def write_sensor_csv(path: str | Path, session: Session) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SENSOR_HEADER)
-        for i in range(len(session)):
-            writer.writerow(
-                [int(round(session.t[i] * 1000.0))]
-                + [repr(float(v)) for v in (session.prox[i], session.ambient[i])]
-                + [repr(float(v)) for v in session.quat[i]]
-                + [repr(float(v)) for v in session.accel[i]]
-            )
+    columns = (session.t, session.prox, session.ambient, *session.quat.T, *session.accel.T)
+    write_table(path, SENSOR_HEADER, SENSOR_KINDS, zip(*columns))
 
 
 def read_label_csv(path: str | Path) -> list[LabeledInterval]:
-    path = Path(path)
+    table = read_table(path, LABEL_HEADER, LABEL_KINDS)
     out: list[LabeledInterval] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != LABEL_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {','.join(LABEL_HEADER)}")
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(raw)}")
-            participant, kind, start_s, end_s = (v.strip() for v in raw)
-            try:
-                interval = LabeledInterval(
-                    start=float(start_s),
-                    end=float(end_s),
-                    kind=IntervalKind(kind),
-                    participant=participant,
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}")
-            out.append(interval)
+    for row, (participant, kind, start, end) in enumerate(table.rows()):
+        try:
+            out.append(LabeledInterval(start, end, IntervalKind(kind), participant))
+        except ValueError as exc:
+            raise table.error(row, str(exc)) from exc
     return out
 
 
 def write_label_csv(path: str | Path, intervals: Iterable[LabeledInterval]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_HEADER)
-        for iv in intervals:
-            writer.writerow([iv.participant, iv.kind.value, repr(iv.start), repr(iv.end)])
+    rows = ((iv.participant, iv.kind.value, iv.start, iv.end) for iv in intervals)
+    write_table(path, LABEL_HEADER, LABEL_KINDS, rows)
 
 
 def merge_intervals(
@@ -291,19 +239,24 @@ def inter_sequence_gap_cdf(
 ) -> list[tuple[float, float]]:
     """Empirical CDF of gaps between consecutive chewing sequences.
 
-    Returns (gap seconds, cumulative fraction) pairs sorted by gap; the last
-    fraction is 1.  Used to pick the episode-split parameter from data.
+    Gaps are taken within each participant and pooled.  Returns (gap
+    seconds, cumulative fraction) pairs sorted by gap; the last fraction
+    is 1.  Used to pick the episode-split parameter from data.
     """
-    if len(chews) < 2:
-        raise ValueError(f"need at least 2 intervals to compute gaps, got {len(chews)}")
-    ordered = sorted(chews, key=lambda iv: iv.start)
+    ordered = sorted(chews, key=lambda iv: (iv.participant, iv.start))
     gaps = []
     for prev, nxt in zip(ordered, ordered[1:]):
+        if prev.participant != nxt.participant:
+            continue
         if nxt.start < prev.end:
             raise ValueError(
                 f"overlapping intervals: [{prev.start}, {prev.end}] and [{nxt.start}, {nxt.end}]"
             )
         gaps.append(nxt.start - prev.end)
+    if not gaps:
+        raise ValueError(
+            f"need at least 2 intervals of one participant to compute gaps, got {len(chews)}"
+        )
     counts = Counter(gaps)
     total = len(gaps)
     table = []

@@ -9,7 +9,6 @@ peak finding downstream owns noise handling.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,8 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .records import Session
+from .tables import read_table, write_table
 
 DERIVED_HEADER = ("t_ms", "prox", "ambient", "lfa_deg", "energy_g2")
+DERIVED_KINDS = "mffff"
 
 
 @dataclass(frozen=True)
@@ -104,42 +105,9 @@ def derive(session: Session) -> DerivedTrace:
 
 
 def write_derived_csv(path: str | Path, trace: DerivedTrace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DERIVED_HEADER)
-        for i in range(len(trace)):
-            writer.writerow(
-                [int(round(trace.t[i] * 1000.0))]
-                + [
-                    repr(float(v))
-                    for v in (trace.prox[i], trace.ambient[i], trace.lfa[i], trace.energy[i])
-                ]
-            )
+    columns = (trace.t, trace.prox, trace.ambient, trace.lfa, trace.energy)
+    write_table(path, DERIVED_HEADER, DERIVED_KINDS, zip(*columns))
 
 
 def read_derived_csv(path: str | Path) -> DerivedTrace:
-    path = Path(path)
-    cols: list[list[float]] = [[], [], [], [], []]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != DERIVED_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {','.join(DERIVED_HEADER)}")
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(raw)}")
-            try:
-                cols[0].append(int(raw[0]) / 1000.0)
-                for k in range(1, 5):
-                    cols[k].append(float(raw[k]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed row {','.join(raw)!r}")
-    return DerivedTrace(
-        t=np.array(cols[0]),
-        prox=np.array(cols[1]),
-        ambient=np.array(cols[2]),
-        lfa=np.array(cols[3]),
-        energy=np.array(cols[4]),
-    )
+    return DerivedTrace(*read_table(path, DERIVED_HEADER, DERIVED_KINDS).columns)

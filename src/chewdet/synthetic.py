@@ -229,7 +229,6 @@ def generate(spec: ScenarioSpec) -> tuple[Session, list[LabeledInterval]]:
         quat=quat,
         accel=accel,
         labels=tuple(labels),
-        metadata={"source": "synthetic", "seed": spec.seed, "tz_offset_s": 0.0},
     )
     return session, labels
 

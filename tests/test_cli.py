@@ -210,6 +210,21 @@ class TestStandaloneCommands:
                    "--sensors", "prox") == 0
         assert (out / "report_ablate_prox.csv").exists()
 
+    def test_zero_tree_model_warns_in_train_and_predict(self, tmp_path, capsys):
+        # With the default config this scenario trains no tree, so every
+        # candidate gets the same probability.
+        out = tmp_path / "run"
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--out", out) == 0
+        for command in ("derive", "peaks", "segment", "featurize"):
+            assert run(command, "--participant", "SYN", "--out", out) == 0
+        capsys.readouterr()
+        assert run("train", "--participants", "SYN", "--out", out) == 0
+        err = capsys.readouterr().err
+        assert f"model {out / 'model.txt'} has no trees; it is constant" in err
+        assert run("predict", "--participant", "SYN", "--out", out) == 0
+        assert "it is constant" in capsys.readouterr().err
+        assert (out / "predictions_SYN.csv").exists()
+
     def test_threshold_flag_overrides_config(self, full_chain, tmp_path):
         # threshold 1.01: nothing is positive, so zero episodes come out.
         assert run("predict", "--participant", "SYN", "--out", full_chain,

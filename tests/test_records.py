@@ -88,6 +88,19 @@ class TestIngest:
         assert len(session) == 2
         assert session.gaps.rejected_rows == 1
 
+    def test_non_finite_values_rejected_with_line_and_column(self, tmp_path):
+        # A NaN norm used to pass the quaternion check, so this file ingested
+        # all three rows with nothing rejected.
+        header = "t_ms,prox,ambient,qw,qx,qy,qz,ax,ay,az"
+        rows = [
+            "0,100.0,500.0,nan,0.0,0.0,0.0,0.0,0.0,1.0",
+            "50,nan,500.0,1.0,0.0,0.0,0.0,0.0,0.0,1.0",
+            "100,100.0,inf,1.0,0.0,0.0,0.0,0.0,0.0,1.0",
+        ]
+        path = write(tmp_path, "\n".join([header] + rows) + "\n")
+        with pytest.raises(ValueError, match=r"sensors\.csv: line 2: column qw is not finite"):
+            ingest_sensor_csv(path)
+
 
 class TestSession:
     def test_labels_outside_span_rejected(self):
@@ -183,6 +196,17 @@ class TestGapCdf:
     def test_requires_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             inter_sequence_gap_cdf([chew(0, 10)])
+
+    def test_gaps_stay_within_each_participant(self):
+        chews = [chew(0, 10, "A"), chew(100, 110, "A"), chew(20, 30, "B"), chew(300, 310, "B")]
+        assert inter_sequence_gap_cdf(chews) == [(90, 0.5), (270, 1.0)]
+        # Overlap across participants is not an overlap.
+        chews = [chew(0, 10, "A"), chew(20, 30, "A"), chew(5, 15, "B"), chew(40, 50, "B")]
+        assert inter_sequence_gap_cdf(chews) == [(10, 0.5), (25, 1.0)]
+
+    def test_one_chew_per_participant_has_no_gaps(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            inter_sequence_gap_cdf([chew(0, 10, "A"), chew(20, 30, "B")])
 
     def test_bimodal_plateau_has_zero_mass(self):
         rng = np.random.default_rng(11)
