@@ -174,11 +174,9 @@ def _build_tree(
         nodes[idx] = TreeNode(feature=f, threshold=thr, left=left, right=right, value=0.0)
         return idx
 
-    # A root that cannot split produces no tree at all; the round is a no-op.
-    if _best_split(X, g, h, rows, cfg) is None:
-        return None
     grow(rows, 0)
-    return tuple(nodes)
+    # A root that cannot split produces no tree at all; the round is a no-op.
+    return None if nodes[0].is_leaf else tuple(nodes)
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:

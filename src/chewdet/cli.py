@@ -13,10 +13,16 @@ previous one inside a single output directory, so a full run is::
     chewdet episodes --participant SYN --out run/
     chewdet evaluate --participant SYN --out run/
 
-Every command appends its configuration and input/output digests to
-``manifest.txt`` in the output directory; identical command sequences with
-identical inputs produce byte-identical artifacts and manifests.  Writes
-are atomic (temp file + rename), and errors exit nonzero.
+A command body does no file plumbing of its own: it reads every input,
+the ``--config`` file included, through its ``Recorder``'s ``read``, which
+fails with "run `chewdet <producer>` first" when an artifact is missing,
+and writes every output through ``write``, which writes atomically (temp
+file + rename).  The recorder keeps both lists, and ``main`` appends the
+configuration and a digest of exactly those files to ``manifest.txt`` in
+the output directory.  Identical command sequences with identical inputs
+produce byte-identical artifacts and manifests, and errors exit nonzero.
+The computations are the library's: ``featurize`` and ``detect_episodes``
+are the calls the in-memory pipeline makes too.
 """
 
 from __future__ import annotations
@@ -36,22 +42,17 @@ from .config import (
     read_config,
     with_overrides,
 )
-from .episodes import (
-    cluster,
-    episodes_from_clusters,
-    read_episode_csv,
-    score_seconds,
-    write_episode_csv,
-)
+from .episodes import detect_episodes, read_episode_csv, score_seconds, write_episode_csv
 from .evaluation import (
     ablate_sensors,
+    featurize,
     losocv,
     score_chews,
     train_fold,
     write_report_csv,
     write_scores_csv,
 )
-from .features import extract_table, local_hour, read_feature_csv, write_feature_csv
+from .features import read_feature_csv, write_feature_csv
 from .peaks import Peak, find_prominent_peaks
 from .periodic import (
     CANDIDATE_HEADER,
@@ -82,30 +83,9 @@ PEAK_KINDS = "mff"
 PREDICTION_HEADER = (*CANDIDATE_HEADER, "probability", "positive")
 PREDICTION_KINDS = CANDIDATE_KINDS + "fi"
 
-# artifact stem -> command that produces it
-_PRODUCERS = {
-    "sensors": "synth",
-    "ingested": "ingest",
-    "derived": "derive",
-    "peaks": "peaks",
-    "candidates": "segment",
-    "features": "featurize",
-    "model": "train",
-    "predictions": "predict",
-    "episodes": "episodes",
-    "labels": "synth",
-}
-
 
 class StageError(RuntimeError):
     pass
-
-
-def _require(path: Path, stem: str) -> Path:
-    if not path.exists():
-        producer = _PRODUCERS.get(stem, "?")
-        raise StageError(f"missing artifact {path}; run `chewdet {producer}` first")
-    return path
 
 
 def _atomic(path: Path, writer, *args) -> None:
@@ -120,38 +100,57 @@ def _atomic(path: Path, writer, *args) -> None:
         raise
 
 
+class Recorder:
+    """The files one command reads and writes, in its output directory ``out``."""
+
+    def __init__(self, out: Path) -> None:
+        self.out = out
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+
+    def read(self, path: Path, producer: str | None, reader, *args):
+        """``reader(path, *args)``; ``producer`` is the command that writes
+        ``path``, or None for a file the user supplies."""
+        if not path.exists():
+            if producer is None:
+                raise StageError(f"input file {path} does not exist")
+            raise StageError(f"missing artifact {path}; run `chewdet {producer}` first")
+        self.inputs.append(path)
+        return reader(path, *args)
+
+    def write(self, name: str, writer, *args) -> None:
+        """``writer(tmp, *args)``, then rename ``tmp`` to ``out/name``."""
+        path = self.out / name
+        _atomic(path, writer, *args)
+        self.outputs.append(path)
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _append_manifest(out: Path, command: str, cfg: PipelineConfig, inputs: list[Path], outputs: list[Path]) -> None:
+def _append_manifest(rec: Recorder, command: str, cfg: PipelineConfig) -> None:
     items: list[tuple[str, str]] = [("command", command), ("tool", f"chewdet {__version__}")]
     items.extend(cfg.manifest_items())
-    for p in sorted(inputs):
+    for p in sorted(set(rec.inputs)):
         items.append((f"input.{p.name}", file_digest(p)))
-    for p in sorted(outputs):
+    for p in sorted(rec.outputs):
         items.append((f"output.{p.name}", file_digest(p)))
     items.append(("entry_hash", manifest_hash(items)))
     block = "\n".join(f"{k} = {v}" for k, v in items) + "\n\n"
-    manifest = out / "manifest.txt"
+    manifest = rec.out / "manifest.txt"
     existing = manifest.read_text(encoding="utf-8") if manifest.exists() else ""
     _atomic(manifest, _write_text, existing + block)
 
 
-def _load_config(args) -> PipelineConfig:
-    cfg = read_config(args.config) if args.config else PipelineConfig()
+def _load_config(args, rec: Recorder) -> PipelineConfig:
+    cfg = rec.read(Path(args.config), None, read_config) if args.config else PipelineConfig()
     overrides = {}
     for name in ("seed", "threshold", "delta"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     return with_overrides(cfg, **overrides)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
@@ -187,23 +186,23 @@ def _chews(labels: list[LabeledInterval], pid: str) -> list[LabeledInterval]:
     return [iv for iv in labels if iv.participant == pid and iv.kind is IntervalKind.CHEW]
 
 
-def _load_sessions(data_dir: Path, participants: list[str] | None) -> list[Session]:
-    sensor_files = sorted(data_dir.glob("sensors_*.csv"))
+def _load_sessions(args, rec: Recorder) -> list[Session]:
+    data_dir = Path(args.data)
+    sensor_files = {p.stem[len("sensors_"):]: p for p in sorted(data_dir.glob("sensors_*.csv"))}
     if not sensor_files:
         raise StageError(f"no sensors_*.csv files in {data_dir}; run `chewdet synth` first")
+    wanted = args.participants.split(",") if args.participants else list(sensor_files)
+    missing = [pid for pid in wanted if pid not in sensor_files]
+    if missing:
+        raise StageError(f"no sensors_<id>.csv in {data_dir} for participants {missing}")
     labels: list[LabeledInterval] = []
     for label_file in sorted(data_dir.glob("labels*.csv")):
-        labels.extend(read_label_csv(label_file))
-    sessions = []
-    for path in sensor_files:
-        pid = path.stem[len("sensors_"):]
-        if participants and pid not in participants:
-            continue
-        session = ingest_sensor_csv(path, participant=pid)
-        sessions.append(session.with_labels(_chews(labels, pid)))
-    if not sessions:
-        raise StageError(f"no sessions matched participants {participants}")
-    return sessions
+        labels.extend(rec.read(label_file, "synth", read_label_csv))
+    return [
+        rec.read(path, "synth", ingest_sensor_csv, pid).with_labels(_chews(labels, pid))
+        for pid, path in sensor_files.items()
+        if pid in wanted
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -211,196 +210,131 @@ def _load_sessions(data_dir: Path, participants: list[str] | None) -> list[Sessi
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    spec = read_scenario(Path(args.scenario))
+def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    spec = rec.read(Path(args.scenario), None, read_scenario)
     if args.participant:
         spec = type(spec)(**{**spec.__dict__, "participant": args.participant})
     if args.seed is not None:
         spec = type(spec)(**{**spec.__dict__, "seed": args.seed})
     session, labels = generate(spec)
-    sensors = out / f"sensors_{spec.participant}.csv"
-    label_file = out / f"labels_{spec.participant}.csv"
-    _atomic(sensors, write_sensor_csv, session)
-    _atomic(label_file, write_label_csv, labels)
+    rec.write(f"sensors_{spec.participant}.csv", write_sensor_csv, session)
+    rec.write(f"labels_{spec.participant}.csv", write_label_csv, labels)
     print(f"wrote {len(session)} frames, {len(labels)} chew labels for {spec.participant}")
-    return [sensors, label_file]
 
 
-def cmd_ingest(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    src = _require(Path(args.input), "sensors")
-    session = ingest_sensor_csv(src, participant=args.participant)
-    dst = out / f"ingested_{args.participant}.csv"
-    _atomic(dst, write_sensor_csv, session)
+def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    session = rec.read(Path(args.input), "synth", ingest_sensor_csv, args.participant)
+    rec.write(f"ingested_{args.participant}.csv", write_sensor_csv, session)
     print(
         f"{args.participant}: {len(session)} frames, gaps={session.gaps.count} "
         f"(max {session.gaps.max_gap_s:.3f} s), rejected_rows={session.gaps.rejected_rows}"
     )
-    return [dst]
 
 
-def cmd_derive(args, cfg: PipelineConfig, out: Path) -> list[Path]:
+def cmd_derive(args, cfg: PipelineConfig, rec: Recorder) -> None:
     if args.input:
-        src = Path(args.input)
-        if not src.exists():
-            raise StageError(f"input file {src} does not exist")
+        src, producer = Path(args.input), None
     else:
-        src = out / f"sensors_{args.participant}.csv"
+        src, producer = rec.out / f"sensors_{args.participant}.csv", "synth"
         if not src.exists():
-            src = out / f"ingested_{args.participant}.csv"
-        _require(src, "sensors")
-    session = ingest_sensor_csv(src, participant=args.participant)
-    trace = derive(session)
-    dst = out / f"derived_{args.participant}.csv"
-    _atomic(dst, write_derived_csv, trace)
-    return [dst]
+            src = rec.out / f"ingested_{args.participant}.csv"
+    session = rec.read(src, producer, ingest_sensor_csv, args.participant)
+    rec.write(f"derived_{args.participant}.csv", write_derived_csv, derive(session))
 
 
-def cmd_peaks(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    src = _require(out / f"derived_{args.participant}.csv", "derived")
-    trace = read_derived_csv(src)
+def cmd_peaks(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    trace = rec.read(rec.out / f"derived_{args.participant}.csv", "derive", read_derived_csv)
     pks = find_prominent_peaks(trace.prox, trace.t, cfg.min_prominence)
-    dst = out / f"peaks_{args.participant}.csv"
-    _atomic(dst, _write_peaks_csv, pks)
+    rec.write(f"peaks_{args.participant}.csv", _write_peaks_csv, pks)
     print(f"{args.participant}: {len(pks)} prominent peaks")
-    return [dst]
 
 
-def cmd_segment(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    src = _require(out / f"peaks_{args.participant}.csv", "peaks")
-    pks = _read_peaks_csv(src)
+def cmd_segment(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    pks = rec.read(rec.out / f"peaks_{args.participant}.csv", "peaks", _read_peaks_csv)
     cands = segment(pks, cfg.sweep(), cfg.min_len)
-    dst = out / f"candidates_{args.participant}.csv"
-    _atomic(dst, write_candidate_csv, cands)
+    rec.write(f"candidates_{args.participant}.csv", write_candidate_csv, cands)
     print(f"{args.participant}: {len(cands)} candidate subsequences")
-    return [dst]
 
 
-def cmd_featurize(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    derived = _require(out / f"derived_{args.participant}.csv", "derived")
-    candidates = _require(out / f"candidates_{args.participant}.csv", "candidates")
-    trace = read_derived_csv(derived)
-    cands = read_candidate_csv(candidates)
-    label_file = out / f"labels_{args.participant}.csv"
+def cmd_featurize(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    pid = args.participant
+    trace = rec.read(rec.out / f"derived_{pid}.csv", "derive", read_derived_csv)
+    cands = rec.read(rec.out / f"candidates_{pid}.csv", "segment", read_candidate_csv)
+    label_file = rec.out / f"labels_{pid}.csv"
     chews = None
     if label_file.exists():
-        chews = _chews(read_label_csv(label_file), args.participant)
-    sensors = tuple(args.sensors.split(",")) if args.sensors else None
-    table = extract_table(
-        trace,
-        cands,
-        local_hour(cfg.tz_offset_s),
-        args.participant,
-        chews=chews,
-        signals=sensors or ("prox", "ambient", "lfa", "energy"),
-        min_prominence=cfg.min_prominence,
-        sample_rate_hz=cfg.sample_rate_hz,
-        label_min_overlap=cfg.candidate_label_min_overlap,
-    )
-    dst = out / f"features_{args.participant}.csv"
-    _atomic(dst, write_feature_csv, table)
-    print(f"{args.participant}: {len(table)} x {len(table.names)} feature matrix")
-    return [dst]
+        chews = _chews(rec.read(label_file, "synth", read_label_csv), pid)
+    sensors = args.sensors.split(",") if args.sensors else None
+    table = featurize(trace, cands, pid, chews, cfg, sensors)
+    rec.write(f"features_{pid}.csv", write_feature_csv, table)
+    print(f"{pid}: {len(table)} x {len(table.names)} feature matrix")
 
 
-def cmd_train(args, cfg: PipelineConfig, out: Path) -> list[Path]:
+def cmd_train(args, cfg: PipelineConfig, rec: Recorder) -> None:
     pids = args.participants.split(",")
-    tables = []
-    for pid in pids:
-        src = _require(out / f"features_{pid}.csv", "features")
-        tables.append(read_feature_csv(src))
+    tables = [
+        rec.read(rec.out / f"features_{pid}.csv", "featurize", read_feature_csv) for pid in pids
+    ]
     model = train_fold(tables, cfg.boost())
-    dst = out / "model.txt"
-    _atomic(dst, save_model, model)
-    _warn_if_constant(model, dst)
+    rec.write("model.txt", save_model, model)
+    _warn_if_constant(model, rec.out / "model.txt")
     print(f"trained on {sum(len(t) for t in tables)} candidates from {len(pids)} participant(s)")
-    return [dst]
 
 
-def cmd_predict(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    model_file = _require(out / "model.txt", "model")
-    features = _require(out / f"features_{args.participant}.csv", "features")
-    model = load_model(model_file)
-    _warn_if_constant(model, model_file)
-    table = read_feature_csv(features)
+def cmd_predict(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    model = rec.read(rec.out / "model.txt", "train", load_model)
+    _warn_if_constant(model, rec.out / "model.txt")
+    table = rec.read(rec.out / f"features_{args.participant}.csv", "featurize", read_feature_csv)
     judged = classify_candidates(model, table.candidates(), table.X, cfg.threshold, table.names)
-    dst = out / f"predictions_{args.participant}.csv"
-    _atomic(dst, _write_predictions_csv, judged)
+    rec.write(f"predictions_{args.participant}.csv", _write_predictions_csv, judged)
     n_pos = sum(1 for _, positive, _ in judged if positive)
     print(f"{args.participant}: {n_pos}/{len(judged)} candidates positive")
-    return [dst]
 
 
-def cmd_episodes(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    src = _require(out / f"predictions_{args.participant}.csv", "predictions")
-    judged = _read_predictions_csv(src)
+def cmd_episodes(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    pid = args.participant
+    judged = rec.read(rec.out / f"predictions_{pid}.csv", "predict", _read_predictions_csv)
     positives = [cand for cand, positive, _ in judged if positive]
-    scores = score_seconds(positives)
-    clusters = cluster(scores, cfg.dbscan())
-    episodes = episodes_from_clusters(clusters, cfg.delta, args.participant)
-    dst = out / f"episodes_{args.participant}.csv"
-    _atomic(dst, write_episode_csv, episodes, scores)
-    print(f"{args.participant}: {len(episodes)} predicted episodes")
-    return [dst]
+    scores, episodes = detect_episodes(positives, cfg.dbscan(), cfg.delta, pid)
+    rec.write(f"episodes_{pid}.csv", write_episode_csv, episodes, scores)
+    print(f"{pid}: {len(episodes)} predicted episodes")
 
 
-def cmd_evaluate(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    predictions = _require(out / f"predictions_{args.participant}.csv", "predictions")
-    episode_file = _require(out / f"episodes_{args.participant}.csv", "episodes")
-    label_file = _require(
-        Path(args.labels) if args.labels else out / f"labels_{args.participant}.csv", "labels"
-    )
-    judged = _read_predictions_csv(predictions)
-    score = score_chews(
-        args.participant,
-        score_seconds([cand for cand, positive, _ in judged if positive]),
-        read_episode_csv(episode_file),
-        _chews(read_label_csv(label_file), args.participant),
-        cfg,
-    )
+def cmd_evaluate(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    pid = args.participant
+    judged = rec.read(rec.out / f"predictions_{pid}.csv", "predict", _read_predictions_csv)
+    positives = [cand for cand, positive, _ in judged if positive]
+    episodes = rec.read(rec.out / f"episodes_{pid}.csv", "episodes", read_episode_csv)
+    label_file = Path(args.labels) if args.labels else rec.out / f"labels_{pid}.csv"
+    chews = _chews(rec.read(label_file, "synth", read_label_csv), pid)
+    score = score_chews(pid, score_seconds(positives), episodes, chews, cfg)
     for level, m in score.levels():
-        print(
-            f"{args.participant} {level:<8} precision={m.precision:.3f} "
-            f"recall={m.recall:.3f} f1={m.f1:.3f}"
-        )
-    dst = out / f"report_{args.participant}.csv"
-    _atomic(dst, write_scores_csv, [score])
-    return [dst]
+        print(f"{pid} {level:<8} precision={m.precision:.3f} recall={m.recall:.3f} f1={m.f1:.3f}")
+    rec.write(f"report_{pid}.csv", write_scores_csv, [score])
 
 
-def cmd_losocv(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    participants = args.participants.split(",") if args.participants else None
-    sessions = _load_sessions(Path(args.data), participants)
-    report = losocv(sessions, cfg=cfg)
-    dst = out / "report.csv"
-    _atomic(dst, write_report_csv, report)
-    txt = out / "report.txt"
-    _atomic(txt, _write_text, report.to_text() + "\n")
+def cmd_losocv(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    report = losocv(_load_sessions(args, rec), cfg=cfg)
+    rec.write("report.csv", write_report_csv, report)
+    rec.write("report.txt", _write_text, report.to_text() + "\n")
     print(report.to_text())
-    return [dst, txt]
 
 
-def cmd_ablate(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    participants = args.participants.split(",") if args.participants else None
+def cmd_ablate(args, cfg: PipelineConfig, rec: Recorder) -> None:
     sensors = tuple(args.sensors.split(","))
-    sessions = _load_sessions(Path(args.data), participants)
-    report = ablate_sensors(sessions, sensors, cfg=cfg)
-    tag = "-".join(sensors)
-    dst = out / f"report_ablate_{tag}.csv"
-    _atomic(dst, write_report_csv, report)
+    report = ablate_sensors(_load_sessions(args, rec), sensors, cfg=cfg)
+    rec.write(f"report_ablate_{'-'.join(sensors)}.csv", write_report_csv, report)
     print(report.to_text())
-    return [dst]
 
 
-def cmd_gap_cdf(args, cfg: PipelineConfig, out: Path) -> list[Path]:
-    label_file = _require(Path(args.labels), "labels")
-    intervals = [iv for iv in read_label_csv(label_file) if iv.kind is IntervalKind.CHEW]
+def cmd_gap_cdf(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    labels = rec.read(Path(args.labels), "synth", read_label_csv)
+    intervals = [iv for iv in labels if iv.kind is IntervalKind.CHEW]
     if args.participant:
         intervals = [iv for iv in intervals if iv.participant == args.participant]
     cdf = inter_sequence_gap_cdf(intervals)
-    dst = out / "cdf.csv"
-    _atomic(dst, write_table, GAP_CDF_HEADER, "ff", cdf)
+    rec.write("cdf.csv", write_table, GAP_CDF_HEADER, "ff", cdf)
     print(f"gap CDF over {len(cdf)} distinct values")
-    return [dst]
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +432,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        out = _out_dir(args)
-        inputs = []
-        for attr in ("input", "scenario", "labels", "config"):
-            value = getattr(args, attr, None)
-            if value and Path(value).exists():
-                inputs.append(Path(value))
-        if getattr(args, "data", None):
-            inputs.extend(sorted(Path(args.data).glob("*.csv")))
-        outputs = args.func(args, cfg, out)
-        _append_manifest(out, args.command, cfg, inputs, outputs)
+        rec = Recorder(Path(args.out))
+        cfg = _load_config(args, rec)
+        rec.out.mkdir(parents=True, exist_ok=True)
+        args.func(args, cfg, rec)
+        _append_manifest(rec, args.command, cfg)
     except (ValueError, StageError, OSError) as exc:
         print(f"chewdet {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -134,6 +134,14 @@ def episodes_from_clusters(
     ]
 
 
+def detect_episodes(
+    positives: Sequence, dbscan_cfg: DbscanConfig, delta: float, participant: str = ""
+) -> tuple[list[SecondScore], list[LabeledInterval]]:
+    """Positive candidates -> scored seconds and merged predicted episodes."""
+    scores = score_seconds(positives)
+    return scores, episodes_from_clusters(cluster(scores, dbscan_cfg), delta, participant)
+
+
 EPISODE_HEADER = ("participant", "start_s", "end_s", "n_seconds", "peak_score")
 EPISODE_KINDS = "sffii"
 

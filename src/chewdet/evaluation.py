@@ -21,14 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boosting import BoostConfig, TrainedModel, classify_candidates, train
-from .config import PipelineConfig
-from .episodes import (
-    DbscanConfig,
-    SecondScore,
-    cluster,
-    episodes_from_clusters,
-    score_seconds,
-)
+from .config import PipelineConfig, manifest_hash
+from .episodes import DbscanConfig, SecondScore, detect_episodes
 from .features import SIGNALS, FeatureTable, extract_table, local_hour
 from .peaks import find_prominent_peaks
 from .periodic import segment
@@ -38,7 +32,7 @@ from .records import (
     covered_seconds,
     derive_episode_labels,
 )
-from .signals import derive
+from .signals import DerivedTrace, derive
 from .tables import write_table
 
 OVERLAP_BASES = ("truth", "pred", "min")
@@ -161,8 +155,6 @@ class EvalReport:
 
     @property
     def manifest_hash(self) -> str:
-        from .config import manifest_hash
-
         return manifest_hash(list(self.manifest))
 
     def entries(self) -> list[ParticipantScore]:
@@ -223,18 +215,30 @@ def session_candidates(
     trace = derive(session)
     pks = find_prominent_peaks(trace.prox, trace.t, cfg.min_prominence)
     cands = segment(pks, cfg.sweep(), cfg.min_len)
-    table = extract_table(
+    return cands, featurize(trace, cands, session.participant, session.chew_labels(), cfg, signals)
+
+
+def featurize(
+    trace: DerivedTrace,
+    cands: Sequence,
+    participant: str,
+    chews: Sequence[LabeledInterval] | None,
+    cfg: PipelineConfig,
+    signals: Sequence[str] | None = None,
+) -> FeatureTable:
+    """The feature table of one trace's candidates, labeled from ``chews``
+    (unlabeled, -1, when ``chews`` is None); ``signals`` defaults to all four."""
+    return extract_table(
         trace,
         cands,
         local_hour(cfg.tz_offset_s),
-        session.participant,
-        chews=session.chew_labels(),
+        participant,
+        chews=chews,
         signals=tuple(signals) if signals else SIGNALS,
         min_prominence=cfg.min_prominence,
         sample_rate_hz=cfg.sample_rate_hz,
         label_min_overlap=cfg.candidate_label_min_overlap,
     )
-    return cands, table
 
 
 def predict_session(
@@ -248,11 +252,8 @@ def predict_session(
     """Classifier output -> scored seconds and merged predicted episodes."""
     judged = classify_candidates(model, cands, table.X, threshold, table.names)
     positives = [c for c, positive, _ in judged if positive]
-    scores = score_seconds(positives)
-    clusters = cluster(scores, dbscan_cfg)
     participant = table.participant[0] if table.participant else ""
-    episodes = episodes_from_clusters(clusters, delta, participant)
-    return scores, episodes
+    return detect_episodes(positives, dbscan_cfg, delta, participant)
 
 
 def score_participant(
@@ -300,7 +301,7 @@ def train_fold(
     for tb in tables:
         if tb.names != names:
             raise ValueError("feature layouts differ across training tables")
-    X = np.vstack([tb.X for tb in tables]) if tables else np.zeros((0, len(names)))
+    X = np.vstack([tb.X for tb in tables])
     y = np.concatenate([tb.label for tb in tables])
     if np.any(y < 0):
         raise ValueError("training tables contain unlabeled candidates")

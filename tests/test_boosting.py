@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chewdet import boosting
 from chewdet.boosting import (
     BoostConfig,
     TrainedModel,
@@ -144,6 +145,22 @@ class TestDeterminismAndStructure:
         # h = 0.25 per row at the first round: 2 rows per side gives 0.5 < 1.
         model = train(TOY_X, TOY_Y, toy_config(min_child_weight=1.0))
         assert model.trees == ()
+
+    def test_each_node_is_searched_once(self, monkeypatch):
+        # Stumps: one split search per round, at the root, whether or not
+        # the root splits.
+        calls = []
+        real = boosting._best_split
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(boosting, "_best_split", counted)
+        assert len(train(TOY_X, TOY_Y, toy_config(n_rounds=5)).trees) == 5
+        assert len(calls) == 5
+        assert train(TOY_X, TOY_Y, toy_config(n_rounds=5, gamma=np.inf)).trees == ()
+        assert len(calls) == 10
 
     def test_depth_limit_respected(self):
         rng = np.random.default_rng(4)

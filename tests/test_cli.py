@@ -2,7 +2,13 @@ import csv
 
 import pytest
 
+from chewdet.boosting import load_model
 from chewdet.cli import main
+from chewdet.config import file_digest, read_config
+from chewdet.episodes import write_episode_csv
+from chewdet.evaluation import predict_session, session_candidates
+from chewdet.features import write_feature_csv
+from chewdet.records import ingest_sensor_csv, read_label_csv
 
 SCENARIO = """
 duration = 1500
@@ -86,6 +92,54 @@ class TestFullChain:
         assert "config.delta = 900.0" in text
 
 
+def manifest_entries(out):
+    blocks = (out / "manifest.txt").read_text().strip().split("\n\n")
+    return [dict(line.split(" = ", 1) for line in block.splitlines()) for block in blocks]
+
+
+# The files each command of the README round trip reads, besides --config.
+CHAIN_READS = {
+    "synth": {"scenario.txt"},
+    "derive": {"sensors_SYN.csv"},
+    "peaks": {"derived_SYN.csv"},
+    "segment": {"peaks_SYN.csv"},
+    "featurize": {"derived_SYN.csv", "candidates_SYN.csv", "labels_SYN.csv"},
+    "train": {"features_SYN.csv"},
+    "predict": {"model.txt", "features_SYN.csv"},
+    "episodes": {"predictions_SYN.csv"},
+    "evaluate": {"predictions_SYN.csv", "episodes_SYN.csv", "labels_SYN.csv"},
+}
+
+
+class TestLineage:
+    def test_each_manifest_entry_digests_every_file_read(self, full_chain, tmp_path):
+        entries = manifest_entries(full_chain)
+        assert [e["command"] for e in entries] == list(CHAIN_READS)
+        for entry in entries:
+            inputs = {k[len("input."):]: v for k, v in entry.items() if k.startswith("input.")}
+            assert set(inputs) == CHAIN_READS[entry["command"]] | {"config.txt"}, entry["command"]
+            for name, digest in inputs.items():
+                path = full_chain / name if (full_chain / name).exists() else tmp_path / name
+                assert digest == file_digest(path), (entry["command"], name)
+            assert any(k.startswith("output.") for k in entry), entry["command"]
+
+    def test_cli_artifacts_equal_the_in_memory_pipeline(self, full_chain, tmp_path):
+        cfg = read_config(tmp_path / "config.txt")
+        session = ingest_sensor_csv(full_chain / "sensors_SYN.csv", "SYN")
+        session = session.with_labels(read_label_csv(full_chain / "labels_SYN.csv"))
+        cands, table = session_candidates(session, cfg)
+        model = load_model(full_chain / "model.txt")
+        scores, episodes = predict_session(
+            model, cands, table, cfg.dbscan(), cfg.threshold, cfg.delta
+        )
+        assert episodes
+        write_feature_csv(tmp_path / "features.csv", table)
+        write_episode_csv(tmp_path / "episodes.csv", episodes, scores)
+        for mine, cli_file in (("features.csv", "features_SYN.csv"),
+                               ("episodes.csv", "episodes_SYN.csv")):
+            assert (tmp_path / mine).read_bytes() == (full_chain / cli_file).read_bytes()
+
+
 class TestErrors:
     def test_missing_upstream_artifact_names_prior_command(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -122,6 +176,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "predictions_SYN.csv: line 2: malformed row" in err
+
+    def test_losocv_names_requested_participants_without_data(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", "A",
+                   "--out", data) == 0
+        code = run("losocv", "--data", data, "--participants", "A,B,Z",
+                   "--out", tmp_path / "run")
+        assert code == 1
+        assert "for participants ['B', 'Z']" in capsys.readouterr().err
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         bad = tmp_path / "config.txt"
