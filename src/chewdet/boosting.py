@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tables import field_types, key_values, parse_fields, render_fields
+
 _RAW_CLIP = 500.0  # keeps exp() in range; sigmoid saturates long before this
 _PROB_EPS = 1e-15
 
@@ -216,8 +218,9 @@ def train(
     """Fit a boosted ensemble on binary labels.
 
     Raises:
-        ValueError: when only one class is present, sizes mismatch, or a
-            feature value is non-finite (naming row and column).
+        ValueError: when only one class is present, sizes mismatch, a
+            feature value is non-finite (naming row and column), or a feature
+            name cannot be saved in the model header (naming it).
     """
     names = tuple(feature_names) if feature_names is not None else None
     X = _validate_matrix(X, names)
@@ -236,6 +239,12 @@ def train(
         names = tuple(f"f{i}" for i in range(X.shape[1]))
     if len(names) != X.shape[1]:
         raise ValueError(f"{len(names)} feature names for {X.shape[1]} columns")
+    for name in names:
+        if "," in name or "#" in name or name.strip() != name or name.splitlines() != [name]:
+            raise ValueError(
+                f"feature name {name!r} cannot be saved in a model header: it needs a "
+                "character, no surrounding whitespace and no ',', '#' or line break"
+            )
 
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else n_neg / n_pos
     w = np.where(y == 1.0, pos_weight, 1.0)
@@ -327,18 +336,15 @@ def split_counts(model: TrainedModel) -> np.ndarray:
     return counts
 
 
-_HEADER_KEYS = (
-    "eta", "max_depth", "gamma", "min_child_weight", "subsample",
-    "n_rounds", "seed", "reg_lambda", "pos_weight",
+# The model header's keys beyond BoostConfig's fields, as model_to_text writes them.
+_HEADER_TYPES = dict(
+    format="str", base_score="float", layout_fingerprint="str", feature_names="str", n_trees="int"
 )
 
 
 def model_to_text(model: TrainedModel) -> str:
     lines = ["format = chewdet-gbt-v1"]
-    for key in _HEADER_KEYS:
-        value = getattr(model.config, key)
-        rendered = "auto" if value is None else repr(value)
-        lines.append(f"{key} = {rendered}")
+    lines.extend(f"{key} = {text}" for key, text in render_fields(model.config))
     lines.append(f"base_score = {model.base_score!r}")
     lines.append(f"layout_fingerprint = {model.fingerprint}")
     lines.append(f"feature_names = {','.join(model.feature_names)}")
@@ -356,60 +362,55 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
     Path(path).write_text(model_to_text(model), encoding="utf-8")
 
 
-def model_from_text(text: str) -> TrainedModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header: dict[str, str] = {}
-    i = 0
-    while i < len(lines) and "=" in lines[i] and not lines[i].startswith("tree "):
-        key, _, value = lines[i].partition("=")
-        header[key.strip()] = value.strip()
-        i += 1
+def model_from_text(text: str, source: str | Path = "model text") -> TrainedModel:
+    """The model that ``model_to_text`` wrote; ``source`` names it in errors.
+
+    The header is a flat ``key = value`` block and must hold every key once.
+    Each ``tree k`` line starts a tree of node rows in preorder, so a split
+    node's children come after it in its own tree, and its feature indexes
+    ``feature_names``.
+    """
+    lines = text.splitlines()
+    body = next((i for i, line in enumerate(lines) if line.startswith("tree ")), len(lines))
+    types = {**field_types(BoostConfig), **_HEADER_TYPES}
+    header = parse_fields(types, key_values(lines[:body], source), source, "model header")
     if header.get("format") != "chewdet-gbt-v1":
-        raise ValueError(f"unrecognized model format {header.get('format')!r}")
-    kwargs = {}
-    for key in _HEADER_KEYS:
-        raw = header[key]
-        if key in ("max_depth", "n_rounds", "seed"):
-            kwargs[key] = int(raw)
-        elif key == "pos_weight":
-            kwargs[key] = None if raw == "auto" else float(raw)
-        else:
-            kwargs[key] = float(raw)
-    cfg = BoostConfig(**kwargs)
+        raise ValueError(f"{source}: unrecognized model format {header.get('format')!r}")
+    missing = [key for key in types if key not in header]
+    if missing:
+        raise ValueError(f"{source}: model header lacks {', '.join(missing)}")
     names = tuple(header["feature_names"].split(",")) if header["feature_names"] else ()
-    n_trees = int(header["n_trees"])
-    trees: list[Tree] = []
-    nodes: list[TreeNode] = []
-    for line in lines[i:]:
+    trees: list[list[tuple[int, TreeNode]]] = []
+    for lineno, line in enumerate(lines[body:], start=body + 1):
         if line.startswith("tree "):
-            if nodes:
-                trees.append(tuple(nodes))
-                nodes = []
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"malformed tree node row {line!r}")
-        nodes.append(
-            TreeNode(
-                feature=int(parts[1]),
-                threshold=float(parts[2]),
-                left=int(parts[3]),
-                right=int(parts[4]),
-                value=float(parts[5]),
-            )
-        )
-    if nodes:
-        trees.append(tuple(nodes))
-    if len(trees) != n_trees:
-        raise ValueError(f"model declares {n_trees} trees but contains {len(trees)}")
+            trees.append([])
+        elif line.strip():
+            try:
+                _, feature, threshold, left, right, value = line.split(",")
+                node = TreeNode(int(feature), float(threshold), int(left), int(right), float(value))
+            except ValueError:
+                raise ValueError(f"{source}: line {lineno}: malformed tree node {line!r}") from None
+            trees[-1].append((lineno, node))
+    if len(trees) != header["n_trees"]:
+        raise ValueError(f"{source}: model declares {header['n_trees']} trees, holds {len(trees)}")
+    for k, tree in enumerate(trees):
+        if not tree:
+            raise ValueError(f"{source}: tree {k} has no nodes")
+        for i, (lineno, node) in enumerate(tree):
+            lo, hi = sorted((node.left, node.right))
+            if not node.is_leaf and not (node.feature < len(names) and i < lo and hi < len(tree)):
+                raise ValueError(
+                    f"{source}: line {lineno}: node {i} of tree {k} (feature {node.feature}, "
+                    f"children {node.left}, {node.right}) points outside the features or the tree"
+                )
     return TrainedModel(
-        trees=tuple(trees),
-        base_score=float(header["base_score"]),
-        config=cfg,
+        trees=tuple(tuple(node for _, node in tree) for tree in trees),
+        base_score=header["base_score"],
+        config=BoostConfig(**{key: header[key] for key in field_types(BoostConfig)}),
         feature_names=names,
         fingerprint=header["layout_fingerprint"],
     )
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    return model_from_text(Path(path).read_text(encoding="utf-8"), path)

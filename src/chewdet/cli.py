@@ -31,17 +31,12 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .boosting import classify_candidates, load_model, save_model
-from .config import (
-    PipelineConfig,
-    file_digest,
-    manifest_hash,
-    read_config,
-    with_overrides,
-)
+from .config import PipelineConfig, file_digest, manifest_hash, read_config
 from .episodes import detect_episodes, read_episode_csv, score_seconds, write_episode_csv
 from .evaluation import (
     ablate_sensors,
@@ -145,12 +140,8 @@ def _append_manifest(rec: Recorder, command: str, cfg: PipelineConfig) -> None:
 
 def _load_config(args, rec: Recorder) -> PipelineConfig:
     cfg = rec.read(Path(args.config), None, read_config) if args.config else PipelineConfig()
-    overrides = {}
-    for name in ("seed", "threshold", "delta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return with_overrides(cfg, **overrides)
+    overrides = {name: getattr(args, name) for name in ("seed", "threshold", "delta")}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
@@ -213,9 +204,9 @@ def _load_sessions(args, rec: Recorder) -> list[Session]:
 def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
     spec = rec.read(Path(args.scenario), None, read_scenario)
     if args.participant:
-        spec = type(spec)(**{**spec.__dict__, "participant": args.participant})
+        spec = replace(spec, participant=args.participant)
     if args.seed is not None:
-        spec = type(spec)(**{**spec.__dict__, "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     session, labels = generate(spec)
     rec.write(f"sensors_{spec.participant}.csv", write_sensor_csv, session)
     rec.write(f"labels_{spec.participant}.csv", write_label_csv, labels)
@@ -272,6 +263,9 @@ def cmd_featurize(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 def cmd_train(args, cfg: PipelineConfig, rec: Recorder) -> None:
     pids = args.participants.split(",")
+    repeated = sorted({pid for pid in pids if pids.count(pid) > 1})
+    if repeated:
+        raise StageError(f"--participants names {repeated} more than once")
     tables = [
         rec.read(rec.out / f"features_{pid}.csv", "featurize", read_feature_csv) for pid in pids
     ]

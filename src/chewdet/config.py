@@ -2,19 +2,20 @@
 
 One ``key = value`` text file drives all commands; every value lands in the
 run manifest together with input digests, so two runs with equal manifests
-produce byte-identical outputs.  Unknown keys are an error -- misspellings
-must not silently fall back to defaults.
+produce byte-identical outputs.  Unknown and repeated keys are errors --
+misspellings must not silently fall back to defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .boosting import BoostConfig
 from .episodes import DbscanConfig
 from .periodic import SweepConfig
+from .tables import field_types, key_values, parse_fields, render_fields
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class PipelineConfig:
     sweep_max: float = 1.5
     epsilon: float = 0.2
     min_len: int = 3
-    strict_bounds: bool = False
     # boosting
     eta: float = 0.3
     max_depth: int = 4
@@ -55,7 +55,6 @@ class PipelineConfig:
             min=self.sweep_min,
             max=self.sweep_max,
             epsilon=self.epsilon,
-            strict_bounds=self.strict_bounds,
         )
 
     def boost(self) -> BoostConfig:
@@ -79,68 +78,14 @@ class PipelineConfig:
         )
 
     def manifest_items(self) -> list[tuple[str, str]]:
-        items = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            items.append((f"config.{f.name}", "auto" if value is None else repr(value)))
-        return items
-
-
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_value(name: str, raw: str, annotation: str):
-    raw = raw.strip()
-    if annotation == "bool":
-        if raw.lower() not in _BOOL_WORDS:
-            raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
-    if annotation == "int":
-        return int(raw)
-    if annotation == "float":
-        return float(raw)
-    if annotation == "float | None":
-        return None if raw.lower() in ("auto", "none") else float(raw)
-    return raw
+        return [(f"config.{name}", text) for name, text in render_fields(self)]
 
 
 def read_config(path: str | Path) -> PipelineConfig:
-    """Parse a flat key = value file; '#' starts a comment."""
+    """Read a flat ``key = value`` config file; '#' starts a comment."""
     path = Path(path)
-    known = {f.name: f for f in fields(PipelineConfig)}
-    overrides = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in known:
-            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-        try:
-            overrides[key] = _parse_value(key, raw, str(known[key].type))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}")
-    return PipelineConfig(**overrides)
-
-
-def write_config(path: str | Path, cfg: PipelineConfig) -> None:
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            value = "auto"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def with_overrides(cfg: PipelineConfig, **kwargs) -> PipelineConfig:
-    supplied = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(cfg, **supplied) if supplied else cfg
+    entries = key_values(path.read_text(encoding="utf-8").splitlines(), path)
+    return PipelineConfig(**parse_fields(field_types(PipelineConfig), entries, path, "config"))
 
 
 def file_digest(path: str | Path) -> str:

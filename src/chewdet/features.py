@@ -287,10 +287,6 @@ class FeatureTable:
         if len(self.participant) != n:
             raise ValueError(f"participant length != row count {n}")
 
-    @property
-    def fingerprint(self) -> str:
-        return layout_fingerprint(self.names)
-
     def __len__(self) -> int:
         return int(self.X.shape[0])
 

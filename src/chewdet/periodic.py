@@ -94,7 +94,6 @@ class SweepConfig:
     min: float = 0.4
     max: float = 1.5
     epsilon: float = 0.2
-    strict_bounds: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.min < self.max:
@@ -131,13 +130,11 @@ def longest_abs_periodic(
     p_max: float,
     *,
     epsilon: float | None = None,
-    strict: bool = False,
 ) -> list[PeriodicSubsequence]:
     """All longest subsequences whose consecutive gaps stay in [p_min, p_max].
 
-    Bounds are inclusive by default; ``strict`` switches both comparisons to
-    the open interval.  Every optimum (tie) is returned, ordered by start
-    time.  ``epsilon`` only tags the result band; when omitted it is the
+    Both bounds are inclusive.  Every optimum (tie) is returned, ordered by
+    start time.  ``epsilon`` only tags the result band; when omitted it is the
     smallest value consistent with the band ratio.
     """
     if not 0 < p_min <= p_max:
@@ -150,13 +147,6 @@ def longest_abs_periodic(
         return []
 
     tl = ts.tolist()
-    if strict:
-        def admissible(gap: float) -> bool:
-            return p_min < gap < p_max
-    else:
-        def admissible(gap: float) -> bool:
-            return p_min <= gap <= p_max
-
     # Sliding-window DP: dq holds candidate predecessors with non-increasing
     # opt values; a predecessor enters once its gap reaches p_min and leaves
     # once its gap passes p_max.
@@ -165,22 +155,13 @@ def longest_abs_periodic(
     nxt = 0  # next index eligible to enter the window
     for i in range(n):
         ti = tl[i]
-        if strict:
-            while nxt < i and ti - tl[nxt] > p_min:
-                while dq and opt[dq[-1]] <= opt[nxt]:
-                    dq.pop()
-                dq.append(nxt)
-                nxt += 1
-            while dq and ti - tl[dq[0]] >= p_max:
-                dq.popleft()
-        else:
-            while nxt < i and ti - tl[nxt] >= p_min:
-                while dq and opt[dq[-1]] <= opt[nxt]:
-                    dq.pop()
-                dq.append(nxt)
-                nxt += 1
-            while dq and ti - tl[dq[0]] > p_max:
-                dq.popleft()
+        while nxt < i and ti - tl[nxt] >= p_min:
+            while dq and opt[dq[-1]] <= opt[nxt]:
+                dq.pop()
+            dq.append(nxt)
+            nxt += 1
+        while dq and ti - tl[dq[0]] > p_max:
+            dq.popleft()
         if dq:
             opt[i] = opt[dq[0]] + 1
 
@@ -194,9 +175,9 @@ def longest_abs_periodic(
         j = i - 1
         while j >= 0:
             gap = tl[i] - tl[j]
-            if (gap >= p_max if strict else gap > p_max):
+            if gap > p_max:
                 break
-            if opt[j] == want and admissible(gap):
+            if opt[j] == want and gap >= p_min:
                 out.append(j)
             j -= 1
         out.reverse()
@@ -236,9 +217,7 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     ts = _validate_times(t)
     found: dict[tuple[float, ...], PeriodicSubsequence] = {}
     for b_lo, b_hi in cfg.bands():
-        for sub in longest_abs_periodic(
-            ts, b_lo, b_hi, epsilon=cfg.epsilon, strict=cfg.strict_bounds
-        ):
+        for sub in longest_abs_periodic(ts, b_lo, b_hi, epsilon=cfg.epsilon):
             found.setdefault(sub.timestamps, sub)
     return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 

@@ -117,12 +117,6 @@ class Session:
     def __len__(self) -> int:
         return int(self.t.shape[0])
 
-    @property
-    def span(self) -> tuple[float, float]:
-        if not len(self):
-            raise ValueError("empty session has no time span")
-        return float(self.t[0]), float(self.t[-1])
-
     def chew_labels(self) -> tuple[LabeledInterval, ...]:
         return tuple(iv for iv in self.labels if iv.kind is IntervalKind.CHEW)
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .records import IntervalKind, LabeledInterval, Session
+from .tables import field_types, key_values, parse_fields
 
 CHEW_RATE_BAND_HZ = (0.94, 2.17)
 CONFOUNDER_KINDS = ("walking", "talking", "rest", "dark_eating")
@@ -237,18 +238,6 @@ def generate(spec: ScenarioSpec) -> tuple[Session, list[LabeledInterval]]:
 # Flat-text scenario files.
 # ---------------------------------------------------------------------------
 
-_SCALARS = {
-    "duration": float,
-    "noise_prox": float,
-    "noise_ambient": float,
-    "noise_lfa_deg": float,
-    "noise_accel": float,
-    "seed": int,
-    "start_epoch": float,
-    "participant": str,
-    "sample_rate_hz": float,
-}
-
 _MEAL_KEYS = {
     "start": ("start", float),
     "sequences": ("n_sequences", int),
@@ -280,41 +269,31 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
         confounder = kind=talking start=3000 duration=120
     """
     path = Path(path)
-    scalars: dict = {}
     meals: list[MealSpec] = []
     confounders: list[Confounder] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+    scalars = []
+    for lineno, key, raw in key_values(path.read_text(encoding="utf-8").splitlines(), path):
+        if key not in ("meal", "confounder"):
+            scalars.append((lineno, key, raw))
             continue
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key == "meal":
-            pairs = _parse_pairs(raw, lineno, path)
-            kwargs = {}
-            for name, value in pairs.items():
-                if name not in _MEAL_KEYS:
-                    raise ValueError(f"{path}: line {lineno}: unknown meal key {name!r}")
-                field_name, cast = _MEAL_KEYS[name]
-                kwargs[field_name] = cast(value)
-            meals.append(MealSpec(**kwargs))
-        elif key == "confounder":
-            pairs = _parse_pairs(raw, lineno, path)
-            try:
+        pairs = _parse_pairs(raw, lineno, path)
+        try:
+            if key == "meal":
+                unknown = [name for name in pairs if name not in _MEAL_KEYS]
+                if unknown:
+                    raise ValueError(f"unknown meal key {unknown[0]!r}")
+                kwargs = {_MEAL_KEYS[k][0]: _MEAL_KEYS[k][1](v) for k, v in pairs.items()}
+                meals.append(MealSpec(**kwargs))
+            else:
+                missing = [name for name in ("kind", "start", "duration") if name not in pairs]
+                if missing:
+                    raise ValueError(f"confounder missing {missing[0]!r}")
                 confounders.append(
-                    Confounder(
-                        kind=pairs["kind"],
-                        start=float(pairs["start"]),
-                        duration=float(pairs["duration"]),
-                    )
+                    Confounder(pairs["kind"], float(pairs["start"]), float(pairs["duration"]))
                 )
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: confounder missing {exc}")
-        elif key in _SCALARS:
-            scalars[key] = _SCALARS[key](raw)
-        else:
-            raise ValueError(f"{path}: line {lineno}: unknown scenario key {key!r}")
-    if "duration" not in scalars:
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    values = parse_fields(field_types(ScenarioSpec), scalars, path, "scenario")
+    if "duration" not in values:
         raise ValueError(f"{path}: scenario must set duration")
-    return ScenarioSpec(meals=tuple(meals), confounders=tuple(confounders), **scalars)
+    return ScenarioSpec(meals=tuple(meals), confounders=tuple(confounders), **values)

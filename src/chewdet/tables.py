@@ -1,27 +1,31 @@
-"""The one CSV codec behind every chewdet artifact.
+"""The two codecs behind every chewdet file: CSV tables and flat
+``key = value`` files.
 
-A format is a header plus one kind letter per column: ``f`` float, written
-with ``repr`` so it reads back bit-exact; ``i`` integer; ``m`` seconds,
-stored as integer milliseconds ``int(round(t * 1000.0))`` and read back as
-``ms / 1000.0``; ``s`` string, quoted as the csv module quotes (a line
-break cannot be stored).  Lines end with ``\\r\\n``.
+A table format is a header plus one kind letter per column: ``f`` float,
+written with ``repr`` so it reads back bit-exact; ``i`` integer; ``m``
+seconds, stored as integer milliseconds ``int(round(t * 1000.0))`` and read
+back as ``ms / 1000.0``; ``s`` string, quoted as the csv module quotes (a
+line break cannot be stored).  Lines end with ``\\r\\n``.  Reading compares
+the header after stripping whitespace from each name, skips whitespace-only
+lines, strips every field and parses the body in bulk with
+:func:`numpy.loadtxt`, whose float parser is correctly rounded.  Numeric
+fields must be finite, and ``i`` and ``m`` fields integral.  Cost:
+O(rows x columns) time both ways; beyond the columns themselves, a write
+holds one block of formatted cells and a read one block of lines.
 
-Reading compares the header after stripping whitespace from each name,
-skips whitespace-only lines, strips every field and parses the body in
-bulk with :func:`numpy.loadtxt`, whose float parser is correctly rounded.
-Numeric fields must be finite, and ``i`` and ``m`` fields integral.  Errors
-are ``ValueError``s naming the file and its real line, blank lines counted.
-
-Cost: O(rows x columns) time both ways.  Beyond the columns themselves, a
-write holds one block of formatted cells and a read one block of lines.
+A flat file (run config, scenario, model header) holds ``key = value``
+lines; ``#`` starts a comment and blank lines are skipped.  Each key may
+appear once, typed by its dataclass field's annotation; values are written
+as ``repr(value)``, None as ``auto``.  Errors of both codecs are
+``ValueError``s naming the file and its real line, blank lines counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -164,3 +168,64 @@ def read_table(path: str | Path, header: Sequence[str], kinds: str, lead: str = 
     convert = {"f": np.copy, "i": lambda v: v.astype(np.int64), "m": lambda v: v / 1000.0}
     columns = [next(strings) if k == "s" else convert[k](next(numeric)) for k in kinds]
     return Table(path, names, columns, lines)
+
+
+# ---------------------------------------------------------------------------
+# Flat ``key = value`` files.
+# ---------------------------------------------------------------------------
+
+_BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+_PARSERS = {
+    "bool": lambda raw: _BOOLS[raw.lower()],
+    "int": int,
+    "float": float,
+    "float | None": lambda raw: None if raw.lower() in ("auto", "none") else float(raw),
+    "str": str,
+}
+
+
+def key_values(lines: Iterable[str], source) -> Iterator[tuple[int, str, str]]:
+    """``(line, key, value)`` of each ``key = value`` line; ``source`` names the file."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValueError(f"{source}: line {lineno}: expected 'key = value', got {line!r}")
+        key, _, value = text.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
+def field_types(cls) -> dict[str, str]:
+    """The annotation of each field of dataclass ``cls``, as a string."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+def parse_fields(types: Mapping[str, str], entries, source, what: str) -> dict:
+    """The value of each ``(line, key, value)`` entry, parsed as ``types[key]``
+    says; ``what`` names the kind of file in errors."""
+    values: dict = {}
+    first: dict[str, int] = {}
+    for lineno, key, raw in entries:
+        parse = _PARSERS.get(types.get(key))
+        if parse is None:
+            raise ValueError(f"{source}: line {lineno}: unknown {what} key {key!r}")
+        if key in first:
+            raise ValueError(
+                f"{source}: line {lineno}: repeated {what} key {key!r}, "
+                f"first set on line {first[key]}"
+            )
+        first[key] = lineno
+        try:
+            values[key] = parse(raw)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{source}: line {lineno}: {what} key {key}: expected {types[key]}, got {raw!r}"
+            ) from None
+    return values
+
+
+def render_fields(obj) -> list[tuple[str, str]]:
+    """``(name, repr(value))`` for each field of dataclass ``obj``, None as ``auto``."""
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return [(name, "auto" if value is None else repr(value)) for name, value in values]

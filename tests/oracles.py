@@ -15,7 +15,7 @@ import numpy as np
 
 
 def brute_force_longest_periodic(
-    times, p_min: float, p_max: float, strict: bool = False
+    times, p_min: float, p_max: float
 ) -> tuple[int, set[tuple[float, ...]]]:
     """Enumerate every subsequence and keep the longest valid ones.
 
@@ -27,12 +27,8 @@ def brute_force_longest_periodic(
     def valid(sub: tuple[float, ...]) -> bool:
         for a, b in zip(sub, sub[1:]):
             gap = b - a
-            if strict:
-                if not p_min < gap < p_max:
-                    return False
-            else:
-                if not p_min <= gap <= p_max:
-                    return False
+            if not p_min <= gap <= p_max:
+                return False
         return True
 
     best = 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,11 @@ class TestValidation:
             BoostConfig(eta=0.0)
         with pytest.raises(ValueError, match="subsample"):
             BoostConfig(subsample=1.5)
+
+    @pytest.mark.parametrize("bad", ["a,b", "a#1", "a\nb", "a\r", " a", ""])
+    def test_feature_name_the_model_header_cannot_hold_is_named(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"feature name {bad!r} cannot be saved")):
+            train(np.hstack([TOY_X, TOY_X]), TOY_Y, toy_config(), feature_names=[bad, "c"])
 
 
 class TestDeterminismAndStructure:
@@ -271,3 +277,37 @@ class TestSerialization:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             model_from_text("format = not-a-model\n")
+
+    def test_repeated_header_key_names_line(self):
+        text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2)))
+        lines = text.splitlines()
+        lines.insert(3, lines[1])  # eta again, after max_depth and gamma
+        with pytest.raises(ValueError, match=r"m.txt: line 4: repeated model header key 'eta', "
+                                             r"first set on line 2"):
+            model_from_text("\n".join(lines) + "\n", "m.txt")
+
+    def test_missing_header_keys_named(self):
+        text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2)))
+        truncated = "\n".join(text.splitlines()[:2]) + "\n"
+        with pytest.raises(ValueError, match=r"m.txt: model header lacks max_depth, gamma"):
+            model_from_text(truncated, "m.txt")
+
+    @pytest.mark.parametrize("field, value", [(3, "7"), (4, "0"), (4, "-1"), (1, "1")])
+    def test_node_outside_its_tree_rejected_at_load(self, field, value):
+        # The first tree is a stump: a split at node 0 with leaves 1 and 2,
+        # on feature 0 of a one-feature model.
+        text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2)))
+        lines = text.splitlines()
+        row = lines.index("tree 0") + 1
+        parts = lines[row].split(",")
+        parts[field] = value
+        lines[row] = ",".join(parts)
+        with pytest.raises(ValueError, match=rf"m.txt: line {row + 1}: node 0 of tree 0"):
+            model_from_text("\n".join(lines) + "\n", "m.txt")
+
+    def test_unparsable_header_value_names_line(self):
+        text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2)))
+        text = text.replace("max_depth = 1\n", "max_depth = deep\n")
+        with pytest.raises(ValueError, match=r"line 3: model header key max_depth: "
+                                             r"expected int, got 'deep'"):
+            model_from_text(text)

@@ -1,8 +1,9 @@
 import csv
 
+import numpy as np
 import pytest
 
-from chewdet.boosting import load_model
+from chewdet.boosting import BoostConfig, load_model, model_to_text, train
 from chewdet.cli import main
 from chewdet.config import file_digest, read_config
 from chewdet.episodes import write_episode_csv
@@ -193,6 +194,56 @@ class TestErrors:
                    "--out", tmp_path / "run")
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_repeated_config_key_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "config.txt"
+        bad.write_text("seed = 1\nn_rounds = 5\nseed = 2\n")
+        code = run("synth", "--scenario", write_scenario(tmp_path), "--config", bad,
+                   "--out", tmp_path / "run")
+        assert code == 1
+        assert "config.txt: line 3: repeated config key 'seed', first set on line 1" in (
+            capsys.readouterr().err
+        )
+
+    def test_train_rejects_a_participant_named_twice(self, full_chain, capsys):
+        code = run("train", "--participants", "SYN,SYN", "--out", full_chain)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "chewdet train: error: --participants names ['SYN'] more than once" in err
+
+
+def toy_model_lines():
+    X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    cfg = BoostConfig(max_depth=1, min_child_weight=0.0, subsample=1.0, n_rounds=2)
+    return model_to_text(train(X, np.array([0, 0, 1, 1]), cfg)).splitlines()
+
+
+class TestBrokenModel:
+    """A damaged model.txt is refused when predict loads it: exit 1, no traceback."""
+
+    def predict(self, tmp_path, capsys, lines):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "model.txt").write_text("\n".join(lines) + "\n")
+        code = run("predict", "--participant", "SYN", "--out", out)
+        return code, capsys.readouterr().err
+
+    def test_truncated_model_fails_cleanly(self, tmp_path, capsys):
+        code, err = self.predict(tmp_path, capsys, toy_model_lines()[:2])
+        assert code == 1
+        assert err.startswith("chewdet predict: error:")
+        assert "model.txt: model header lacks max_depth" in err
+        assert "Traceback" not in err
+
+    def test_dangling_child_index_fails_cleanly(self, tmp_path, capsys):
+        lines = toy_model_lines()
+        row = lines.index("tree 0") + 1
+        lines[row] = lines[row].replace(",1,2,", ",1,9,")
+        code, err = self.predict(tmp_path, capsys, lines)
+        assert code == 1
+        assert err.startswith("chewdet predict: error:")
+        assert f"model.txt: line {row + 1}: node 0 of tree 0" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

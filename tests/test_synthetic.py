@@ -177,3 +177,29 @@ confounder = kind=talking start=600 duration=90
         path.write_text("seed = 1\n")
         with pytest.raises(ValueError, match="duration"):
             read_scenario(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 100\n# again\nduration = 200\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 3: repeated scenario key "
+                                             r"'duration', first set on line 1"):
+            read_scenario(path)
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("seed = 1\nduration = abc\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 2: scenario key duration: "
+                                             r"expected float, got 'abc'"):
+            read_scenario(path)
+
+    def test_bad_meal_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 900\n\nmeal = start=10 sequences=two\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 3: .*'two'"):
+            read_scenario(path)
+
+    def test_line_without_equals_names_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 900\nnoise_prox 2.0\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 2: expected 'key = value'"):
+            read_scenario(path)

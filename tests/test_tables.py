@@ -1,8 +1,10 @@
-"""The CSV table layer: byte-exact round trips and one error form for every reader."""
+"""The two codecs: byte-exact CSV round trips, one error form for every table
+reader, and typed, line-numbered flat ``key = value`` files."""
 
 import csv
 import io
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,14 @@ from chewdet.records import (
     write_sensor_csv,
 )
 from chewdet.signals import DerivedTrace, read_derived_csv, write_derived_csv
-from chewdet.tables import read_table, write_table
+from chewdet.tables import (
+    field_types,
+    key_values,
+    parse_fields,
+    read_table,
+    render_fields,
+    write_table,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -286,3 +295,47 @@ def test_every_reader_skips_blank_lines(tmp_path, fmt):
     plain.write_text("\n".join([header, *rows]) + "\n")
     spaced.write_text("\n".join([" " + header.replace(",", " , "), "", rows[0], "\t", rows[1], ""]))
     assert repr(reader(plain)) == repr(reader(spaced))
+
+
+@dataclass(frozen=True)
+class Knobs:
+    # String annotations, as ``from __future__ import annotations`` leaves them.
+    on: "bool" = False
+    n: "int" = 0
+    x: "float" = 0.0
+    w: "float | None" = 1.0
+    name: "str" = ""
+
+
+def parse_knobs(*lines):
+    return parse_fields(field_types(Knobs), key_values(lines, "k.txt"), "k.txt", "knob")
+
+
+def test_flat_values_are_typed_by_annotation():
+    lines = ("# knobs", "", "on = Yes  # a comment", "n = 3", "x=1e-3", "w = auto", "name = a b")
+    assert [entry[0] for entry in key_values(lines, "k.txt")] == [3, 4, 5, 6, 7]
+    assert parse_knobs(*lines) == dict(on=True, n=3, x=0.001, w=None, name="a b")
+    assert parse_knobs("on = false", "w = 2") == dict(on=False, w=2.0)
+
+
+def test_flat_fields_render_as_repr_with_none_as_auto():
+    assert render_fields(Knobs(w=None, name="a")) == [
+        ("on", "False"), ("n", "0"), ("x", "0.0"), ("w", "auto"), ("name", "'a'"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (("n 3",), "k.txt: line 1: expected 'key = value', got 'n 3'"),
+        (("", "m = 1"), "k.txt: line 2: unknown knob key 'm'"),
+        (("n = 1", "# n again", "n = 1"), "k.txt: line 3: repeated knob key 'n', first set on line 1"),
+        (("n = 3.5",), "k.txt: line 1: knob key n: expected int, got '3.5'"),
+        (("on = maybe",), "k.txt: line 1: knob key on: expected bool, got 'maybe'"),
+        (("w = none?",), "k.txt: line 1: knob key w: expected float | None, got 'none?'"),
+    ],
+)
+def test_flat_file_errors_name_the_line(lines, message):
+    with pytest.raises(ValueError) as err:
+        parse_knobs(*lines)
+    assert str(err.value) == message
