@@ -2,16 +2,16 @@
 
 Each round fits one regression tree to the gradient/hessian statistics of
 the logistic loss (for two classes the softmax objective reduces to it),
-using exact greedy split search over sorted unique feature values.  Splits
-must clear the ``gamma`` gain threshold and leave at least
-``min_child_weight`` hessian mass in both children; leaf values are Newton
-steps -G/(H + lambda) scaled by the learning rate.  A round whose root
-cannot split contributes nothing, so with an infinite gamma the model
-stays at its base score.
+by exact greedy search: one pass per node scores every cut of every
+feature between sorted distinct values.  Splits must clear the ``gamma``
+gain threshold and leave at least ``min_child_weight`` hessian mass in
+both children; leaf values are Newton steps -G/(H + lambda) scaled by the
+learning rate.  A round whose root cannot split contributes nothing, so
+with an infinite gamma the model stays at its base score.
 
 Everything is deterministic: row subsampling draws from one seeded
 generator, and split ties break toward the lowest feature index, then the
-lowest threshold.
+lowest threshold, as a feature-by-feature search would break them.
 """
 
 from __future__ import annotations
@@ -121,31 +121,38 @@ def _best_split(
     rows: np.ndarray,
     cfg: BoostConfig,
 ) -> tuple[int, float] | None:
+    """Exact greedy search (Chen & Guestrin 2016, Alg. 1) over all features
+    at once, scoring every cut between distinct sorted values of each column.
+
+    Costs O(rows * F * log rows) time and about a dozen float arrays of shape
+    (rows, F) per node.  A feature whose best cut scores NaN (0/0 with
+    reg_lambda = 0) is skipped; a +inf gain may win.
+    """
     G = float(g[rows].sum())
     H = float(h[rows].sum())
     lam = cfg.reg_lambda
     parent = G * G / (H + lam)
-    best_gain = cfg.gamma
-    best: tuple[int, float] | None = None
-    for f in range(X.shape[1]):
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cut = np.flatnonzero(np.diff(vs) > 0)
-        if cut.size == 0:
-            continue
-        gs = np.cumsum(g[rows][order])
-        hs = np.cumsum(h[rows][order])
-        gl, hl = gs[cut], hs[cut]
-        gr, hr = G - gl, H - hl
-        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-        valid = (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
-        gain = np.where(valid, gain, -np.inf)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best = (f, float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0))
-    return best
+    if rows.size < 2 or X.shape[1] == 0:
+        return None
+    Xr = X[rows]
+    order = np.argsort(Xr, axis=0, kind="stable")
+    vs = np.take_along_axis(Xr, order, axis=0)
+    gl = np.cumsum(g[rows][order], axis=0)[:-1]
+    hl = np.cumsum(h[rows][order], axis=0)[:-1]
+    gr, hr = G - gl, H - hl
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    mcw = cfg.min_child_weight
+    valid = (np.diff(vs, axis=0) > 0) & (hl >= mcw) & (hr >= mcw)
+    gain = np.where(valid, gain, -np.inf)
+    # Both argmaxes take the first maximum: the lowest feature, then the
+    # lowest threshold.  A column's max is NaN exactly when it holds a NaN.
+    best = gain.max(axis=0)
+    best[np.isnan(best)] = -np.inf
+    f = int(np.argmax(best))
+    if not best[f] > cfg.gamma:
+        return None
+    k = int(np.argmax(gain[:, f]))
+    return f, float((vs[k, f] + vs[k + 1, f]) / 2.0)
 
 
 def _build_tree(

@@ -331,7 +331,7 @@ def _evaluate_one(
     dbscan_cfg: DbscanConfig,
     cfg: PipelineConfig,
 ) -> ParticipantScore:
-    flags = []
+    flags = [] if model.trees else ["zero_trees"]
     if not item.cands:
         flags.append("no_candidates")
         scores: list[SecondScore] = []
@@ -397,16 +397,22 @@ def _select_grid_point(
 ) -> tuple[BoostConfig, DbscanConfig]:
     best_score = -1.0
     best = grid[0]
+    # One model per (boost config, inner fold), shared by its DBSCAN points.
+    models: dict[tuple[BoostConfig, int], TrainedModel | None] = {}
     for point in grid:
         boost_cfg, dbscan_cfg = point
         fold_scores = []
         for inner_idx, inner_held in enumerate(train_items):
-            inner_train = [p for i, p in enumerate(train_items) if i != inner_idx]
-            try:
-                model = train_fold([p.table for p in inner_train], boost_cfg)
-            except ValueError:
-                continue  # degenerate inner fold (single-class); skip its vote
-            ps = _evaluate_one(model, inner_held, dbscan_cfg, cfg)
+            key = (boost_cfg, inner_idx)
+            if key not in models:
+                inner_train = [p.table for i, p in enumerate(train_items) if i != inner_idx]
+                try:
+                    models[key] = train_fold(inner_train, boost_cfg)
+                except ValueError:
+                    models[key] = None  # degenerate inner fold (single-class); skip its vote
+            if models[key] is None:
+                continue
+            ps = _evaluate_one(models[key], inner_held, dbscan_cfg, cfg)
             fold_scores.append((ps.second.f1 + ps.episode.f1) / 2.0)
         if fold_scores:
             mean_score = float(np.mean(fold_scores))

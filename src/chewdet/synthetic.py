@@ -246,6 +246,7 @@ _MEAL_KEYS = {
     "seq_dur": ("seq_duration_s", float),
     "gap": ("seq_gap_s", float),
 }
+_CONFOUNDER_KEYS = {"kind": ("kind", str), "start": ("start", float), "duration": ("duration", float)}
 
 
 def _parse_pairs(raw: str, lineno: int, path: Path) -> dict[str, str]:
@@ -277,23 +278,25 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
             scalars.append((lineno, key, raw))
             continue
         pairs = _parse_pairs(raw, lineno, path)
+        keys = _MEAL_KEYS if key == "meal" else _CONFOUNDER_KEYS
         try:
+            unknown = [name for name in pairs if name not in keys]
+            if unknown:
+                raise ValueError(f"unknown {key} key {unknown[0]!r}")
+            kwargs = {keys[k][0]: keys[k][1](v) for k, v in pairs.items()}
             if key == "meal":
-                unknown = [name for name in pairs if name not in _MEAL_KEYS]
-                if unknown:
-                    raise ValueError(f"unknown meal key {unknown[0]!r}")
-                kwargs = {_MEAL_KEYS[k][0]: _MEAL_KEYS[k][1](v) for k, v in pairs.items()}
                 meals.append(MealSpec(**kwargs))
             else:
-                missing = [name for name in ("kind", "start", "duration") if name not in pairs]
+                missing = [name for name in keys if name not in pairs]
                 if missing:
                     raise ValueError(f"confounder missing {missing[0]!r}")
-                confounders.append(
-                    Confounder(pairs["kind"], float(pairs["start"]), float(pairs["duration"]))
-                )
+                confounders.append(Confounder(**kwargs))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     values = parse_fields(field_types(ScenarioSpec), scalars, path, "scenario")
     if "duration" not in values:
         raise ValueError(f"{path}: scenario must set duration")
-    return ScenarioSpec(meals=tuple(meals), confounders=tuple(confounders), **values)
+    try:
+        return ScenarioSpec(meals=tuple(meals), confounders=tuple(confounders), **values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,9 +2,10 @@
 
 These deliberately take the slow, obvious route: exhaustive subsequence
 enumeration for the banded longest-subsequence problem, a textbook
-quadratic DBSCAN with explicit neighborhood scans, and an outward walk
-from every maximum for peak prominence.  They share no code with the
-implementations they validate.
+quadratic DBSCAN with explicit neighborhood scans, an outward walk
+from every maximum for peak prominence, and a per-feature loop for the
+booster's split search.  They share no code with the implementations they
+validate.
 """
 
 from __future__ import annotations
@@ -145,3 +146,38 @@ def naive_prominent_peaks(signal, min_prominence: float) -> list[tuple[int, floa
         if prom >= min_prominence:
             out.append((idx, float(sig[idx]), prom))
     return out
+
+
+def naive_best_split(X, g, h, rows, cfg) -> tuple[int, float] | None:
+    """The booster's split search, one feature at a time.
+
+    Returns (feature, threshold) of the highest-gain cut that clears
+    ``cfg.gamma`` with at least ``cfg.min_child_weight`` hessian mass on
+    each side, or None.  Ties keep the lowest feature, then the lowest
+    threshold; a feature whose best cut scores NaN is skipped.
+    """
+    G = float(g[rows].sum())
+    H = float(h[rows].sum())
+    lam = cfg.reg_lambda
+    parent = G * G / (H + lam)
+    best_gain = cfg.gamma
+    best: tuple[int, float] | None = None
+    for f in range(X.shape[1]):
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        cut = np.flatnonzero(np.diff(vs) > 0)
+        if cut.size == 0:
+            continue
+        gs = np.cumsum(g[rows][order])
+        hs = np.cumsum(h[rows][order])
+        gl, hl = gs[cut], hs[cut]
+        gr, hr = G - gl, H - hl
+        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+        valid = (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+        gain = np.where(valid, gain, -np.inf)
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            best_gain = float(gain[k])
+            best = (f, float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0))
+    return best

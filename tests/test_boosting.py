@@ -1,8 +1,12 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import naive_best_split
 
 from chewdet import boosting
 from chewdet.boosting import (
@@ -35,6 +39,68 @@ def toy_config(**overrides):
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+# Feature 0's best cut leaves a zero-hessian child (gain +inf); feature 1's
+# first cut leaves G = H = 0 on the left (0/0, NaN) with reg_lambda = 0.
+NAN_CUT = (
+    np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0], [2.0, 1.0]]),
+    np.array([0.0, 2.0, -2.0, 1.0]),
+    np.array([0.0, 0.0, 1.0, 1.0]),
+    np.arange(4),
+    BoostConfig(gamma=0.0, min_child_weight=0.0, reg_lambda=0.0),
+)
+# One cut with G = +-1 and H = 1 per side: with reg_lambda = 1 its gain is 0.5.
+HALF_GAIN = (np.array([[0.0], [1.0]]), np.array([1.0, -1.0]), np.ones(2), np.arange(2))
+
+
+def split_outcome(search, X, g, h, rows, cfg):
+    """(feature, threshold bits) or None, or the exception raised when a
+    node's hessian sum and reg_lambda are both 0."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            found = search(X, g, h, rows, cfg)
+    except ZeroDivisionError as exc:
+        return type(exc)
+    return None if found is None else (found[0], found[1].hex())
+
+
+@st.composite
+def split_searches(draw):
+    # Few distinct values, so ties and constant columns are common; h
+    # includes 0 and min_child_weight and gamma sit on reachable sums.
+    n, width = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    values = st.sampled_from([-1.5, 0.0, 0.1, 0.2, 0.3, 7.0])
+    X = np.array(draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                               min_size=n, max_size=n)))
+    g = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                      min_size=n, max_size=n))
+    h = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    cfg = BoostConfig(
+        gamma=draw(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return X, np.array(g), np.array(h), np.array(rows), cfg
+
+
+class TestSplitSearch:
+    @settings(max_examples=500, deadline=None)
+    @given(split_searches())
+    @example(NAN_CUT)
+    @example((*HALF_GAIN, BoostConfig(gamma=0.5, min_child_weight=0.0)))
+    @example((*HALF_GAIN, BoostConfig(gamma=0.0, min_child_weight=1.0)))
+    def test_matches_per_feature_oracle(self, case):
+        assert split_outcome(boosting._best_split, *case) == split_outcome(naive_best_split, *case)
+
+    def test_nan_best_cut_skips_only_its_feature(self):
+        assert split_outcome(boosting._best_split, *NAN_CUT) == (0, (0.5).hex())
+
+    def test_gain_must_exceed_gamma(self):
+        cfg = BoostConfig(gamma=0.5, min_child_weight=1.0)
+        assert boosting._best_split(*HALF_GAIN, cfg) is None
+        assert boosting._best_split(*HALF_GAIN, replace(cfg, gamma=0.4375)) == (0, 0.5)
 
 
 class TestToySeparable:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chewdet import evaluation
 from chewdet.boosting import BoostConfig
 from chewdet.evaluation import (
     ablate_sensors,
@@ -9,6 +12,7 @@ from chewdet.evaluation import (
     per_second_metrics,
     session_candidates,
     train_fold,
+    write_report_csv,
 )
 from chewdet.records import IntervalKind, LabeledInterval
 from conftest import quick_config
@@ -189,6 +193,36 @@ class TestPipeline:
         a = losocv(clean_sessions, boost_grid=grid, cfg=cfg)
         b = losocv(clean_sessions, boost_grid=grid, cfg=cfg)
         assert a.to_csv_rows() == b.to_csv_rows()
+
+    def test_inner_fold_model_shared_by_dbscan_points(self, noisy_sessions, monkeypatch):
+        # 3 outer folds, each with 2 inner folds trained once for both
+        # DBSCAN points, plus the 3 outer models: 9, where training per
+        # grid point would make 3 * (2 * 2) + 3 = 15.
+        calls = []
+        real = evaluation.train_fold
+
+        def counted(tables, boost_cfg):
+            calls.append(boost_cfg)
+            return real(tables, boost_cfg)
+
+        monkeypatch.setattr(evaluation, "train_fold", counted)
+        cfg = quick_config()
+        grid = [cfg.dbscan(), replace(cfg.dbscan(), eps=2 * cfg.dbscan_eps)]
+        report = losocv(noisy_sessions, dbscan_grid=grid, cfg=cfg)
+        assert len(calls) == 9
+        assert not any("zero_trees" in s.flags for s in report.scores)
+
+    def test_zero_tree_fold_flagged_in_text_only(self, clean_sessions, tmp_path):
+        cfg = quick_config()
+        stuck = replace(cfg.boost(), gamma=np.inf)
+        report = losocv(clean_sessions, boost_grid=[stuck], cfg=cfg)
+        assert all(s.flags == ("zero_trees",) for s in report.scores)
+        assert "zero_trees" in report.to_text()
+        unflagged = replace(report, scores=tuple(replace(s, flags=()) for s in report.scores))
+        assert report.to_csv_rows() == unflagged.to_csv_rows()
+        write_report_csv(tmp_path / "flagged.csv", report)
+        write_report_csv(tmp_path / "unflagged.csv", unflagged)
+        assert (tmp_path / "flagged.csv").read_bytes() == (tmp_path / "unflagged.csv").read_bytes()
 
     def test_report_rows_and_average(self, clean_sessions):
         report = losocv(clean_sessions, cfg=quick_config())

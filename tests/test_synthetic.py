@@ -203,3 +203,27 @@ confounder = kind=talking start=600 duration=90
         path.write_text("duration = 900\nnoise_prox 2.0\n")
         with pytest.raises(ValueError, match=r"scenario.txt: line 2: expected 'key = value'"):
             read_scenario(path)
+
+    def test_unknown_confounder_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 900\nconfounder = kind=rest start=1 duration=5 colour=red\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 2: unknown confounder key "
+                                             r"'colour'"):
+            read_scenario(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["duration = -5"], "duration must be positive, got -5.0"),
+        (["duration = 900", "meal = start=10", "meal = start=100"], r"meals overlap: \[10.0, "),
+        (["duration = 100", "meal = start=10"], r"meal \[10.0, 190.0\] runs past the"),
+    ])
+    def test_scenario_check_names_file(self, tmp_path, lines, message):
+        path = tmp_path / "scenario.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"scenario.txt: {message}"):
+            read_scenario(path)
+
+    def test_meal_check_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 900\nmeal = start=10 rate=9\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 2: chew rate 9.0 Hz outside"):
+            read_scenario(path)
