@@ -226,8 +226,9 @@ def train(
 
     Raises:
         ValueError: when only one class is present, sizes mismatch, a
-            feature value is non-finite (naming row and column), or a feature
-            name cannot be saved in the model header (naming it).
+            feature value is non-finite (naming row and column), a feature
+            name cannot be saved in the model header (naming it), or a
+            node's hessian sum and reg_lambda are both 0 (naming the round).
     """
     names = tuple(feature_names) if feature_names is not None else None
     X = _validate_matrix(X, names)
@@ -261,7 +262,7 @@ def train(
     base_score = 0.0
     trees: list[Tree] = []
     losses: list[float] = []
-    for _ in range(cfg.n_rounds):
+    for r in range(cfg.n_rounds):
         p = _sigmoid(raw)
         g = w * (p - y)
         h = w * p * (1.0 - p)
@@ -270,7 +271,10 @@ def train(
             rows = np.sort(rng.choice(n, size=k, replace=False))
         else:
             rows = np.arange(n)
-        tree = _build_tree(X, g, h, rows, cfg)
+        try:
+            tree = _build_tree(X, g, h, rows, cfg)
+        except ZeroDivisionError:
+            raise ValueError(f"round {r}: a node's hessian sum and reg_lambda are both 0") from None
         if tree is not None:
             trees.append(tree)
             raw += _tree_predict(tree, X)

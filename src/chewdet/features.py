@@ -22,6 +22,12 @@ fingerprint changes with it.
 
 Zero-variance windows fall back to 0 for skewness, kurtosis, and
 correlations so every vector stays finite.
+
+Cost: per distinct candidate, O(S * w * log w) time for S signals and
+windows of w samples.  Windows of one length are gathered into (k, S, w)
+blocks of at most _BLOCK_WINDOWS windows and every statistic is one
+reduction over the block's last axis, so extra memory is bounded by one
+block.  Duplicate candidates (same span and band) reuse one row.
 """
 
 from __future__ import annotations
@@ -99,86 +105,124 @@ def local_hour(tz_offset_s: float = 0.0) -> Callable[[float], int]:
     return hour
 
 
-def _moments(x: np.ndarray) -> tuple[float, float]:
-    # Population skewness and excess kurtosis; constants give exactly 0.
-    d = x - x.mean()
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return 0.0, 0.0
-    skew = float(np.mean(d**3)) / m2**1.5
-    kurt = float(np.mean(d**4)) / (m2 * m2) - 3.0
-    return skew, kurt
+# Windows of one length gathered into one block of array work; a call's
+# extra memory is one block, whatever the candidate count.
+_BLOCK_WINDOWS = 64
+_PER_WINDOW = len(STAT_FEATURES) + len(FREQ_HZ) + len(SPECTRUM_FEATURES) + len(TS_FEATURES)
 
 
-def _stats_block(x: np.ndarray) -> list[float]:
-    q1, med, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
-    skew, kurt = _moments(x)
-    return [
-        float(x.max()),
-        float(x.min()),
-        float(x.mean()),
-        med,
-        float(np.var(x)),
-        float(np.sqrt(np.mean(x * x))),
-        skew,
-        kurt,
-        q1,
-        q3,
-        q3 - q1,
+def _moments(d: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Population skewness and excess kurtosis over the last axis of the
+    # mean-removed d, whose mean square is m2; constants give exactly 0.
+    # m2**1.5 is a Python-float pow per value: numpy's vectorised power
+    # rounds some last bits differently.
+    flat = m2 == 0.0
+    m2 = np.where(flat, 1.0, m2)
+    skew = np.mean(d**3, axis=-1) / np.reshape([v**1.5 for v in m2.ravel().tolist()], m2.shape)
+    kurt = np.mean(d**4, axis=-1) / (m2 * m2) - 3.0
+    return np.where(flat, 0.0, skew), np.where(flat, 0.0, kurt)
+
+
+def _longest_runs(mask: np.ndarray) -> np.ndarray:
+    # Longest run of True along the last axis: each sample's distance to
+    # the last False at or before it, maximised.  Exact integer work.
+    at = np.arange(mask.shape[-1])
+    return (at - np.maximum.accumulate(np.where(mask, -1, at), axis=-1)).max(axis=-1)
+
+
+def _window_features(block: np.ndarray, sample_rate_hz: float, a, b) -> tuple[np.ndarray, np.ndarray]:
+    # The _PER_WINDOW features of each (k, S, n) block row, n_peaks left 0,
+    # and the correlations of the signal pairs (a[i], b[i]).  Every
+    # reduction runs over a C-contiguous last axis, so each row's result is
+    # that of its window alone, bit for bit.
+    n = block.shape[-1]
+    mean = block.mean(axis=-1)
+    d = block - mean[..., None]
+    m2 = np.mean(d * d, axis=-1)
+    q1, med, q3 = np.percentile(block, [25.0, 50.0, 75.0], axis=-1)
+    amps = np.zeros(block.shape[:-1] + (len(FREQ_HZ),))
+    if n >= 2:
+        spectrum = np.abs(np.fft.rfft(d, axis=-1)) * (2.0 / n)
+        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
+        bins = [int(np.argmin(np.abs(freqs - hz))) for hz in FREQ_HZ]
+        amps = np.ascontiguousarray(spectrum[..., bins])
+    d_amps = amps - amps.mean(axis=-1, keepdims=True)
+    below, above = block < mean[..., None], block > mean[..., None]
+    per_window = [
+        block.max(axis=-1), block.min(axis=-1), mean, med, m2,
+        np.sqrt(np.mean(block * block, axis=-1)), *_moments(d, m2), q1, q3, q3 - q1,
+        *np.moveaxis(amps, -1, 0), *_moments(d_amps, np.mean(d_amps * d_amps, axis=-1)),
+        below.sum(axis=-1), above.sum(axis=-1),
+        np.argmin(block, axis=-1) / n, np.argmax(block, axis=-1) / n,
+        _longest_runs(below), _longest_runs(above), np.zeros(block.shape[:-1]),
     ]
+    flat = (m2[:, a] == 0.0) | (m2[:, b] == 0.0)
+    cov = np.mean(np.ascontiguousarray(d[:, a] * d[:, b]), axis=-1)
+    corr = np.where(flat, 0.0, cov / np.sqrt(np.where(flat, 1.0, m2[:, a] * m2[:, b])))
+    return np.stack(per_window, axis=-1), corr
 
 
-def _freq_amplitudes(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    n = x.shape[0]
-    if n < 2:
-        return np.zeros(len(FREQ_HZ))
-    spectrum = np.abs(np.fft.rfft(x - x.mean())) * (2.0 / n)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
-    bins = [int(np.argmin(np.abs(freqs - hz))) for hz in FREQ_HZ]
-    return spectrum[bins]
-
-
-def _longest_run(mask: np.ndarray) -> int:
-    best = run = 0
-    for flag in mask:
-        run = run + 1 if flag else 0
-        if run > best:
-            best = run
-    return best
-
-
-def _timeseries_block(
-    x: np.ndarray, tw: np.ndarray, min_prominence: float
-) -> list[float]:
-    n = x.shape[0]
-    m = x.mean()
-    below = x < m
-    above = x > m
-    return [
-        float(below.sum()),
-        float(above.sum()),
-        float(int(np.argmin(x)) / n),
-        float(int(np.argmax(x)) / n),
-        float(_longest_run(below)),
-        float(_longest_run(above)),
-        float(len(find_prominent_peaks(x, tw, min_prominence))),
+def _feature_rows(
+    trace: DerivedTrace, candidates: Sequence, clock: Callable[[float], int],
+    signals: Sequence[str], min_prominence: float, sample_rate_hz: float,
+) -> np.ndarray:
+    if not len(trace):
+        raise ValueError("cannot extract features from an empty trace")
+    keys: dict[tuple, int] = {}
+    row_key = [keys.setdefault((c.c1, c.c2, c.p_min, c.p_max, c.epsilon, c.length), len(keys))
+               for c in candidates]
+    first = np.unique(row_key, return_index=True)[1]
+    cands = [candidates[i] for i in first]
+    meta = np.array([[c.p_min, c.p_max, c.epsilon, c.length, clock(c.c1)] for c in candidates], float)
+    t = trace.t
+    t0, t1 = float(t[0]), float(t[-1])
+    start = np.searchsorted(t, np.array([max(c.c1 - WINDOW_PAD_S, t0) for c in cands]) - _EDGE_EPS)
+    stops = [
+        np.searchsorted(t, np.array([min(end + WINDOW_PAD_S, t1) for end in ends]) + _EDGE_EPS, "right")
+        for ends in ([c.c2 for c in cands], [c.c1 for c in cands])
     ]
+    empty = np.flatnonzero((stops[0] <= start) | (stops[1] <= start))
+    n_keys = int(empty[0]) if empty.size else len(cands)
 
+    sig = [trace.signal(s) for s in signals]
+    n_windows = len(sig) * len(WINDOWS)
+    per_window = np.zeros((n_keys, len(sig), len(WINDOWS), _PER_WINDOW))
+    a, b = np.array(list(combinations(range(len(sig)), 2)), dtype=np.intp).reshape(-1, 2).T
+    corr = np.zeros((n_keys, len(WINDOWS), a.size))
+    for w, stop in enumerate(stops):
+        lengths = stop[:n_keys] - start[:n_keys]
+        for n in np.unique(lengths):
+            group = np.flatnonzero(lengths == n)
+            for chunk in np.split(group, range(_BLOCK_WINDOWS, group.size, _BLOCK_WINDOWS)):
+                block = np.stack([x[start[chunk, None] + np.arange(n)] for x in sig], axis=1)
+                per_window[chunk, :, w], corr[chunk, w] = _window_features(block, sample_rate_hz, a, b)
+    rows = np.hstack([per_window.reshape(n_keys, n_windows * _PER_WINDOW),
+                      corr.reshape(n_keys, len(WINDOWS) * a.size), meta[first[:n_keys]]])
 
-def _correlation(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    va = float(np.mean(da * da))
-    vb = float(np.mean(db * db))
-    if va == 0.0 or vb == 0.0:
-        return 0.0
-    return float(np.mean(da * db)) / np.sqrt(va * vb)
-
-
-def _window_indices(t: np.ndarray, lo: float, hi: float) -> slice:
-    i0 = int(np.searchsorted(t, lo - _EDGE_EPS, side="left"))
-    i1 = int(np.searchsorted(t, hi + _EDGE_EPS, side="right"))
-    return slice(i0, i1)
+    # Peaks are counted per window, and errors raised, in input order, so a
+    # failure names the first failing candidate as one-at-a-time work would.
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    peak_cols = np.arange(1, n_windows + 1) * _PER_WINDOW - 1  # n_peaks ends each window
+    for k in range(bad[0] + 1 if bad.size else n_keys):
+        rows[k, peak_cols] = [
+            len(find_prominent_peaks(x[start[k]:stop[k]], t[start[k]:stop[k]], min_prominence))
+            for x in sig
+            for stop in stops
+        ]
+    if bad.size:
+        c = cands[bad[0]]
+        at = int(np.flatnonzero(~np.isfinite(rows[bad[0]]))[0])
+        raise ValueError(f"candidate [{c.c1}, {c.c2}]: non-finite feature at index {at}")
+    if empty.size:
+        c = cands[n_keys]
+        w = WINDOWS[0] if stops[0][n_keys] <= start[n_keys] else WINDOWS[1]
+        raise ValueError(
+            f"candidate [{c.c1}, {c.c2}]: window {w} is empty after "
+            f"clipping to the trace span [{t0}, {t1}]"
+        )
+    X = rows[row_key]
+    X[:, -len(META_FEATURES):] = meta  # each row's own bits: 0.0 and -0.0 share a key
+    return X
 
 
 def extract(
@@ -195,56 +239,8 @@ def extract(
     Windows are clipped to the trace span; a window left empty by clipping
     is an error naming the candidate.
     """
-    if not len(trace):
-        raise ValueError("cannot extract features from an empty trace")
-    t0, t1 = float(trace.t[0]), float(trace.t[-1])
-    spans = {
-        "cw": (max(cand.c1 - WINDOW_PAD_S, t0), min(cand.c2 + WINDOW_PAD_S, t1)),
-        "bw": (max(cand.c1 - WINDOW_PAD_S, t0), min(cand.c1 + WINDOW_PAD_S, t1)),
-    }
-    windows: dict[str, slice] = {}
-    for w, (lo, hi) in spans.items():
-        sl = _window_indices(trace.t, lo, hi)
-        if sl.stop <= sl.start:
-            raise ValueError(
-                f"candidate [{cand.c1}, {cand.c2}]: window {w} is empty after "
-                f"clipping to the trace span [{t0}, {t1}]"
-            )
-        windows[w] = sl
-
-    values: list[float] = []
-    for s in signals:
-        if s not in SIGNALS:
-            raise ValueError(f"unknown signal {s!r}, expected subset of {SIGNALS}")
-        full = trace.signal(s)
-        for w in WINDOWS:
-            sl = windows[w]
-            x = full[sl]
-            values.extend(_stats_block(x))
-            amps = _freq_amplitudes(x, sample_rate_hz)
-            values.extend(float(v) for v in amps)
-            values.extend(_moments(amps))
-            values.extend(_timeseries_block(x, trace.t[sl], min_prominence))
-    for w in WINDOWS:
-        sl = windows[w]
-        for a, b in combinations(signals, 2):
-            values.append(_correlation(trace.signal(a)[sl], trace.signal(b)[sl]))
-    values.extend(
-        [
-            float(cand.p_min),
-            float(cand.p_max),
-            float(cand.epsilon),
-            float(cand.length),
-            float(clock(cand.c1)),
-        ]
-    )
-    vec = np.array(values, dtype=float)
-    if not np.all(np.isfinite(vec)):
-        bad = int(np.flatnonzero(~np.isfinite(vec))[0])
-        raise ValueError(
-            f"candidate [{cand.c1}, {cand.c2}]: non-finite feature at index {bad}"
-        )
-    return vec
+    kwargs = dict(signals=signals, min_prominence=min_prominence, sample_rate_hz=sample_rate_hz)
+    return extract_table(trace, [cand], clock, "", **kwargs).X[0]
 
 
 def label_candidates(
@@ -314,18 +310,15 @@ def extract_table(
     sample_rate_hz: float = 20.0,
     label_min_overlap: float = 0.5,
 ) -> FeatureTable:
+    """Feature rows of candidates on one trace, in input order; a distinct
+    (c1, c2, p_min, p_max, epsilon, length) key is computed once and its row
+    copied to the duplicates.  Errors are extract's, for the first failing
+    candidate in input order."""
     names = feature_layout(signals)
     n = len(candidates)
-    X = np.zeros((n, len(names)))
-    for k, cand in enumerate(candidates):
-        X[k] = extract(
-            trace,
-            cand,
-            clock,
-            signals=signals,
-            min_prominence=min_prominence,
-            sample_rate_hz=sample_rate_hz,
-        )
+    X = np.zeros((0, len(names)))
+    if n:
+        X = _feature_rows(trace, candidates, clock, signals, min_prominence, sample_rate_hz)
     if chews is None:
         label = np.full(n, -1, dtype=int)
     else:

@@ -249,12 +249,14 @@ _MEAL_KEYS = {
 _CONFOUNDER_KEYS = {"kind": ("kind", str), "start": ("start", float), "duration": ("duration", float)}
 
 
-def _parse_pairs(raw: str, lineno: int, path: Path) -> dict[str, str]:
+def _parse_pairs(raw: str, lineno: int, path: Path, what: str) -> dict[str, str]:
     pairs = {}
     for token in raw.split():
         if "=" not in token:
             raise ValueError(f"{path}: line {lineno}: expected key=value tokens, got {token!r}")
         key, _, value = token.partition("=")
+        if key in pairs:
+            raise ValueError(f"{path}: line {lineno}: repeated {what} key {key!r}")
         pairs[key] = value
     return pairs
 
@@ -277,7 +279,7 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
         if key not in ("meal", "confounder"):
             scalars.append((lineno, key, raw))
             continue
-        pairs = _parse_pairs(raw, lineno, path)
+        pairs = _parse_pairs(raw, lineno, path, key)
         keys = _MEAL_KEYS if key == "meal" else _CONFOUNDER_KEYS
         try:
             unknown = [name for name in pairs if name not in keys]

@@ -3,16 +3,34 @@
 These deliberately take the slow, obvious route: exhaustive subsequence
 enumeration for the banded longest-subsequence problem, a textbook
 quadratic DBSCAN with explicit neighborhood scans, an outward walk
-from every maximum for peak prominence, and a per-feature loop for the
-booster's split search.  They share no code with the implementations they
-validate.
+from every maximum for peak prominence, a per-feature loop for the
+booster's split search, and one candidate, signal and window at a time
+for the feature catalogue.  They share no code with the implementations
+they validate, apart from the feature layout's constants and the peak
+finder the catalogue counts peaks with (itself checked against
+naive_prominent_peaks).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
+
+from chewdet.features import (
+    DEFAULT_MIN_PROMINENCE,
+    FREQ_HZ,
+    SIGNALS,
+    WINDOW_PAD_S,
+    WINDOWS,
+)
+from chewdet.peaks import find_prominent_peaks
+from chewdet.signals import DerivedTrace
+
+# Guard band on window edges; absorbs sub-ns float wobble when a window
+# boundary lands exactly on a sample time.
+_EDGE_EPS = 1e-9
 
 
 def brute_force_longest_periodic(
@@ -181,3 +199,156 @@ def naive_best_split(X, g, h, rows, cfg) -> tuple[int, float] | None:
             best_gain = float(gain[k])
             best = (f, float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0))
     return best
+
+
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    # Population skewness and excess kurtosis; constants give exactly 0.
+    d = x - x.mean()
+    m2 = float(np.mean(d * d))
+    if m2 == 0.0:
+        return 0.0, 0.0
+    skew = float(np.mean(d**3)) / m2**1.5
+    kurt = float(np.mean(d**4)) / (m2 * m2) - 3.0
+    return skew, kurt
+
+
+def _stats_block(x: np.ndarray) -> list[float]:
+    q1, med, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
+    skew, kurt = _moments(x)
+    return [
+        float(x.max()),
+        float(x.min()),
+        float(x.mean()),
+        med,
+        float(np.var(x)),
+        float(np.sqrt(np.mean(x * x))),
+        skew,
+        kurt,
+        q1,
+        q3,
+        q3 - q1,
+    ]
+
+
+def _freq_amplitudes(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    n = x.shape[0]
+    if n < 2:
+        return np.zeros(len(FREQ_HZ))
+    spectrum = np.abs(np.fft.rfft(x - x.mean())) * (2.0 / n)
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
+    bins = [int(np.argmin(np.abs(freqs - hz))) for hz in FREQ_HZ]
+    return spectrum[bins]
+
+
+def _longest_run(mask: np.ndarray) -> int:
+    best = run = 0
+    for flag in mask:
+        run = run + 1 if flag else 0
+        if run > best:
+            best = run
+    return best
+
+
+def _timeseries_block(
+    x: np.ndarray, tw: np.ndarray, min_prominence: float
+) -> list[float]:
+    n = x.shape[0]
+    m = x.mean()
+    below = x < m
+    above = x > m
+    return [
+        float(below.sum()),
+        float(above.sum()),
+        float(int(np.argmin(x)) / n),
+        float(int(np.argmax(x)) / n),
+        float(_longest_run(below)),
+        float(_longest_run(above)),
+        float(len(find_prominent_peaks(x, tw, min_prominence))),
+    ]
+
+
+def _correlation(a: np.ndarray, b: np.ndarray) -> float:
+    da = a - a.mean()
+    db = b - b.mean()
+    va = float(np.mean(da * da))
+    vb = float(np.mean(db * db))
+    if va == 0.0 or vb == 0.0:
+        return 0.0
+    return float(np.mean(da * db)) / np.sqrt(va * vb)
+
+
+def _window_indices(t: np.ndarray, lo: float, hi: float) -> slice:
+    i0 = int(np.searchsorted(t, lo - _EDGE_EPS, side="left"))
+    i1 = int(np.searchsorted(t, hi + _EDGE_EPS, side="right"))
+    return slice(i0, i1)
+
+
+def naive_extract(
+    trace: DerivedTrace,
+    cand,
+    clock: Callable[[float], int],
+    *,
+    signals: Sequence[str] = SIGNALS,
+    min_prominence: float = DEFAULT_MIN_PROMINENCE,
+    sample_rate_hz: float = 20.0,
+) -> np.ndarray:
+    """Feature vector for one candidate, one window and one signal at a time.
+
+    The catalogue follows tsfresh (Christ et al., "Time Series FeatuRe
+    Extraction on basis of Scalable Hypothesis tests", Neurocomputing 2018):
+    distribution moments, spectrum amplitudes, counts below/above the mean,
+    first locations of min/max and longest strikes below/above the mean.
+    Layout given by chewdet.features.feature_layout(signals).  Windows are
+    clipped to the trace span; a window left empty by clipping is an error
+    naming the candidate.
+    """
+    if not len(trace):
+        raise ValueError("cannot extract features from an empty trace")
+    t0, t1 = float(trace.t[0]), float(trace.t[-1])
+    spans = {
+        "cw": (max(cand.c1 - WINDOW_PAD_S, t0), min(cand.c2 + WINDOW_PAD_S, t1)),
+        "bw": (max(cand.c1 - WINDOW_PAD_S, t0), min(cand.c1 + WINDOW_PAD_S, t1)),
+    }
+    windows: dict[str, slice] = {}
+    for w, (lo, hi) in spans.items():
+        sl = _window_indices(trace.t, lo, hi)
+        if sl.stop <= sl.start:
+            raise ValueError(
+                f"candidate [{cand.c1}, {cand.c2}]: window {w} is empty after "
+                f"clipping to the trace span [{t0}, {t1}]"
+            )
+        windows[w] = sl
+
+    values: list[float] = []
+    for s in signals:
+        if s not in SIGNALS:
+            raise ValueError(f"unknown signal {s!r}, expected subset of {SIGNALS}")
+        full = trace.signal(s)
+        for w in WINDOWS:
+            sl = windows[w]
+            x = full[sl]
+            values.extend(_stats_block(x))
+            amps = _freq_amplitudes(x, sample_rate_hz)
+            values.extend(float(v) for v in amps)
+            values.extend(_moments(amps))
+            values.extend(_timeseries_block(x, trace.t[sl], min_prominence))
+    for w in WINDOWS:
+        sl = windows[w]
+        for a, b in combinations(signals, 2):
+            values.append(_correlation(trace.signal(a)[sl], trace.signal(b)[sl]))
+    values.extend(
+        [
+            float(cand.p_min),
+            float(cand.p_max),
+            float(cand.epsilon),
+            float(cand.length),
+            float(clock(cand.c1)),
+        ]
+    )
+    vec = np.array(values, dtype=float)
+    if not np.all(np.isfinite(vec)):
+        bad = int(np.flatnonzero(~np.isfinite(vec))[0])
+        raise ValueError(
+            f"candidate [{cand.c1}, {cand.c2}]: non-finite feature at index {bad}"
+        )
+    return vec

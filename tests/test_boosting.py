@@ -28,6 +28,16 @@ TOY_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
 TOY_Y = np.array([0, 0, 1, 1])
 
 
+def zero_hessian_case():
+    # With eta = 1 and no L2 damping, p saturates to exactly 1.0 on a
+    # node's rows in round 36, so its hessian sum is 0 with reg_lambda 0.
+    rng = np.random.default_rng(0)
+    for _ in range(7):
+        X = rng.normal(size=(12, 2))
+    cfg = BoostConfig(eta=1, reg_lambda=0, min_child_weight=0, n_rounds=100, subsample=1, max_depth=2)
+    return X, X[:, 0] > 0, cfg
+
+
 def toy_config(**overrides):
     base = dict(
         eta=0.3, max_depth=1, gamma=0.0, min_child_weight=0.0,
@@ -177,6 +187,12 @@ class TestValidation:
             BoostConfig(eta=0.0)
         with pytest.raises(ValueError, match="subsample"):
             BoostConfig(subsample=1.5)
+
+    def test_zero_hessian_without_l2_names_round(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="round 36: a node's hessian sum and reg_lambda "
+                                                 "are both 0"):
+                train(*zero_hessian_case())
 
     @pytest.mark.parametrize("bad", ["a,b", "a#1", "a\nb", "a\r", " a", ""])
     def test_feature_name_the_model_header_cannot_hold_is_named(self, bad):

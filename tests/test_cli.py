@@ -8,7 +8,7 @@ from chewdet.cli import main
 from chewdet.config import file_digest, read_config
 from chewdet.episodes import write_episode_csv
 from chewdet.evaluation import predict_session, session_candidates
-from chewdet.features import write_feature_csv
+from chewdet.features import FeatureTable, write_feature_csv
 from chewdet.records import ingest_sensor_csv, read_label_csv
 
 SCENARIO = """
@@ -210,6 +210,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "chewdet train: error: --participants names ['SYN'] more than once" in err
+
+    def test_train_names_a_zero_hessian_node(self, tmp_path, capsys):
+        # The config drops L2 damping and p saturates to exactly 1.0 on a
+        # node's rows, so that node's gain and weight divide by zero.
+        out = tmp_path / "run"
+        out.mkdir()
+        rng = np.random.default_rng(0)
+        for _ in range(7):
+            X = rng.normal(size=(12, 2))
+        table = FeatureTable(("a", "b"), X, np.arange(12.0), np.arange(12.0) + 1.0,
+                             ["SYN"] * 12, (X[:, 0] > 0).astype(int))
+        write_feature_csv(out / "features_SYN.csv", table)
+        config = tmp_path / "config.txt"
+        config.write_text("eta = 1\nreg_lambda = 0\nmin_child_weight = 0\nn_rounds = 100\n"
+                          "subsample = 1\nmax_depth = 2\n")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = run("train", "--participants", "SYN", "--config", config, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("chewdet train: error: round 36: a node's hessian sum and "
+                              "reg_lambda are both 0")
+        assert "Traceback" not in err
 
 
 def toy_model_lines():

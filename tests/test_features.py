@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import naive_extract
 from scipy import stats as sp_stats
 
+from chewdet import features
 from chewdet.boosting import BoostConfig, TrainedModel, train
 from chewdet.features import (
     FREQ_HZ,
+    SIGNALS,
     extract,
     extract_table,
     feature_layout,
@@ -198,6 +205,97 @@ class TestExtract:
         direct = extract(trace, c_a, HOUR0)
         table = extract_table(trace, [c_b, c_a], HOUR0, "P1")
         assert np.allclose(table.X[1], direct)
+
+
+@st.composite
+def feature_cases(draw):
+    # Short traces of constant, tied (rounded) or noisy signals, a NaN
+    # sometimes planted in prox, and candidates anywhere from 2.5 s before
+    # the trace to 2.5 s after it, on or just off the sample grid, so
+    # windows clip at either end down to 1 or 2 samples or to nothing.  An
+    # infinite p_min makes a non-finite feature.
+    n = draw(st.integers(1, 120))
+    start = draw(st.sampled_from([0.0, 13 * 3600.0 + 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signal(level, scale):
+        kind = draw(st.sampled_from(["constant", "tied", "noisy"]))
+        if kind == "constant":
+            return np.full(n, level)
+        x = level + scale * rng.normal(size=n)
+        return np.round(x) if kind == "tied" else x
+
+    prox = signal(100.0, 3.0)
+    if draw(st.integers(0, 3)) == 0:
+        prox[draw(st.integers(0, n - 1))] = np.nan
+    trace = DerivedTrace(
+        t=start + np.arange(n) / 20.0,
+        prox=prox,
+        ambient=signal(500.0, 10.0),
+        lfa=np.clip(signal(90.0, 40.0), 0.0, 180.0),
+        energy=np.abs(signal(1.0, 0.5)),
+    )
+    base = [
+        cand(c1, c1 + gap / 20.0, length=length)
+        for c1, gap, length in draw(st.lists(
+            st.tuples(
+                st.builds(
+                    lambda i, jitter: start + i / 20.0 + jitter,
+                    st.integers(-50, n + 50) | st.sampled_from([-41, -40, -39, n + 38, n + 39, n + 40]),
+                    st.sampled_from([0.0, 0.01]),
+                ),
+                st.integers(0, 80),
+                st.integers(2, 9),
+            ),
+            min_size=1, max_size=5,
+        ))
+    ]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(base) - 1))
+        base[k] = replace(base[k], p_min=np.inf)
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8))
+    size = draw(st.sampled_from([1, 2, 4]))
+    signals = tuple(draw(st.permutations(SIGNALS))[:size])
+    return trace, [base[k] for k in picks], signals
+
+
+def bad_band_before_nan():
+    # The first candidate's band is infinite and the second's windows hold
+    # a NaN prox sample: the first candidate's error must win.
+    trace = make_trace(n=100, seed=12)
+    trace.prox[80] = np.nan
+    return trace, [cand(1.0, 1.5, p_min=np.inf), cand(4.0, 4.2)], SIGNALS
+
+
+class TestBlockPath:
+    @settings(max_examples=300, deadline=None)
+    @given(feature_cases())
+    @example(bad_band_before_nan())
+    def test_matches_per_window_oracle_bit_for_bit(self, case):
+        trace, cands, signals = case
+        try:
+            expected = [naive_extract(trace, c, HOUR0, signals=signals) for c in cands]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                extract_table(trace, cands, HOUR0, "P1", signals=signals)
+            assert str(got.value) == str(exc)
+            return
+        table = extract_table(trace, cands, HOUR0, "P1", signals=signals)
+        assert table.X.tobytes() == np.array(expected).tobytes()
+
+    def test_peaks_counted_once_per_distinct_candidate(self, monkeypatch):
+        calls = []
+        original = features.find_prominent_peaks
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(features, "find_prominent_peaks", counting)
+        c_a, c_b = cand(10.0, 20.0), cand(30.0, 40.0)
+        table = extract_table(make_trace(seed=11), [c_a, c_b, c_a, c_a], HOUR0, "P1")
+        assert len(calls) == 2 * 4 * 2  # distinct candidates x signals x windows
+        assert table.X[0].tobytes() == table.X[2].tobytes() == table.X[3].tobytes()
 
 
 class TestLabeling:

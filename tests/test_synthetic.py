@@ -211,6 +211,16 @@ confounder = kind=talking start=600 duration=90
                                              r"'colour'"):
             read_scenario(path)
 
+    @pytest.mark.parametrize("line, key", [
+        ("meal = start=150 sequences=3 rate=1.5 start=900", "meal key 'start'"),
+        ("confounder = kind=talking start=500 duration=28 duration=5", "confounder key 'duration'"),
+    ])
+    def test_repeated_meal_or_confounder_token_names_line(self, tmp_path, line, key):
+        path = tmp_path / "scenario.txt"
+        path.write_text(f"duration = 1500\n{line}\n")
+        with pytest.raises(ValueError, match=f"scenario.txt: line 2: repeated {key}"):
+            read_scenario(path)
+
     @pytest.mark.parametrize("lines, message", [
         (["duration = -5"], "duration must be positive, got -5.0"),
         (["duration = 900", "meal = start=10", "meal = start=100"], r"meals overlap: \[10.0, "),
