@@ -27,21 +27,25 @@ Cost: per distinct candidate, O(S * w * log w) time for S signals and
 windows of w samples.  Windows of one length are gathered into (k, S, w)
 blocks of at most _BLOCK_WINDOWS windows and every statistic is one
 reduction over the block's last axis, so extra memory is bounded by one
-block.  Duplicate candidates (same span and band) reuse one row.
+block.  Peaks are counted for _BLOCK_WINDOWS candidates' windows of one
+signal at a time, in one walled pass (peaks.window_peak_counts), so the
+count costs O(window samples) time and one block of extra memory.
+Duplicate candidates (same span and band) reuse one row.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import inf
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .boosting import TrainedModel, split_counts
-from .peaks import find_prominent_peaks
+from .peaks import find_prominent_peaks, window_peak_counts
 from .periodic import CandidateWindow
 from .records import LabeledInterval
 from .signals import DerivedTrace
@@ -111,14 +115,22 @@ _BLOCK_WINDOWS = 64
 _PER_WINDOW = len(STAT_FEATURES) + len(FREQ_HZ) + len(SPECTRUM_FEATURES) + len(TS_FEATURES)
 
 
+def _pow15(v: float) -> float:
+    try:
+        return v**1.5
+    except OverflowError:
+        return inf
+
+
 def _moments(d: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Population skewness and excess kurtosis over the last axis of the
     # mean-removed d, whose mean square is m2; constants give exactly 0.
     # m2**1.5 is a Python-float pow per value: numpy's vectorised power
-    # rounds some last bits differently.
+    # rounds some last bits differently.  A pow that overflows is inf, and
+    # the row then fails as non-finite.
     flat = m2 == 0.0
     m2 = np.where(flat, 1.0, m2)
-    skew = np.mean(d**3, axis=-1) / np.reshape([v**1.5 for v in m2.ravel().tolist()], m2.shape)
+    skew = np.mean(d**3, axis=-1) / np.reshape([_pow15(v) for v in m2.ravel().tolist()], m2.shape)
     kurt = np.mean(d**4, axis=-1) / (m2 * m2) - 3.0
     return np.where(flat, 0.0, skew), np.where(flat, 0.0, kurt)
 
@@ -199,19 +211,27 @@ def _feature_rows(
     rows = np.hstack([per_window.reshape(n_keys, n_windows * _PER_WINDOW),
                       corr.reshape(n_keys, len(WINDOWS) * a.size), meta[first[:n_keys]]])
 
-    # Peaks are counted per window, and errors raised, in input order, so a
-    # failure names the first failing candidate as one-at-a-time work would.
+    # Errors are raised in input order, so a failure names the first failing
+    # candidate as one-at-a-time work would.  Rows before the first bad one
+    # hold only finite samples (a non-finite one makes its window's max
+    # non-finite); their peaks are counted a block of windows at a time.
+    # The bad row counts per window, so that a non-finite sample fails with
+    # its own message first.
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    counted = int(bad[0]) if bad.size else n_keys
     peak_cols = np.arange(1, n_windows + 1) * _PER_WINDOW - 1  # n_peaks ends each window
-    for k in range(bad[0] + 1 if bad.size else n_keys):
+    for lo in range(0, counted, _BLOCK_WINDOWS):
+        chunk = slice(lo, min(lo + _BLOCK_WINDOWS, counted))
+        for col, (x, stop) in zip(peak_cols, product(sig, stops)):
+            rows[chunk, col] = window_peak_counts(x, start[chunk], stop[chunk], min_prominence)
+    if bad.size:
+        k = counted
         rows[k, peak_cols] = [
             len(find_prominent_peaks(x[start[k]:stop[k]], t[start[k]:stop[k]], min_prominence))
-            for x in sig
-            for stop in stops
+            for x, stop in product(sig, stops)
         ]
-    if bad.size:
-        c = cands[bad[0]]
-        at = int(np.flatnonzero(~np.isfinite(rows[bad[0]]))[0])
+        c = cands[k]
+        at = int(np.flatnonzero(~np.isfinite(rows[k]))[0])
         raise ValueError(f"candidate [{c.c1}, {c.c2}]: non-finite feature at index {at}")
     if empty.size:
         c = cands[n_keys]

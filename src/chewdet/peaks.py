@@ -17,11 +17,18 @@ one value and only turning points enter the base search, since a sample
 on a monotone slope is never the lowest point between a maximum and
 higher terrain.  A monotone stack then finds each maximum's base on
 either side, pushing and popping each maximum once per side.
+
+``window_peak_counts`` counts the peaks of many windows of one signal in
+one such pass: the windows are laid end to end with an infinite wall
+between each pair, which stops every base search as a window's end does.
+It costs O(total window samples) time and extra memory; callers bound the
+memory by passing one block of windows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -37,10 +44,16 @@ def _bases(highs: list[float], valleys: list[float]) -> list[float]:
     # Per high, the lowest valley back to the nearest strictly higher high
     # (or the start); valleys[k] lies just before highs[k].  A stack entry
     # carries the lowest valley since the entry below it; the infinite
-    # sentinel at the bottom is never popped (samples are finite).
+    # sentinel at the bottom is never popped by a finite high.  An infinite
+    # high is a wall between windows: no search crosses it, so the stack
+    # starts over there.
     out: list[float] = []
-    stack_h, stack_low = [np.inf], [np.inf]
+    stack_h, stack_low = [inf], [inf]
     for h, low in zip(highs, valleys):
+        if h == inf:
+            stack_h, stack_low = [inf], [inf]
+            out.append(inf)
+            continue
         while stack_h[-1] <= h:
             stack_h.pop()
             below = stack_low.pop()
@@ -50,6 +63,42 @@ def _bases(highs: list[float], valleys: list[float]) -> list[float]:
         stack_low.append(low)
         out.append(low)
     return out
+
+
+def _prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Position in ``walled`` and prominence of every maximum of finite
+    # windows laid between walls of infinite height (one at each end, one
+    # between each pair).  A wall stops every base search, as a window's
+    # end does, and keeps end samples and end-touching plateaus from being
+    # peaks.  Turning points (leftmost sample of each run that reverses
+    # direction) alternate low, high, ..., low; the walls between windows
+    # are highs among them and are dropped from the result.
+    step = np.diff(walled)
+    change = np.flatnonzero(step)
+    rising = step[change] > 0
+    at = change[:-1][rising[:-1] != rising[1:]] + 1
+    peak_at = at[1::2]
+    heights = walled[peak_at]
+    highs = heights.tolist()
+    lows = walled[at[0::2]].tolist()
+    left = _bases(highs, lows)
+    right = _bases(highs[::-1], lows[:0:-1])[::-1]
+    real = heights < inf
+    return peak_at[real], heights[real] - np.maximum(left, right)[real]
+
+
+def _check_threshold(min_prominence: float) -> None:
+    if min_prominence <= 0:
+        raise ValueError(f"min_prominence must be positive, got {min_prominence}")
+
+
+def _check_finite(values: np.ndarray, index: np.ndarray | None = None) -> None:
+    # index[k] is values[k]'s index in the signal, when not k itself.
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        bad = k if index is None else int(index[k])
+        raise ValueError(f"signal sample {bad} is not finite ({values[k]})")
 
 
 def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
@@ -72,31 +121,58 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
     ts = np.asarray(t, dtype=float)
     if sig.shape != ts.shape:
         raise ValueError(f"signal length {sig.shape} != time length {ts.shape}")
-    if min_prominence <= 0:
-        raise ValueError(f"min_prominence must be positive, got {min_prominence}")
-    finite = np.isfinite(sig)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"signal sample {bad} is not finite ({sig[bad]})")
+    _check_threshold(min_prominence)
+    _check_finite(sig)
     if sig.shape[0] < 3:
         return []
-    # Walls of infinite height at both ends stop every base search there,
-    # as the signal's end does, and keep the end samples from being peaks.
-    # Turning points of the walled signal (leftmost sample of each run that
-    # reverses direction) then alternate low, high, ..., low.
-    step = np.diff(np.concatenate(([np.inf], sig, [np.inf])))
-    change = np.flatnonzero(step)
-    rising = step[change] > 0
-    at = change[:-1][rising[:-1] != rising[1:]]
-    peak_at = at[1::2]
-    heights = sig[peak_at]
-    highs = heights.tolist()
-    lows = sig[at[0::2]].tolist()
-    left = _bases(highs, lows)
-    right = _bases(highs[::-1], lows[:0:-1])[::-1]
-    prom = heights - np.maximum(left, right)
+    at, prom = _prominences(np.concatenate(([inf], sig, [inf])))
     sel = prom >= min_prominence
+    peak_at = at[sel] - 1
     return [
         Peak(t=tv, height=hv, prominence=pv)
-        for tv, hv, pv in zip(ts[peak_at[sel]].tolist(), heights[sel].tolist(), prom[sel].tolist())
+        for tv, hv, pv in zip(ts[peak_at].tolist(), sig[peak_at].tolist(), prom[sel].tolist())
     ]
+
+
+def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarray:
+    """Peak count of each window ``signal[starts[i]:stops[i]]``.
+
+    Entry i equals ``len(find_prominent_peaks(x, t, min_prominence))`` for
+    that window's samples x and times t.  Windows may overlap or repeat.
+    One pass over the windows laid end to end: O(total window samples) time
+    and extra memory.
+
+    Raises:
+        ValueError: on mismatched or out-of-range bounds, a non-positive
+            threshold, or a non-finite sample in a window (naming the first
+            one's index in ``signal``).
+    """
+    sig = np.asarray(signal, dtype=float)
+    a = np.asarray(starts, dtype=np.intp)
+    b = np.asarray(stops, dtype=np.intp)
+    if sig.ndim != 1 or a.shape != b.shape or a.ndim != 1:
+        raise ValueError(
+            f"need a 1-D signal and 1-D bounds of one shape, got {sig.shape}, {a.shape}, {b.shape}"
+        )
+    if a.size and (a.min() < 0 or (b < a).any() or b.max() > sig.size):
+        raise ValueError(f"window bounds must satisfy 0 <= start <= stop <= {sig.size}")
+    _check_threshold(min_prominence)
+    counts = np.zeros(a.size, dtype=np.intp)
+    # An empty window holds no peak, and would put two walls side by side.
+    keep = np.flatnonzero(b > a)
+    if not keep.size:
+        return counts
+    lengths = b[keep] - a[keep]
+    ends = np.cumsum(lengths)
+    # Window j's samples land after j + 1 walls: one in front, one after
+    # each earlier window.
+    offset = np.arange(ends[-1])
+    src = offset + np.repeat(a[keep] - (ends - lengths), lengths)
+    values = sig[src]
+    _check_finite(values, src)
+    walled = np.full(ends[-1] + keep.size + 1, inf)
+    walled[offset + np.repeat(np.arange(1, keep.size + 1), lengths)] = values
+    at, prom = _prominences(walled)
+    walls = np.concatenate(([0], ends + np.arange(1, keep.size + 1)))
+    counts[keep] = np.diff(np.searchsorted(at[prom >= min_prominence], walls))
+    return counts

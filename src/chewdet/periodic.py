@@ -14,6 +14,11 @@ event density are bounded.
 Sweeping geometrically spaced bands over the physiological inter-chew
 range (0.4 s to 1.5 s by factors of 1 + epsilon) turns "find chewing of
 unknown rate" into a small family of banded problems.
+
+``segment`` solves every (fragment, band) with that DP but enumerates the
+tied optimal chains only where the optimum reaches ``min_len`` gaps; a
+fragment of at most ``min_len`` peaks is skipped whole.  Where it does
+enumerate, the cost is still combinatorial in the number of tied chains.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ class SweepConfig:
             raise ValueError(f"need 0 < min < max, got [{self.min}, {self.max}]")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if 1.0 + self.epsilon == 1.0:
+            raise ValueError(
+                f"epsilon {self.epsilon} is too small: 1 + epsilon rounds to 1, "
+                f"so the band sweep cannot advance"
+            )
 
     def bands(self) -> list[tuple[float, float]]:
         """Geometric bands [b, b(1+eps)] from min up to max, last one clipped."""
@@ -124,29 +134,13 @@ def _validate_times(t) -> np.ndarray:
     return ts
 
 
-def longest_abs_periodic(
-    t,
-    p_min: float,
-    p_max: float,
-    *,
-    epsilon: float | None = None,
-) -> list[PeriodicSubsequence]:
-    """All longest subsequences whose consecutive gaps stay in [p_min, p_max].
-
-    Both bounds are inclusive.  Every optimum (tie) is returned, ordered by
-    start time.  ``epsilon`` only tags the result band; when omitted it is the
-    smallest value consistent with the band ratio.
-    """
-    if not 0 < p_min <= p_max:
-        raise ValueError(f"need 0 < p_min <= p_max, got [{p_min}, {p_max}]")
-    ts = _validate_times(t)
-    n = ts.shape[0]
-    if epsilon is None:
-        epsilon = max(p_max / p_min - 1.0, 1e-12)
-    if n < 2:
+def _longest_chains(tl: list[float], p_min: float, p_max: float, min_len: int) -> list[tuple[float, ...]]:
+    # Every longest chain of the increasing times tl whose gaps lie in
+    # [p_min, p_max], sorted; none when the longest has fewer than min_len
+    # (>= 1) gaps, and then the tied chains are never enumerated.
+    n = len(tl)
+    if n <= min_len:
         return []
-
-    tl = ts.tolist()
     # Sliding-window DP: dq holds candidate predecessors with non-increasing
     # opt values; a predecessor enters once its gap reaches p_min and leaves
     # once its gap passes p_max.
@@ -166,7 +160,7 @@ def longest_abs_periodic(
             opt[i] = opt[dq[0]] + 1
 
     best = max(opt)
-    if best < 1:
+    if best < min_len:
         return []
 
     def predecessors(i: int) -> list[int]:
@@ -201,10 +195,35 @@ def longest_abs_periodic(
                 for j in preds:
                     stack.append((j, tail + [j]))
     chains.sort()
+    return chains
+
+
+def longest_abs_periodic(
+    t,
+    p_min: float,
+    p_max: float,
+    *,
+    epsilon: float | None = None,
+) -> list[PeriodicSubsequence]:
+    """All longest subsequences whose consecutive gaps stay in [p_min, p_max].
+
+    Both bounds are inclusive.  Every optimum (tie) is returned, ordered by
+    start time.  ``epsilon`` only tags the result band; when omitted it is the
+    smallest value consistent with the band ratio.
+    """
+    if not 0 < p_min <= p_max:
+        raise ValueError(f"need 0 < p_min <= p_max, got [{p_min}, {p_max}]")
+    ts = _validate_times(t)
+    if epsilon is None:
+        epsilon = max(p_max / p_min - 1.0, 1e-12)
     return [
         PeriodicSubsequence(timestamps=c, p_min=p_min, p_max=p_max, epsilon=epsilon)
-        for c in chains
+        for c in _longest_chains(ts.tolist(), p_min, p_max, 1)
     ]
+
+
+def _order(s: PeriodicSubsequence) -> tuple:
+    return (s.c1, s.p_min, s.timestamps)
 
 
 def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
@@ -219,7 +238,7 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     for b_lo, b_hi in cfg.bands():
         for sub in longest_abs_periodic(ts, b_lo, b_hi, epsilon=cfg.epsilon):
             found.setdefault(sub.timestamps, sub)
-    return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
+    return sorted(found.values(), key=_order)
 
 
 def segment(
@@ -234,8 +253,7 @@ def segment(
     """
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    times = [p.t for p in peaks]
-    _validate_times(times)
+    times = _validate_times([p.t for p in peaks]).tolist()
 
     fragments: list[list[float]] = []
     current: list[float] = []
@@ -247,13 +265,17 @@ def segment(
     if current:
         fragments.append(current)
 
-    out: list[PeriodicSubsequence] = []
+    # Fragments hold disjoint times, so one table dedupes chains across
+    # bands; the lowest band comes first and wins.
+    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
     for frag in fragments:
-        if len(frag) < 2:
+        if len(frag) <= min_len:  # min_len gaps need min_len + 1 peaks
             continue
-        out.extend(s for s in longest_rel_periodic(frag, cfg) if s.length >= min_len)
-    out.sort(key=lambda s: (s.c1, s.p_min, s.timestamps))
-    return out
+        for b_lo, b_hi in cfg.bands():
+            for c in _longest_chains(frag, b_lo, b_hi, min_len):
+                if c not in found:
+                    found[c] = PeriodicSubsequence(c, b_lo, b_hi, cfg.epsilon)
+    return sorted(found.values(), key=_order)
 
 
 CANDIDATE_HEADER = ("c1_s", "c2_s", "p_min", "p_max", "epsilon", "length")

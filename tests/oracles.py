@@ -1,14 +1,16 @@
 """Independent reference implementations used only to check the real ones.
 
 These deliberately take the slow, obvious route: exhaustive subsequence
-enumeration for the banded longest-subsequence problem, a textbook
-quadratic DBSCAN with explicit neighborhood scans, an outward walk
-from every maximum for peak prominence, a per-feature loop for the
-booster's split search, and one candidate, signal and window at a time
-for the feature catalogue.  They share no code with the implementations
-they validate, apart from the feature layout's constants and the peak
-finder the catalogue counts peaks with (itself checked against
-naive_prominent_peaks).
+enumeration for the banded longest-subsequence problem, a full sweep of
+every peak fragment for segmentation, a textbook quadratic DBSCAN with
+explicit neighborhood scans, an outward walk from every maximum for peak
+prominence, a per-feature loop for the booster's split search, and one
+candidate, signal and window at a time for the feature catalogue.  They
+share no code with the implementations they validate, apart from the
+feature layout's constants, the peak finder the catalogue counts peaks
+with (itself checked against naive_prominent_peaks), and the band sweep
+naive_segment runs on each fragment (longest_rel_periodic, itself checked
+against the brute-force search).
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from chewdet.features import (
     WINDOW_PAD_S,
     WINDOWS,
 )
-from chewdet.peaks import find_prominent_peaks
+from chewdet.peaks import Peak, find_prominent_peaks
+from chewdet.periodic import (
+    PeriodicSubsequence,
+    SweepConfig,
+    _validate_times,
+    longest_rel_periodic,
+)
 from chewdet.signals import DerivedTrace
 
 # Guard band on window edges; absorbs sub-ns float wobble when a window
@@ -64,6 +72,36 @@ def brute_force_longest_periodic(
                 elif length == best:
                     optima.add(sub)
     return best, optima
+
+
+def naive_segment(
+    peaks: Sequence[Peak], cfg: SweepConfig, min_len: int
+) -> list[PeriodicSubsequence]:
+    """chewdet.periodic.segment the long way: every fragment of at least two
+    peaks is swept in full (every band's tied chains enumerated), and the
+    short candidates are dropped afterwards."""
+    if min_len < 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    times = [p.t for p in peaks]
+    _validate_times(times)
+
+    fragments: list[list[float]] = []
+    current: list[float] = []
+    for v in times:
+        if current and v - current[-1] > cfg.max:
+            fragments.append(current)
+            current = []
+        current.append(v)
+    if current:
+        fragments.append(current)
+
+    out: list[PeriodicSubsequence] = []
+    for frag in fragments:
+        if len(frag) < 2:
+            continue
+        out.extend(s for s in longest_rel_periodic(frag, cfg) if s.length >= min_len)
+    out.sort(key=lambda s: (s.c1, s.p_min, s.timestamps))
+    return out
 
 
 def naive_dbscan_1d(
@@ -207,7 +245,11 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
     m2 = float(np.mean(d * d))
     if m2 == 0.0:
         return 0.0, 0.0
-    skew = float(np.mean(d**3)) / m2**1.5
+    try:
+        scale = m2**1.5
+    except OverflowError:
+        scale = float("inf")  # the row then fails as non-finite
+    skew = float(np.mean(d**3)) / scale
     kurt = float(np.mean(d**4)) / (m2 * m2) - 3.0
     return skew, kurt
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import naive_prominent_peaks
 from scipy import signal as sp_signal
 
-from chewdet.peaks import find_prominent_peaks
+from chewdet.peaks import find_prominent_peaks, window_peak_counts
 
 
 def peaks_of(values, min_prominence=4.5):
@@ -147,6 +147,54 @@ class TestOracle:
         found = peaks_of(0.5 * i + 5.0 * (i % 2), min_prominence=4.5)
         assert [p.t for p in found] == [float(k) for k in range(1, 19_999, 2)]
         assert {p.prominence for p in found} == {4.5}
+
+
+@st.composite
+def windowed_signals(draw):
+    # Windows of 0 to 3 samples, longer ones, and repeats of drawn windows;
+    # run-heavy signals put plateaus across window edges.  (In the first
+    # explicit example the middle summit's prominence is 1 in its window
+    # but 10 if a base search crossed the walls; in the second, [0, 7, 7]
+    # ends on a plateau that is a peak only in the longer window.)
+    values = draw(signals)
+    n = len(values)
+    drawn = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, 3) | st.integers(0, 64)), max_size=8,
+    ))
+    windows = [(a, min(a + size, n)) for a, size in drawn]
+    if windows:
+        windows += draw(st.lists(st.sampled_from(windows), max_size=3))
+    return values, windows
+
+
+class TestWindowCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(case=windowed_signals(), threshold=st.sampled_from([1e-9, 0.5, 1.0, 2.0, 3.5]))
+    @example(case=([0, 5, 0, 9, 10, 9, 0, 5, 0], [(0, 3), (3, 6), (6, 9)]), threshold=2.0)
+    @example(case=([0, 7, 7, 0], [(0, 3), (0, 4)]), threshold=1.0)
+    def test_matches_per_window_peaks(self, case, threshold):
+        values, windows = case
+        x = np.asarray(values, dtype=float)
+        t = np.arange(len(x), dtype=float)
+        starts = [a for a, _ in windows]
+        stops = [b for _, b in windows]
+        expected = [len(find_prominent_peaks(x[a:b], t[a:b], threshold)) for a, b in windows]
+        assert window_peak_counts(x, starts, stops, threshold).tolist() == expected
+
+    def test_non_finite_sample_named_by_signal_index(self):
+        x = np.array([0.0, 9.0, 1.0, np.nan, 0.0, 8.0, 0.0])
+        assert window_peak_counts(x, [0], [3], 1.0).tolist() == [1]
+        with pytest.raises(ValueError, match="sample 3 is not finite"):
+            window_peak_counts(x, [0, 2], [3, 6], 1.0)
+
+    def test_bad_bounds_and_threshold_rejected(self):
+        x = np.zeros(5)
+        with pytest.raises(ValueError, match="bounds"):
+            window_peak_counts(x, [2], [1], 1.0)
+        with pytest.raises(ValueError, match="bounds"):
+            window_peak_counts(x, [0], [6], 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            window_peak_counts(x, [0], [5], 0.0)
 
 
 class TestScipyCrossCheck:

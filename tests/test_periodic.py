@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chewdet.peaks import Peak
 from chewdet.periodic import (
@@ -13,7 +15,7 @@ from chewdet.periodic import (
     segment,
     write_candidate_csv,
 )
-from oracles import brute_force_longest_periodic
+from oracles import brute_force_longest_periodic, naive_segment
 
 
 def as_peaks(times):
@@ -141,6 +143,11 @@ class TestSweep:
         t = np.arange(10) * 2.0
         assert longest_rel_periodic(t, SweepConfig(0.4, 1.5, 0.2)) == []
 
+    def test_epsilon_that_cannot_advance_rejected(self):
+        # 1 + 1e-17 == 1.0, so bands() would append (0.4, 0.4) forever.
+        with pytest.raises(ValueError, match="epsilon 1e-17"):
+            SweepConfig(epsilon=1e-17)
+
     def test_no_duplicate_candidates_across_bands(self):
         rng = np.random.default_rng(21)
         t = np.cumsum(rng.uniform(0.3, 1.6, size=80))
@@ -204,6 +211,38 @@ class TestSegment:
             assert (b.p_min, b.p_max, b.epsilon, b.length) == (
                 a.p_min, a.p_max, a.epsilon, a.length,
             )
+
+
+@st.composite
+def peak_streams(draw):
+    # Times on a 0.05 s grid, so gaps tie and land on band edges and on
+    # cfg.max (6, 8, 10, 12, 18 and 30 steps are edges of the configs
+    # below); runs of one step make periodic trains.  Fragments hold 0 to
+    # 40 events, each after a break that may or may not exceed cfg.max.
+    step = st.integers(1, 32) | st.sampled_from([6, 8, 10, 12, 18, 30])
+    fragment = st.lists(st.tuples(step, st.integers(1, 8)), max_size=12).map(
+        lambda runs: [v for v, k in runs for _ in range(k)][:40]
+    )
+    grid = []
+    at = 0
+    for steps in draw(st.lists(fragment, max_size=4)):
+        at += draw(st.integers(20, 60))
+        for gap in steps:
+            at += gap
+            grid.append(at)
+    cfg = SweepConfig(*draw(st.sampled_from([
+        (0.4, 1.5, 0.2), (0.4, 1.5, 0.25), (0.4, 1.35, 0.5), (0.5, 1.0, 0.25), (0.3, 0.9, 1.0),
+    ])))
+    return as_peaks([k * 0.05 for k in grid]), cfg, draw(st.integers(1, 5))
+
+
+class TestSegmentOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(peak_streams())
+    @example((as_peaks([0.0, 0.5, 1.0, 1.5]), SweepConfig(0.4, 1.5, 0.25), 1))  # edge 0.5: lower band
+    def test_matches_full_sweep(self, case):
+        peaks, cfg, min_len = case
+        assert segment(peaks, cfg, min_len) == naive_segment(peaks, cfg, min_len)
 
 
 class TestLinearScaling:
