@@ -31,7 +31,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +53,6 @@ from .periodic import (
     CANDIDATE_HEADER,
     CANDIDATE_KINDS,
     CandidateWindow,
-    candidate_row,
     read_candidate_csv,
     segment,
     write_candidate_csv,
@@ -153,7 +152,7 @@ def _read_peaks_csv(path: Path) -> list[Peak]:
 
 
 def _write_predictions_csv(path: str, judged) -> None:
-    rows = ((*candidate_row(cand), proba, positive) for cand, positive, proba in judged)
+    rows = ((*astuple(cand), proba, positive) for cand, positive, proba in judged)
     write_table(path, PREDICTION_HEADER, PREDICTION_KINDS, rows)
 
 

@@ -50,6 +50,10 @@ class PipelineConfig:
     tz_offset_s: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A bad sub-config fails here, not in the first stage that needs it.
+        self.sweep(), self.boost(), self.dbscan()
+
     def sweep(self) -> SweepConfig:
         return SweepConfig(
             min=self.sweep_min,
@@ -85,7 +89,11 @@ def read_config(path: str | Path) -> PipelineConfig:
     """Read a flat ``key = value`` config file; '#' starts a comment."""
     path = Path(path)
     entries = key_values(path.read_text(encoding="utf-8").splitlines(), path)
-    return PipelineConfig(**parse_fields(field_types(PipelineConfig), entries, path, "config"))
+    values = parse_fields(field_types(PipelineConfig), entries, path, "config")
+    try:
+        return PipelineConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def file_digest(path: str | Path) -> str:

@@ -17,14 +17,17 @@ unknown rate" into a small family of banded problems.
 
 ``segment`` solves every (fragment, band) with that DP but enumerates the
 tied optimal chains only where the optimum reaches ``min_len`` gaps; a
-fragment of at most ``min_len`` peaks is skipped whole.  Where it does
-enumerate, the cost is still combinatorial in the number of tied chains.
+fragment of at most ``min_len`` peaks is skipped whole.  It returns a
+``CandidateWindow`` per distinct chain, so k tied chains over one span give
+k identical rows, and their enumeration is still combinatorial.  Only the
+reference searches ``longest_*_periodic`` return ``PeriodicSubsequence``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,6 +37,7 @@ from .peaks import Peak
 from .tables import read_table, write_table
 
 _RATIO_SLACK = 1.0 + 1e-12  # absorbs one rounding step in band-edge ratios
+MAX_BANDS = 1000  # bands a sweep may have; the default sweep has 8
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class PeriodicSubsequence:
 
 @dataclass(frozen=True)
 class CandidateWindow:
-    """A candidate as persisted to CSV: boundaries plus band metadata."""
+    """A candidate chewing subsequence, its fields in ``CANDIDATE_HEADER`` order."""
 
     c1: float
     c2: float
@@ -103,12 +107,15 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not 0 < self.min < self.max:
             raise ValueError(f"need 0 < min < max, got [{self.min}, {self.max}]")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if 1.0 + self.epsilon == 1.0:
+        # ceil() of this is the band count, found without building the bands.
+        count = (math.log(self.max) - math.log(self.min)) / math.log1p(self.epsilon)
+        if count > MAX_BANDS:
+            count = math.ceil(count) if count < math.inf else count
             raise ValueError(
-                f"epsilon {self.epsilon} is too small: 1 + epsilon rounds to 1, "
-                f"so the band sweep cannot advance"
+                f"epsilon {self.epsilon} needs {count:.6g} bands from {self.min} to "
+                f"{self.max}, more than the {MAX_BANDS} allowed"
             )
 
     def bands(self) -> list[tuple[float, float]]:
@@ -198,32 +205,34 @@ def _longest_chains(tl: list[float], p_min: float, p_max: float, min_len: int) -
     return chains
 
 
-def longest_abs_periodic(
-    t,
-    p_min: float,
-    p_max: float,
-    *,
-    epsilon: float | None = None,
-) -> list[PeriodicSubsequence]:
+def _sweep(fragments: list[list[float]], cfg: SweepConfig, min_len: int) -> list[tuple]:
+    """``(chain, band)`` of each distinct longest chain, by start, band, chain."""
+    # Fragments hold disjoint times, so one table dedupes chains across
+    # bands; the lowest band comes first and wins.
+    bands = cfg.bands()
+    found: dict[tuple[float, ...], tuple[float, float]] = {}
+    for frag in fragments:
+        for band in bands:
+            for c in _longest_chains(frag, *band, min_len):
+                found.setdefault(c, band)
+    return sorted(found.items(), key=lambda item: (item[0][0], item[1][0], item[0]))
+
+
+def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubsequence]:
     """All longest subsequences whose consecutive gaps stay in [p_min, p_max].
 
     Both bounds are inclusive.  Every optimum (tie) is returned, ordered by
-    start time.  ``epsilon`` only tags the result band; when omitted it is the
-    smallest value consistent with the band ratio.
+    start time, and tagged with the smallest epsilon consistent with the
+    band ratio.
     """
     if not 0 < p_min <= p_max:
         raise ValueError(f"need 0 < p_min <= p_max, got [{p_min}, {p_max}]")
     ts = _validate_times(t)
-    if epsilon is None:
-        epsilon = max(p_max / p_min - 1.0, 1e-12)
+    epsilon = max(p_max / p_min - 1.0, 1e-12)
     return [
         PeriodicSubsequence(timestamps=c, p_min=p_min, p_max=p_max, epsilon=epsilon)
         for c in _longest_chains(ts.tolist(), p_min, p_max, 1)
     ]
-
-
-def _order(s: PeriodicSubsequence) -> tuple:
-    return (s.c1, s.p_min, s.timestamps)
 
 
 def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
@@ -233,62 +242,37 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     bands (all gaps on the shared edge) is kept once, tagged with the lower
     band.  Results are ordered by start time, then band.
     """
-    ts = _validate_times(t)
-    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
-    for b_lo, b_hi in cfg.bands():
-        for sub in longest_abs_periodic(ts, b_lo, b_hi, epsilon=cfg.epsilon):
-            found.setdefault(sub.timestamps, sub)
-    return sorted(found.values(), key=_order)
+    return [
+        PeriodicSubsequence(c, p_min, p_max, cfg.epsilon)
+        for c, (p_min, p_max) in _sweep([_validate_times(t).tolist()], cfg, 1)
+    ]
 
 
-def segment(
-    peaks: Sequence[Peak], cfg: SweepConfig, min_len: int
-) -> list[PeriodicSubsequence]:
+def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[CandidateWindow]:
     """Candidate chewing subsequences from a stream of prominent peaks.
 
     The peak stream is split wherever consecutive peaks are more than
     cfg.max apart (no band gap can bridge such a break), each fragment is
     swept independently, and candidates shorter than ``min_len`` gaps are
-    dropped.  Output is ordered by start time, then band.
+    dropped.  Output is ordered by start time, then band; tied chains over
+    one span each give a row.
     """
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    times = _validate_times([p.t for p in peaks]).tolist()
-
-    fragments: list[list[float]] = []
-    current: list[float] = []
-    for v in times:
-        if current and v - current[-1] > cfg.max:
-            fragments.append(current)
-            current = []
-        current.append(v)
-    if current:
-        fragments.append(current)
-
-    # Fragments hold disjoint times, so one table dedupes chains across
-    # bands; the lowest band comes first and wins.
-    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
-    for frag in fragments:
-        if len(frag) <= min_len:  # min_len gaps need min_len + 1 peaks
-            continue
-        for b_lo, b_hi in cfg.bands():
-            for c in _longest_chains(frag, b_lo, b_hi, min_len):
-                if c not in found:
-                    found[c] = PeriodicSubsequence(c, b_lo, b_hi, cfg.epsilon)
-    return sorted(found.values(), key=_order)
+    times = _validate_times([p.t for p in peaks])
+    fragments = np.split(times, np.flatnonzero(np.diff(times) > cfg.max) + 1)
+    return [
+        CandidateWindow(c[0], c[-1], p_min, p_max, cfg.epsilon, len(c) - 1)
+        for c, (p_min, p_max) in _sweep([f.tolist() for f in fragments], cfg, min_len)
+    ]
 
 
 CANDIDATE_HEADER = ("c1_s", "c2_s", "p_min", "p_max", "epsilon", "length")
 CANDIDATE_KINDS = "fffffi"
 
 
-def candidate_row(c: PeriodicSubsequence | CandidateWindow) -> tuple:
-    """The CANDIDATE_HEADER values of one candidate."""
-    return (c.c1, c.c2, c.p_min, c.p_max, c.epsilon, c.length)
-
-
-def write_candidate_csv(path: str | Path, candidates: Sequence[PeriodicSubsequence | CandidateWindow]) -> None:
-    write_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS, map(candidate_row, candidates))
+def write_candidate_csv(path: str | Path, candidates: Sequence[CandidateWindow]) -> None:
+    write_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS, map(astuple, candidates))
 
 
 def read_candidate_csv(path: str | Path) -> list[CandidateWindow]:

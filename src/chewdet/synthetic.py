@@ -238,27 +238,15 @@ def generate(spec: ScenarioSpec) -> tuple[Session, list[LabeledInterval]]:
 # Flat-text scenario files.
 # ---------------------------------------------------------------------------
 
-_MEAL_KEYS = {
-    "start": ("start", float),
-    "sequences": ("n_sequences", int),
-    "rate": ("chew_rate_hz", float),
-    "bite": ("bite_period_s", float),
-    "seq_dur": ("seq_duration_s", float),
-    "gap": ("seq_gap_s", float),
+# Scenario files name meal fields by these short tokens.
+_MEAL_TOKENS = {
+    "start": "start",
+    "sequences": "n_sequences",
+    "rate": "chew_rate_hz",
+    "bite": "bite_period_s",
+    "seq_dur": "seq_duration_s",
+    "gap": "seq_gap_s",
 }
-_CONFOUNDER_KEYS = {"kind": ("kind", str), "start": ("start", float), "duration": ("duration", float)}
-
-
-def _parse_pairs(raw: str, lineno: int, path: Path, what: str) -> dict[str, str]:
-    pairs = {}
-    for token in raw.split():
-        if "=" not in token:
-            raise ValueError(f"{path}: line {lineno}: expected key=value tokens, got {token!r}")
-        key, _, value = token.partition("=")
-        if key in pairs:
-            raise ValueError(f"{path}: line {lineno}: repeated {what} key {key!r}")
-        pairs[key] = value
-    return pairs
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
@@ -272,6 +260,7 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
         confounder = kind=talking start=3000 duration=120
     """
     path = Path(path)
+    meal_types = {token: field_types(MealSpec)[name] for token, name in _MEAL_TOKENS.items()}
     meals: list[MealSpec] = []
     confounders: list[Confounder] = []
     scalars = []
@@ -279,20 +268,18 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
         if key not in ("meal", "confounder"):
             scalars.append((lineno, key, raw))
             continue
-        pairs = _parse_pairs(raw, lineno, path, key)
-        keys = _MEAL_KEYS if key == "meal" else _CONFOUNDER_KEYS
+        # A token without '=' is a key with an empty value.
+        tokens = [(lineno, *token.partition("=")[::2]) for token in raw.split()]
+        types = meal_types if key == "meal" else field_types(Confounder)
+        values = parse_fields(types, tokens, path, key)
         try:
-            unknown = [name for name in pairs if name not in keys]
-            if unknown:
-                raise ValueError(f"unknown {key} key {unknown[0]!r}")
-            kwargs = {keys[k][0]: keys[k][1](v) for k, v in pairs.items()}
             if key == "meal":
-                meals.append(MealSpec(**kwargs))
+                meals.append(MealSpec(**{_MEAL_TOKENS[k]: v for k, v in values.items()}))
             else:
-                missing = [name for name in keys if name not in pairs]
+                missing = [name for name in types if name not in values]
                 if missing:
                     raise ValueError(f"confounder missing {missing[0]!r}")
-                confounders.append(Confounder(**kwargs))
+                confounders.append(Confounder(**values))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     values = parse_fields(field_types(ScenarioSpec), scalars, path, "scenario")

@@ -8,9 +8,9 @@ prominence, a per-feature loop for the booster's split search, and one
 candidate, signal and window at a time for the feature catalogue.  They
 share no code with the implementations they validate, apart from the
 feature layout's constants, the peak finder the catalogue counts peaks
-with (itself checked against naive_prominent_peaks), and the band sweep
-naive_segment runs on each fragment (longest_rel_periodic, itself checked
-against the brute-force search).
+with (itself checked against naive_prominent_peaks), and the one-band
+search naive_segment runs on each fragment and band (longest_abs_periodic,
+itself checked against the brute-force search).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from chewdet.periodic import (
     PeriodicSubsequence,
     SweepConfig,
     _validate_times,
-    longest_rel_periodic,
+    longest_abs_periodic,
 )
 from chewdet.signals import DerivedTrace
 
@@ -78,8 +78,9 @@ def naive_segment(
     peaks: Sequence[Peak], cfg: SweepConfig, min_len: int
 ) -> list[PeriodicSubsequence]:
     """chewdet.periodic.segment the long way: every fragment of at least two
-    peaks is swept in full (every band's tied chains enumerated), and the
-    short candidates are dropped afterwards."""
+    peaks is swept in full (every band's tied chains enumerated, a chain
+    found in two bands kept in the lower), and the short candidates are
+    dropped afterwards."""
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
     times = [p.t for p in peaks]
@@ -95,11 +96,15 @@ def naive_segment(
     if current:
         fragments.append(current)
 
-    out: list[PeriodicSubsequence] = []
+    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
     for frag in fragments:
         if len(frag) < 2:
             continue
-        out.extend(s for s in longest_rel_periodic(frag, cfg) if s.length >= min_len)
+        for lo, hi in cfg.bands():
+            for s in longest_abs_periodic(frag, lo, hi):
+                if s.timestamps not in found:
+                    found[s.timestamps] = PeriodicSubsequence(s.timestamps, lo, hi, cfg.epsilon)
+    out = [s for s in found.values() if s.length >= min_len]
     out.sort(key=lambda s: (s.c1, s.p_min, s.timestamps))
     return out
 

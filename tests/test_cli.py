@@ -205,6 +205,26 @@ class TestErrors:
             capsys.readouterr().err
         )
 
+    def test_invalid_sub_config_fails_at_load(self, tmp_path):
+        bad = tmp_path / "config.txt"
+        bad.write_text("eta = 5\ndbscan_eps = -1\n")
+        with pytest.raises(ValueError, match=r"config.txt: eta must be in \(0, 1\], got 5.0"):
+            read_config(bad)
+
+    def test_derive_refuses_an_invalid_sub_config(self, tmp_path, capsys):
+        # eta only matters to train, but a config that cannot train must not
+        # pass the earlier stages and land in the manifest.
+        out = tmp_path / "run"
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--out", out) == 0
+        bad = tmp_path / "config.txt"
+        bad.write_text("eta = 5\n")
+        code = run("derive", "--participant", "SYN", "--config", bad, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "chewdet derive: error: " in err and "eta must be in (0, 1], got 5.0" in err
+        assert not (out / "derived_SYN.csv").exists()
+        assert "config.eta = 5.0" not in (out / "manifest.txt").read_text()
+
     def test_train_rejects_a_participant_named_twice(self, full_chain, capsys):
         code = run("train", "--participants", "SYN,SYN", "--out", full_chain)
         err = capsys.readouterr().err

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from chewdet.peaks import Peak
 from chewdet.periodic import (
+    MAX_BANDS,
+    CandidateWindow,
     PeriodicSubsequence,
     SweepConfig,
     longest_abs_periodic,
@@ -148,6 +150,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="epsilon 1e-17"):
             SweepConfig(epsilon=1e-17)
 
+    @pytest.mark.parametrize("epsilon, count", [(1e-05, "132177"), (1e-300, r"1.32176e\+300")])
+    def test_sweep_with_too_many_bands_rejected(self, epsilon, count):
+        # Counted, not built: 1e-8 would make bands() build ~1.3e8 tuples.
+        with pytest.raises(ValueError, match=f"epsilon {epsilon} needs {count} bands"):
+            SweepConfig(epsilon=epsilon)
+
+    def test_band_limit_admits_its_own_count(self):
+        epsilon = (1.5 / 0.4) ** (1 / MAX_BANDS) * (1 + 1e-12) - 1
+        assert len(SweepConfig(0.4, 1.5, epsilon).bands()) == MAX_BANDS
+
     def test_no_duplicate_candidates_across_bands(self):
         rng = np.random.default_rng(21)
         t = np.cumsum(rng.uniform(0.3, 1.6, size=80))
@@ -207,7 +219,7 @@ class TestSegment:
         moved = segment(as_peaks(times + 4096.0), SweepConfig(0.4, 1.5, 0.2), min_len=2)
         assert len(base) == len(moved)
         for a, b in zip(base, moved):
-            assert b.timestamps == tuple(v + 4096.0 for v in a.timestamps)
+            assert (b.c1, b.c2) == (a.c1 + 4096.0, a.c2 + 4096.0)
             assert (b.p_min, b.p_max, b.epsilon, b.length) == (
                 a.p_min, a.p_max, a.epsilon, a.length,
             )
@@ -242,7 +254,10 @@ class TestSegmentOracle:
     @example((as_peaks([0.0, 0.5, 1.0, 1.5]), SweepConfig(0.4, 1.5, 0.25), 1))  # edge 0.5: lower band
     def test_matches_full_sweep(self, case):
         peaks, cfg, min_len = case
-        assert segment(peaks, cfg, min_len) == naive_segment(peaks, cfg, min_len)
+        assert segment(peaks, cfg, min_len) == [
+            CandidateWindow(s.c1, s.c2, s.p_min, s.p_max, s.epsilon, s.length)
+            for s in naive_segment(peaks, cfg, min_len)
+        ]
 
 
 class TestLinearScaling:
@@ -289,9 +304,4 @@ class TestCandidateCsv:
         cands = segment(as_peaks(np.arange(21) * 0.5), SweepConfig(0.4, 1.5, 0.2), 3)
         path = tmp_path / "candidates.csv"
         write_candidate_csv(path, cands)
-        back = read_candidate_csv(path)
-        assert len(back) == len(cands)
-        for a, b in zip(cands, back):
-            assert (b.c1, b.c2, b.p_min, b.p_max, b.epsilon, b.length) == (
-                a.c1, a.c2, a.p_min, a.p_max, a.epsilon, a.length,
-            )
+        assert read_candidate_csv(path) == cands

@@ -198,6 +198,19 @@ confounder = kind=talking start=600 duration=90
         with pytest.raises(ValueError, match=r"scenario.txt: line 3: .*'two'"):
             read_scenario(path)
 
+    def test_unparsable_meal_token_names_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 900\n# one meal\nmeal = start=10 rate=fast\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 3: meal key rate: "
+                                             r"expected float, got 'fast'"):
+            read_scenario(path)
+
+    def test_confounder_without_kind_names_line(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 900\nconfounder = start=1 duration=5\n")
+        with pytest.raises(ValueError, match=r"scenario.txt: line 2: confounder missing 'kind'"):
+            read_scenario(path)
+
     def test_line_without_equals_names_line(self, tmp_path):
         path = tmp_path / "scenario.txt"
         path.write_text("duration = 900\nnoise_prox 2.0\n")
