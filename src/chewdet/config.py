@@ -14,7 +14,9 @@ from pathlib import Path
 
 from .boosting import BoostConfig
 from .episodes import DbscanConfig
-from .periodic import SweepConfig
+from .peaks import check_prominence
+from .periodic import SweepConfig, check_min_len
+from .records import check_delta, check_overlap_rule
 from .tables import field_types, key_values, parse_fields, render_fields
 
 
@@ -51,8 +53,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # A bad sub-config fails here, not in the first stage that needs it.
+        # A bad field fails here, not in the first stage that needs it.
         self.sweep(), self.boost(), self.dbscan()
+        check_prominence(self.min_prominence)
+        check_min_len(self.min_len)
+        check_delta(self.delta)
+        check_overlap_rule(self.episode_overlap_threshold, self.episode_overlap_base)
 
     def sweep(self) -> SweepConfig:
         return SweepConfig(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, covered_seconds, merge_intervals
+from .records import IntervalKind, LabeledInterval, check_delta, covered_seconds, merge_intervals
 from .tables import read_table, write_table
 
 
@@ -72,7 +72,8 @@ def cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int,
 
     With ``use_score_weight`` set, a neighbor contributes its score to the
     neighborhood mass instead of counting once; the point itself is part of
-    its own neighborhood either way.  Noise points are dropped.
+    its own neighborhood either way.  Noise points are dropped.  Array work
+    only: O(n log n) in the scored seconds.
     """
     if not scores:
         return []
@@ -93,31 +94,25 @@ def cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int,
     core_idx = np.flatnonzero(core)
     if core_idx.size == 0:
         return []
-    # Chains of cores within eps of each other form the cluster spines.
-    breaks = np.flatnonzero(np.diff(pts[core_idx]) > cfg.eps)
-    spines = np.split(core_idx, breaks + 1)
-    assignment = np.full(len(scores), -1, dtype=int)
-    for label, spine in enumerate(spines):
-        assignment[spine] = label
+    # Chains of cores within eps of each other form the cluster spines; a
+    # border point joins the spine of the leftmost core within eps, if any.
     core_pos = pts[core_idx]
-    for i in np.flatnonzero(~core):
-        # Border point: joins the leftmost core within eps, if any.
-        k = int(np.searchsorted(core_pos, pts[i] - cfg.eps, side="left"))
-        if k < core_idx.size and core_pos[k] - pts[i] <= cfg.eps:
-            assignment[i] = assignment[core_idx[k]]
-    clusters: dict[int, list[int]] = {}
-    for i, label in enumerate(assignment):
-        if label >= 0:
-            clusters.setdefault(int(label), []).append(int(pts[i]))
-    return [tuple(sorted(members)) for _, members in sorted(clusters.items())]
+    spine = np.concatenate([[0], np.cumsum(np.diff(core_pos) > cfg.eps)])
+    k = np.searchsorted(core_pos, pts - cfg.eps, side="left")
+    near = np.append(core_pos, np.inf)[k] - pts <= cfg.eps
+    label = np.where(near, np.append(spine, -1)[k], -1)
+    label[core_idx] = spine
+    members = np.flatnonzero(label >= 0)
+    order = members[np.argsort(label[members], kind="stable")]
+    bounds = np.cumsum(np.bincount(label[members]))[:-1]
+    return [tuple(c.tolist()) for c in np.split(pts[order].astype(int), bounds)]
 
 
 def episodes_from_clusters(
     clusters: Sequence[Sequence[int]], delta: float, participant: str = ""
 ) -> list[LabeledInterval]:
     """Clusters of seconds -> episode intervals, merging gaps <= delta."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_delta(delta)
     spans = []
     seen: set[int] = set()
     for members in clusters:

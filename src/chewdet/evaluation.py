@@ -29,13 +29,15 @@ from .periodic import segment
 from .records import (
     LabeledInterval,
     Session,
+    check_overlap_rule,
     covered_seconds,
     derive_episode_labels,
+    disjoint_spans,
+    overlap_range,
 )
 from .signals import DerivedTrace, derive
 from .tables import write_table
 
-OVERLAP_BASES = ("truth", "pred", "min")
 REPORT_HEADER = ("participant", "level", "precision", "recall", "f1")
 REPORT_KINDS = "ssfff"
 
@@ -82,17 +84,6 @@ def per_second_metrics(
     return _prf(tp, len(pred), tp, len(truth))
 
 
-def _check_disjoint(intervals: Sequence[LabeledInterval], label: str) -> list[LabeledInterval]:
-    ordered = sorted(intervals, key=lambda iv: iv.start)
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if nxt.start < prev.end:
-            raise ValueError(
-                f"{label} intervals overlap: [{prev.start}, {prev.end}] and "
-                f"[{nxt.start}, {nxt.end}]"
-            )
-    return ordered
-
-
 def per_episode_metrics(
     pred: Sequence[LabeledInterval],
     truth: Sequence[LabeledInterval],
@@ -102,30 +93,23 @@ def per_episode_metrics(
     """Coarse scoring: a pair matches when its positive overlap reaches the
     threshold fraction of the base duration (ground-truth episode duration
     by default).  Many-to-one matches are allowed; each truth episode counts
-    once for recall.
+    once for recall.  Both sides must be disjoint, so each prediction meets
+    only the truth episodes in its overlap range: O((pred + truth) log truth).
     """
-    if base not in OVERLAP_BASES:
-        raise ValueError(f"base must be one of {OVERLAP_BASES}, got {base!r}")
-    if not 0.0 <= overlap_threshold <= 1.0:
-        raise ValueError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
-    pred = _check_disjoint(pred, "predicted")
-    truth = _check_disjoint(truth, "truth")
-
-    def matched(p: LabeledInterval, t: LabeledInterval) -> bool:
-        ov = min(p.end, t.end) - max(p.start, t.start)
-        if ov <= 0:
-            return False
-        if base == "truth":
-            ref = t.duration
-        elif base == "pred":
-            ref = p.duration
-        else:
-            ref = min(p.duration, t.duration)
-        return ov >= overlap_threshold * ref
-
-    tp_pred = sum(1 for p in pred if any(matched(p, t) for t in truth))
-    detected = sum(1 for t in truth if any(matched(p, t) for p in pred))
-    return _prf(tp_pred, len(pred), detected, len(truth))
+    check_overlap_rule(overlap_threshold, base)
+    pred_spans = disjoint_spans(((iv.start, iv.end) for iv in pred), "predicted intervals")
+    truth_spans = disjoint_spans(((iv.start, iv.end) for iv in truth), "truth intervals")
+    first, last = overlap_range(truth_spans, *np.reshape(pred_spans, (-1, 2)).T)
+    hits = []
+    for i, (p0, p1) in enumerate(pred_spans):
+        for j in range(first[i], last[i]):
+            t0, t1 = truth_spans[j]
+            ov = min(p1, t1) - max(p0, t0)
+            ref = {"truth": t1 - t0, "pred": p1 - p0, "min": min(p1 - p0, t1 - t0)}[base]
+            if ov > 0 and ov >= overlap_threshold * ref:
+                hits.append((i, j))
+    tp, detected = len({i for i, _ in hits}), len({j for _, j in hits})
+    return _prf(tp, len(pred_spans), detected, len(truth_spans))
 
 
 @dataclass(frozen=True)
@@ -330,8 +314,9 @@ def _evaluate_one(
     item: _Prepared,
     dbscan_cfg: DbscanConfig,
     cfg: PipelineConfig,
+    flags: Sequence[str] = (),
 ) -> ParticipantScore:
-    flags = [] if model.trees else ["zero_trees"]
+    flags = [*flags] if model.trees else [*flags, "zero_trees"]
     if not item.cands:
         flags.append("no_candidates")
         scores: list[SecondScore] = []
@@ -361,7 +346,9 @@ def losocv(
     Each fold trains on every other participant.  With more than one grid
     point, the point is chosen by a nested leave-one-out over the training
     participants only (mean of the two F1 levels; ties keep grid order), so
-    the held-out participant never influences its own fold.
+    the held-out participant never influences its own fold.  An inner fold
+    whose training labels hold one class has no vote; a fold where no point
+    gets one uses the first point and is flagged ``no_grid_vote``.
     """
     participants = [s.participant for s in sessions]
     if len(participants) != len(set(participants)):
@@ -379,8 +366,10 @@ def losocv(
         chosen = grid[0]
         if len(grid) > 1 and len(train_items) >= 2:
             chosen = _select_grid_point(train_items, grid, cfg)
-        model = train_fold([p.table for p in train_items], chosen[0])
-        scores.append(_evaluate_one(model, held, chosen[1], cfg))
+        flags = [] if chosen else ["no_grid_vote"]
+        boost_cfg, dbscan_cfg = chosen or grid[0]
+        model = train_fold([p.table for p in train_items], boost_cfg)
+        scores.append(_evaluate_one(model, held, dbscan_cfg, cfg, flags))
     second_avg, episode_avg = _macro(scores)
     return EvalReport(
         scores=tuple(scores),
@@ -394,9 +383,8 @@ def _select_grid_point(
     train_items: Sequence[_Prepared],
     grid: Sequence[tuple[BoostConfig, DbscanConfig]],
     cfg: PipelineConfig,
-) -> tuple[BoostConfig, DbscanConfig]:
-    best_score = -1.0
-    best = grid[0]
+) -> tuple[BoostConfig, DbscanConfig] | None:
+    best_score, best = -1.0, None
     # One model per (boost config, inner fold), shared by its DBSCAN points.
     models: dict[tuple[BoostConfig, int], TrainedModel | None] = {}
     for point in grid:
@@ -406,10 +394,8 @@ def _select_grid_point(
             key = (boost_cfg, inner_idx)
             if key not in models:
                 inner_train = [p.table for i, p in enumerate(train_items) if i != inner_idx]
-                try:
-                    models[key] = train_fold(inner_train, boost_cfg)
-                except ValueError:
-                    models[key] = None  # degenerate inner fold (single-class); skip its vote
+                classes = np.unique(np.concatenate([t.label for t in inner_train]))
+                models[key] = train_fold(inner_train, boost_cfg) if classes.size > 1 else None
             if models[key] is None:
                 continue
             ps = _evaluate_one(models[key], inner_held, dbscan_cfg, cfg)

@@ -47,7 +47,7 @@ import numpy as np
 from .boosting import TrainedModel, split_counts
 from .peaks import find_prominent_peaks, window_peak_counts
 from .periodic import CandidateWindow
-from .records import LabeledInterval
+from .records import LabeledInterval, overlap_range
 from .signals import DerivedTrace
 from .tables import read_table, write_table
 
@@ -267,12 +267,15 @@ def label_candidates(
     candidates: Sequence, chews: Sequence[LabeledInterval], min_overlap: float = 0.5
 ) -> np.ndarray:
     """Binary training labels: 1 when >= min_overlap of a candidate's span
-    is covered by ground-truth chewing intervals."""
+    is covered by ground-truth chewing intervals.  Each candidate sums only
+    the chews in its overlap range: O((candidates + chews) log chews), plus
+    the chews that a long chew keeps in range when chews nest."""
     labels = np.zeros(len(candidates), dtype=int)
     spans = sorted((iv.start, iv.end) for iv in chews)
+    first, last = overlap_range(spans, [c.c1 for c in candidates], [c.c2 for c in candidates])
     for k, cand in enumerate(candidates):
         covered = 0.0
-        for a, b in spans:
+        for a, b in spans[first[k]:last[k]]:
             covered += max(0.0, min(b, cand.c2) - max(a, cand.c1))
         duration = cand.c2 - cand.c1
         if duration > 0 and covered / duration >= min_overlap:

@@ -87,7 +87,7 @@ def _prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return peak_at[real], heights[real] - np.maximum(left, right)[real]
 
 
-def _check_threshold(min_prominence: float) -> None:
+def check_prominence(min_prominence: float) -> None:
     if min_prominence <= 0:
         raise ValueError(f"min_prominence must be positive, got {min_prominence}")
 
@@ -121,7 +121,7 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
     ts = np.asarray(t, dtype=float)
     if sig.shape != ts.shape:
         raise ValueError(f"signal length {sig.shape} != time length {ts.shape}")
-    _check_threshold(min_prominence)
+    check_prominence(min_prominence)
     _check_finite(sig)
     if sig.shape[0] < 3:
         return []
@@ -156,7 +156,7 @@ def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarr
         )
     if a.size and (a.min() < 0 or (b < a).any() or b.max() > sig.size):
         raise ValueError(f"window bounds must satisfy 0 <= start <= stop <= {sig.size}")
-    _check_threshold(min_prominence)
+    check_prominence(min_prominence)
     counts = np.zeros(a.size, dtype=np.intp)
     # An empty window holds no peak, and would put two walls side by side.
     keep = np.flatnonzero(b > a)

@@ -248,6 +248,11 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     ]
 
 
+def check_min_len(min_len: int) -> None:
+    if min_len < 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len}")
+
+
 def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[CandidateWindow]:
     """Candidate chewing subsequences from a stream of prominent peaks.
 
@@ -257,8 +262,7 @@ def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[Candi
     dropped.  Output is ordered by start time, then band; tied chains over
     one span each give a row.
     """
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    check_min_len(min_len)
     times = _validate_times([p.t for p in peaks])
     fragments = np.split(times, np.flatnonzero(np.diff(times) > cfg.max) + 1)
     return [

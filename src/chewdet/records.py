@@ -11,6 +11,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,6 +25,7 @@ SENSOR_KINDS = "m" + "f" * 9
 LABEL_HEADER = ("participant", "kind", "start_s", "end_s")
 LABEL_KINDS = "ssff"
 GAP_CDF_HEADER = ("gap_s", "cum_frac")
+OVERLAP_BASES = ("truth", "pred", "min")
 
 NOMINAL_RATE_HZ = 20.0
 # A frame-to-frame step more than 1.5x the nominal period counts as a gap.
@@ -189,17 +192,44 @@ def write_label_csv(path: str | Path, intervals: Iterable[LabeledInterval]) -> N
     write_table(path, LABEL_HEADER, LABEL_KINDS, rows)
 
 
+def disjoint_spans(spans: Iterable[tuple[float, float]], what: str) -> list[tuple[float, float]]:
+    """The spans as floats sorted by (start, end), or ``{what} overlap: ...``
+    naming the first pair where one starts before the other ends.  O(n log n)."""
+    ordered = sorted((float(a), float(b)) for a, b in spans)
+    for (a0, a1), (b0, b1) in zip(ordered, ordered[1:]):
+        if b0 < a1:
+            raise ValueError(f"{what} overlap: [{a0}, {a1}] and [{b0}, {b1}]")
+    return ordered
+
+
+def overlap_range(spans: Sequence[tuple[float, float]], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Per query [lo, hi], the index range [first, last) of ``spans`` (sorted
+    by start, maybe overlapping) outside which no span shares positive measure
+    with the query: two searches, on the running max of the ends and on the
+    starts.  O((spans + queries) log spans)."""
+    arr = np.asarray(spans, dtype=float).reshape(-1, 2)
+    first = np.searchsorted(np.maximum.accumulate(arr[:, 1]), lo, side="right")
+    return first, np.maximum(first, np.searchsorted(arr[:, 0], hi, side="left"))
+
+
+def check_delta(delta: float) -> None:
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+
+
+def check_overlap_rule(threshold: float, base: str) -> None:
+    if base not in OVERLAP_BASES:
+        raise ValueError(f"base must be one of {OVERLAP_BASES}, got {base!r}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"overlap_threshold must be in [0, 1], got {threshold}")
+
+
 def merge_intervals(
     spans: Iterable[tuple[float, float]], delta: float
 ) -> list[tuple[float, float]]:
-    """Merge spans separated by gaps <= delta; overlapping inputs are an error."""
-    ordered = sorted((float(a), float(b)) for a, b in spans)
+    """Merge spans separated by gaps <= delta; overlapping inputs are an error.  O(n log n)."""
     merged: list[list[float]] = []
-    for start, end in ordered:
-        if merged and start < merged[-1][1]:
-            raise ValueError(
-                f"overlapping intervals: [{merged[-1][0]}, {merged[-1][1]}] and [{start}, {end}]"
-            )
+    for start, end in disjoint_spans(spans, "intervals"):
         if merged and start - merged[-1][1] <= delta:
             merged[-1][1] = end
         else:
@@ -215,8 +245,7 @@ def derive_episode_labels(
     Consecutive chewing sequences with an inter-gap <= ``delta`` seconds
     belong to one episode; a longer gap starts a new episode.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_delta(delta)
     participants = {iv.participant for iv in chews}
     if len(participants) > 1:
         raise ValueError(f"intervals span multiple participants: {sorted(participants)}")
@@ -235,18 +264,12 @@ def inter_sequence_gap_cdf(
 
     Gaps are taken within each participant and pooled.  Returns (gap
     seconds, cumulative fraction) pairs sorted by gap; the last fraction
-    is 1.  Used to pick the episode-split parameter from data.
+    is 1.  Used to pick the episode-split parameter from data.  O(n log n).
     """
-    ordered = sorted(chews, key=lambda iv: (iv.participant, iv.start))
     gaps = []
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if prev.participant != nxt.participant:
-            continue
-        if nxt.start < prev.end:
-            raise ValueError(
-                f"overlapping intervals: [{prev.start}, {prev.end}] and [{nxt.start}, {nxt.end}]"
-            )
-        gaps.append(nxt.start - prev.end)
+    for _, group in groupby(sorted(chews, key=attrgetter("participant")), attrgetter("participant")):
+        spans = disjoint_spans(((iv.start, iv.end) for iv in group), "intervals")
+        gaps += [b0 - a1 for (_, a1), (b0, _) in zip(spans, spans[1:])]
     if not gaps:
         raise ValueError(
             f"need at least 2 intervals of one participant to compute gaps, got {len(chews)}"

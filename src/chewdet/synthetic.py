@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, Session
+from .records import IntervalKind, LabeledInterval, Session, disjoint_spans
 from .tables import field_types, key_values, parse_fields
 
 CHEW_RATE_BAND_HZ = (0.94, 2.17)
@@ -98,11 +98,7 @@ class ScenarioSpec:
             raise ValueError(f"duration must be positive, got {self.duration}")
         object.__setattr__(self, "meals", tuple(self.meals))
         object.__setattr__(self, "confounders", tuple(self.confounders))
-        spans = sorted(m.span for m in self.meals)
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            if b0 < a1:
-                raise ValueError(f"meals overlap: [{a0}, {a1}] and [{b0}, {b1}]")
-        for lo, hi in spans:
+        for lo, hi in disjoint_spans((m.span for m in self.meals), "meals"):
             if hi > self.duration:
                 raise ValueError(f"meal [{lo}, {hi}] runs past the scenario duration")
 

@@ -11,6 +11,12 @@ feature layout's constants, the peak finder the catalogue counts peaks
 with (itself checked against naive_prominent_peaks), and the one-band
 search naive_segment runs on each fragment and band (longest_abs_periodic,
 itself checked against the brute-force search).
+
+The all-pairs interval oracles (naive_label_candidates,
+naive_per_episode_metrics, loop_cluster) are the earlier bodies of the
+functions they check, kept so that the overlap-range rewrites can be held
+to the same results bit for bit; the episode oracle reports its counts
+through evaluation._prf, the precision/recall arithmetic both share.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from chewdet.episodes import DbscanConfig, SecondScore
+from chewdet.evaluation import Metrics, _prf
 from chewdet.features import (
     DEFAULT_MIN_PROMINENCE,
     FREQ_HZ,
@@ -28,6 +36,7 @@ from chewdet.features import (
     WINDOWS,
 )
 from chewdet.peaks import Peak, find_prominent_peaks
+from chewdet.records import LabeledInterval
 from chewdet.periodic import (
     PeriodicSubsequence,
     SweepConfig,
@@ -158,6 +167,83 @@ def naive_dbscan_1d(
         if label >= 0:
             clusters.setdefault(label, []).append(pts[i])
     return [tuple(sorted(members)) for _, members in sorted(clusters.items())]
+
+
+def loop_cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int, ...]]:
+    """episodes.cluster with one Python step per border point and per member."""
+    if not scores:
+        return []
+    pts = np.array([s.second for s in scores], dtype=float)
+    weights = (
+        np.array([s.score for s in scores], dtype=float)
+        if cfg.use_score_weight
+        else np.ones(len(scores))
+    )
+    lo = np.searchsorted(pts, pts - cfg.eps, side="left")
+    hi = np.searchsorted(pts, pts + cfg.eps, side="right")
+    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    core = prefix[hi] - prefix[lo] >= cfg.min_pts
+    core_idx = np.flatnonzero(core)
+    if core_idx.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(pts[core_idx]) > cfg.eps)
+    spines = np.split(core_idx, breaks + 1)
+    assignment = np.full(len(scores), -1, dtype=int)
+    for label, spine in enumerate(spines):
+        assignment[spine] = label
+    core_pos = pts[core_idx]
+    for i in np.flatnonzero(~core):
+        # Border point: joins the leftmost core within eps, if any.
+        k = int(np.searchsorted(core_pos, pts[i] - cfg.eps, side="left"))
+        if k < core_idx.size and core_pos[k] - pts[i] <= cfg.eps:
+            assignment[i] = assignment[core_idx[k]]
+    clusters: dict[int, list[int]] = {}
+    for i, label in enumerate(assignment):
+        if label >= 0:
+            clusters.setdefault(int(label), []).append(int(pts[i]))
+    return [tuple(sorted(members)) for _, members in sorted(clusters.items())]
+
+
+def naive_label_candidates(
+    candidates: Sequence, chews: Sequence[LabeledInterval], min_overlap: float = 0.5
+) -> np.ndarray:
+    """features.label_candidates summing every chew for every candidate."""
+    labels = np.zeros(len(candidates), dtype=int)
+    spans = sorted((iv.start, iv.end) for iv in chews)
+    for k, cand in enumerate(candidates):
+        covered = 0.0
+        for a, b in spans:
+            covered += max(0.0, min(b, cand.c2) - max(a, cand.c1))
+        duration = cand.c2 - cand.c1
+        if duration > 0 and covered / duration >= min_overlap:
+            labels[k] = 1
+    return labels
+
+
+def naive_per_episode_metrics(
+    pred: Sequence[LabeledInterval],
+    truth: Sequence[LabeledInterval],
+    overlap_threshold: float = 0.5,
+    base: str = "truth",
+) -> Metrics:
+    """evaluation.per_episode_metrics testing every (pred, truth) pair;
+    both sides must already be disjoint."""
+
+    def matched(p: LabeledInterval, t: LabeledInterval) -> bool:
+        ov = min(p.end, t.end) - max(p.start, t.start)
+        if ov <= 0:
+            return False
+        if base == "truth":
+            ref = t.duration
+        elif base == "pred":
+            ref = p.duration
+        else:
+            ref = min(p.duration, t.duration)
+        return ov >= overlap_threshold * ref
+
+    tp_pred = sum(1 for p in pred if any(matched(p, t) for t in truth))
+    detected = sum(1 for t in truth if any(matched(p, t) for p in pred))
+    return _prf(tp_pred, len(pred), detected, len(truth))
 
 
 def _plateau_maxima(sig: np.ndarray) -> list[int]:

@@ -35,6 +35,16 @@ seed = 7
 """
 
 
+# Config fields only a stage after derive reads, each with its error.
+BAD_STAGE_FIELDS = [
+    ("min_prominence = 0", "min_prominence must be positive, got 0.0"),
+    ("min_len = 0", "min_len must be >= 1, got 0"),
+    ("delta = -5", "delta must be positive, got -5.0"),
+    ("episode_overlap_threshold = 1.5", "overlap_threshold must be in [0, 1], got 1.5"),
+    ("episode_overlap_base = foo", "base must be one of ('truth', 'pred', 'min'), got 'foo'"),
+]
+
+
 def write_scenario(tmp_path, text=SCENARIO, name="scenario.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -224,6 +234,34 @@ class TestErrors:
         assert "chewdet derive: error: " in err and "eta must be in (0, 1], got 5.0" in err
         assert not (out / "derived_SYN.csv").exists()
         assert "config.eta = 5.0" not in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("line, message", BAD_STAGE_FIELDS)
+    def test_stage_field_fails_at_load(self, tmp_path, line, message):
+        bad = tmp_path / "config.txt"
+        bad.write_text(line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_config(bad)
+        assert str(info.value) == f"{bad}: {message}"
+
+    def test_threshold_above_one_loads(self, tmp_path):
+        # threshold > 1 is the always-negative classifier, not a bad value.
+        path = tmp_path / "config.txt"
+        path.write_text("threshold = 7\n")
+        assert read_config(path).threshold == 7.0
+
+    @pytest.mark.parametrize("line, message", BAD_STAGE_FIELDS)
+    def test_derive_refuses_a_field_a_later_stage_reads(self, tmp_path, capsys, line, message):
+        out = tmp_path / "run"
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--out", out) == 0
+        manifest = (out / "manifest.txt").read_text()
+        bad = tmp_path / "config.txt"
+        bad.write_text(line + "\n")
+        code = run("derive", "--participant", "SYN", "--config", bad, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not (out / "derived_SYN.csv").exists()
+        assert (out / "manifest.txt").read_text() == manifest
 
     def test_train_rejects_a_participant_named_twice(self, full_chain, capsys):
         code = run("train", "--participants", "SYN,SYN", "--out", full_chain)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chewdet.episodes import (
     DbscanConfig,
@@ -11,7 +13,7 @@ from chewdet.episodes import (
     write_episode_csv,
 )
 from chewdet.periodic import CandidateWindow
-from oracles import naive_dbscan_1d
+from oracles import loop_cluster, naive_dbscan_1d
 
 
 def cand(c1, c2):
@@ -123,6 +125,25 @@ class TestCluster:
         scored = {s.second for s in scores}
         for members in out:
             assert set(members) <= scored
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 5)),
+                       unique_by=lambda p: p[0], max_size=40),
+        eps=st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 10.0]) | st.floats(0.01, 20.0),
+        min_pts=st.integers(1, 12),
+        use_score_weight=st.booleans(),
+    )
+    # A border exactly eps left of a spine's first core; a border exactly
+    # eps right of one spine's core with the next spine's core within eps.
+    @example([(0, 1), (3, 1), (4, 1), (5, 1)], 3.0, 3, False)
+    @example([(6, 5), (7, 5), (8, 1), (10, 1), (11, 1), (12, 1), (13, 5), (14, 5)], 2.0, 8, True)
+    def test_matches_per_point_loop(self, pairs, eps, min_pts, use_score_weight):
+        scores = scores_from(sorted(pairs))
+        cfg = DbscanConfig(eps=eps, min_pts=min_pts, use_score_weight=use_score_weight)
+        out = cluster(scores, cfg)
+        assert out == loop_cluster(scores, cfg)
+        assert all(type(s) is int for members in out for s in members)
 
     def test_raising_min_pts_never_adds_seconds(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,10 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chewdet import evaluation
 from chewdet.boosting import BoostConfig
@@ -14,8 +17,10 @@ from chewdet.evaluation import (
     train_fold,
     write_report_csv,
 )
-from chewdet.records import IntervalKind, LabeledInterval
+from chewdet.features import FeatureTable
+from chewdet.records import IntervalKind, LabeledInterval, Session
 from conftest import quick_config
+from oracles import naive_per_episode_metrics
 
 
 def episode(start, end, participant="P1"):
@@ -24,6 +29,20 @@ def episode(start, end, participant="P1"):
 
 def chew(start, end, participant="P1"):
     return LabeledInterval(start, end, IntervalKind.CHEW, participant)
+
+
+def _chain(parts):
+    # (gap, length) pairs -> disjoint episodes; a zero gap touches.
+    out, t = [], 0.0
+    for gap, length in parts:
+        out.append(episode(t + gap, t + gap + length))
+        t = out[-1].end
+    return out
+
+
+_gaps = st.integers(0, 8).map(lambda k: k / 2) | st.floats(0.0, 5.0)
+_lengths = st.integers(1, 12).map(lambda k: k / 2) | st.floats(0.01, 8.0)
+_episodes = st.lists(st.tuples(_gaps, _lengths), max_size=8).map(_chain)
 
 
 class TestPerSecond:
@@ -109,6 +128,25 @@ class TestPerEpisode:
                 assert m.precision <= previous.precision + 1e-12
                 assert m.recall <= previous.recall + 1e-12
             previous = m
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pred=_episodes,
+        truth=_episodes,
+        threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        base=st.sampled_from(["truth", "pred", "min"]),
+    )
+    def test_matches_all_pairs_oracle(self, pred, truth, threshold, base):
+        expected = naive_per_episode_metrics(pred, truth, threshold, base)
+        assert per_episode_metrics(pred[::-1], truth, threshold, base) == expected
+
+    def test_day_scale_is_not_quadratic(self):
+        truth = [episode(10.0 * i, 10.0 * i + 6.0) for i in range(20_000)]
+        pred = [episode(10.0 * i + 3.0, 10.0 * i + 8.0) for i in range(20_000)]
+        t0 = time.perf_counter()
+        m = per_episode_metrics(pred, truth)
+        assert time.perf_counter() - t0 < 2.0
+        assert (m.tp, m.fp, m.fn) == (20_000, 0, 0)
 
     def test_base_variants(self):
         # Long prediction over a short truth: full truth coverage but only
@@ -211,6 +249,41 @@ class TestPipeline:
         report = losocv(noisy_sessions, dbscan_grid=grid, cfg=cfg)
         assert len(calls) == 9
         assert not any("zero_trees" in s.flags for s in report.scores)
+
+    def test_inner_fold_error_other_than_one_class_propagates(self, noisy_sessions, monkeypatch):
+        # The first train call is an inner fold's; it must not pass as a
+        # single-class fold and leave the outer folds to run.
+        real, calls = evaluation.train, []
+
+        def fails_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("inner fold boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", fails_first)
+        cfg = quick_config()
+        grid = [cfg.dbscan(), replace(cfg.dbscan(), eps=2 * cfg.dbscan_eps)]
+        with pytest.raises(ValueError, match="inner fold boom"):
+            losocv(noisy_sessions, dbscan_grid=grid, cfg=cfg)
+
+    def test_grid_without_votes_is_flagged(self, monkeypatch):
+        # B holds only positives and C only negatives: holding A out leaves
+        # two single-class inner folds, so no grid point gets a vote there.
+        rng = np.random.default_rng(0)
+        labels = {"A": [0, 1] * 10, "B": [1] * 20, "C": [0] * 20}
+        prepared = []
+        for pid, label in labels.items():
+            table = FeatureTable(("f0", "f1"), rng.normal(size=(20, 2)), np.zeros(20),
+                                 np.ones(20), [pid] * 20, np.array(label))
+            session = Session(pid, [], [], [], np.zeros((0, 4)), np.zeros((0, 3)))
+            prepared.append(evaluation._Prepared(session, [], table))
+        monkeypatch.setattr(evaluation, "_prepare_all", lambda *args: prepared)
+        cfg = quick_config()
+        grid = [cfg.boost(), replace(cfg.boost(), n_rounds=5)]
+        report = losocv([p.session for p in prepared], boost_grid=grid, cfg=cfg)
+        assert ["no_grid_vote" in s.flags for s in report.scores] == [True, False, False]
+        assert "no_grid_vote" in report.to_text()
 
     def test_zero_tree_fold_flagged_in_text_only(self, clean_sessions, tmp_path):
         cfg = quick_config()

@@ -1,10 +1,11 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_extract
+from oracles import naive_extract, naive_label_candidates
 from scipy import stats as sp_stats
 
 from chewdet import features
@@ -44,6 +45,10 @@ def cand(c1, c2, p_min=0.5, p_max=0.6, epsilon=0.2, length=5):
 
 
 HOUR0 = local_hour(0.0)
+# Interval ends and lengths on a half-second grid (so endpoints touch often)
+# or anywhere in a short range.
+_ends = st.integers(0, 40).map(lambda k: k / 2) | st.floats(0.0, 20.0)
+_lengths = st.integers(1, 16).map(lambda k: k / 2) | st.floats(0.01, 8.0)
 
 
 class TestLayout:
@@ -318,6 +323,42 @@ class TestLabeling:
         ]
         labels = label_candidates(cands, chews, min_overlap=0.5)
         assert labels.tolist() == [1, 0, 1, 0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        chews=st.lists(st.tuples(_ends, _lengths), max_size=10),
+        cands=st.lists(st.tuples(_ends, _lengths | st.just(0.0)), max_size=10),
+        min_overlap=st.sampled_from([0.0, 0.25, 0.5, 1.0, None]),
+    )
+    # Summed in reverse start order, these overlaps come out one ulp low.
+    @example([(0.81, 1.14), (2.87, 0.11), (2.35, 1.66), (2.66, 1.51)], [(0.0, 3.0)], None)
+    def test_matches_all_pairs_oracle(self, chews, cands, min_overlap):
+        # Overlapping, nested and touching chews, zero-length candidates and
+        # empty sides all occur; min_overlap None sets the threshold to the
+        # first candidate's exact coverage, so a sum in another order that
+        # lands one ulp low flips its label.
+        ivs = [LabeledInterval(a, a + d, IntervalKind.CHEW, "P1") for a, d in chews]
+        cs = [cand(a, a + d) for a, d in cands]
+        if min_overlap is None:
+            c = cs[0] if cs else cand(0.0, 1.0)
+            covered = 0.0
+            for a, b in sorted((iv.start, iv.end) for iv in ivs):
+                covered += max(0.0, min(b, c.c2) - max(a, c.c1))
+            min_overlap = covered / (c.c2 - c.c1) if c.c2 > c.c1 else 0.5
+        expected = naive_label_candidates(cs, ivs, min_overlap)
+        assert label_candidates(cs, ivs, min_overlap).tolist() == expected.tolist()
+
+    def test_day_scale_is_not_quadratic(self):
+        # 20,000 x 20,000 would take minutes comparing every pair.
+        rng = np.random.default_rng(4)
+        chews = [LabeledInterval(10.0 * i, 10.0 * i + 6.0, IntervalKind.CHEW, "P1")
+                 for i in range(20_000)]
+        starts = rng.uniform(0.0, 200_000.0, size=20_000)
+        cands = [cand(a, a + d) for a, d in zip(starts, rng.uniform(1.0, 30.0, size=20_000))]
+        t0 = time.perf_counter()
+        labels = label_candidates(cands, chews)
+        assert time.perf_counter() - t0 < 2.0
+        assert 0 < labels.sum() < len(cands)
 
 
 class TestRanking:

@@ -8,9 +8,11 @@ from chewdet.records import (
     Session,
     covered_seconds,
     derive_episode_labels,
+    disjoint_spans,
     ingest_sensor_csv,
     inter_sequence_gap_cdf,
     merge_intervals,
+    overlap_range,
     read_label_csv,
     write_label_csv,
 )
@@ -181,6 +183,37 @@ class TestEpisodeDerivation:
             assert [(e.start, e.end) for e in episodes] == [
                 (e.start, e.end) for e in reference
             ]
+
+
+class TestSpans:
+    def test_overlap_message_names_both_spans(self):
+        msg = r"^intervals overlap: \[0\.0, 60\.0\] and \[30\.0, 90\.0\]$"
+        with pytest.raises(ValueError, match=msg):
+            merge_intervals([(30, 90), (0, 60)], delta=10)
+        with pytest.raises(ValueError, match=msg):
+            inter_sequence_gap_cdf([chew(30, 90), chew(200, 210), chew(0, 60)])
+
+    def test_disjoint_spans_sorts_and_lets_ends_touch(self):
+        assert disjoint_spans([(5, 9), (0, 5), (9, 9)], "x") == [(0.0, 5.0), (5.0, 9.0), (9.0, 9.0)]
+        with pytest.raises(ValueError, match=r"^meals overlap: \[0\.0, 5\.0\] and \[4\.0, 6\.0\]"):
+            disjoint_spans([(4, 6), (0, 5)], "meals")
+
+    def test_overlap_range_keeps_spans_a_long_one_contains(self):
+        spans = [(0.0, 100.0), (10.0, 20.0), (30.0, 40.0), (200.0, 210.0)]
+        first, last = overlap_range(spans, [50.0, 100.0, 205.0, 300.0], [60.0, 150.0, 300.0, 400.0])
+        assert list(zip(first, last)) == [(0, 3), (3, 3), (3, 4), (4, 4)]
+
+    def test_overlap_range_misses_no_overlapping_span(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            starts = np.sort(rng.integers(0, 40, size=rng.integers(0, 12))).astype(float)
+            spans = [(a, a + float(rng.integers(1, 15))) for a in starts]
+            lo = rng.integers(0, 50, size=8).astype(float)
+            hi = lo + rng.integers(0, 10, size=8)
+            first, last = overlap_range(spans, lo, hi)
+            for q in range(8):
+                hit = [j for j, (a, b) in enumerate(spans) if min(b, hi[q]) - max(a, lo[q]) > 0]
+                assert all(first[q] <= j < last[q] for j in hit)
 
 
 class TestGapCdf:
