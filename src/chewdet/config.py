@@ -59,6 +59,10 @@ class PipelineConfig:
         check_min_len(self.min_len)
         check_delta(self.delta)
         check_overlap_rule(self.episode_overlap_threshold, self.episode_overlap_base)
+        if not 0.0 <= self.candidate_label_min_overlap <= 1.0:
+            raise ValueError(
+                f"candidate_label_min_overlap must be in [0, 1], got {self.candidate_label_min_overlap}"
+            )
 
     def sweep(self) -> SweepConfig:
         return SweepConfig(

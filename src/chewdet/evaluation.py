@@ -328,12 +328,6 @@ def _evaluate_one(
     return score_participant(scores, episodes, item.session, cfg, flags)
 
 
-def _grid_points(
-    boost_grid: Sequence[BoostConfig], dbscan_grid: Sequence[DbscanConfig]
-) -> list[tuple[BoostConfig, DbscanConfig]]:
-    return [(b, d) for b in boost_grid for d in dbscan_grid]
-
-
 def losocv(
     sessions: Sequence[Session],
     boost_grid: Sequence[BoostConfig] | None = None,
@@ -357,7 +351,7 @@ def losocv(
         raise ValueError(f"LOSOCV needs at least 2 participants, got {len(sessions)}")
     boost_grid = list(boost_grid) if boost_grid else [cfg.boost()]
     dbscan_grid = list(dbscan_grid) if dbscan_grid else [cfg.dbscan()]
-    grid = _grid_points(boost_grid, dbscan_grid)
+    grid = [(b, d) for b in boost_grid for d in dbscan_grid]
 
     prepared = _prepare_all(sessions, cfg, signals)
     scores: list[ParticipantScore] = []

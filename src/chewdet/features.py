@@ -23,14 +23,13 @@ fingerprint changes with it.
 Zero-variance windows fall back to 0 for skewness, kurtosis, and
 correlations so every vector stays finite.
 
-Cost: per distinct candidate, O(S * w * log w) time for S signals and
-windows of w samples.  Windows of one length are gathered into (k, S, w)
-blocks of at most _BLOCK_WINDOWS windows and every statistic is one
-reduction over the block's last axis, so extra memory is bounded by one
-block.  Peaks are counted for _BLOCK_WINDOWS candidates' windows of one
-signal at a time, in one walled pass (peaks.window_peak_counts), so the
-count costs O(window samples) time and one block of extra memory.
-Duplicate candidates (same span and band) reuse one row.
+Cost: per candidate, O(S * w * log w) time for S signals and windows of
+w samples.  Windows of one length are gathered into (k, S, w) blocks of at
+most _BLOCK_WINDOWS windows and every statistic is one reduction over the
+block's last axis, so extra memory is bounded by one block.  Peaks are
+counted for _BLOCK_WINDOWS candidates' windows of one signal at a time, in
+one walled pass (peaks.window_peak_counts), so the count costs O(window
+samples) time and one block of extra memory.
 """
 
 from __future__ import annotations
@@ -180,36 +179,31 @@ def _feature_rows(
 ) -> np.ndarray:
     if not len(trace):
         raise ValueError("cannot extract features from an empty trace")
-    keys: dict[tuple, int] = {}
-    row_key = [keys.setdefault((c.c1, c.c2, c.p_min, c.p_max, c.epsilon, c.length), len(keys))
-               for c in candidates]
-    first = np.unique(row_key, return_index=True)[1]
-    cands = [candidates[i] for i in first]
     meta = np.array([[c.p_min, c.p_max, c.epsilon, c.length, clock(c.c1)] for c in candidates], float)
     t = trace.t
     t0, t1 = float(t[0]), float(t[-1])
-    start = np.searchsorted(t, np.array([max(c.c1 - WINDOW_PAD_S, t0) for c in cands]) - _EDGE_EPS)
+    start = np.searchsorted(t, np.array([max(c.c1 - WINDOW_PAD_S, t0) for c in candidates]) - _EDGE_EPS)
     stops = [
         np.searchsorted(t, np.array([min(end + WINDOW_PAD_S, t1) for end in ends]) + _EDGE_EPS, "right")
-        for ends in ([c.c2 for c in cands], [c.c1 for c in cands])
+        for ends in ([c.c2 for c in candidates], [c.c1 for c in candidates])
     ]
     empty = np.flatnonzero((stops[0] <= start) | (stops[1] <= start))
-    n_keys = int(empty[0]) if empty.size else len(cands)
+    n_rows = int(empty[0]) if empty.size else len(candidates)
 
     sig = [trace.signal(s) for s in signals]
     n_windows = len(sig) * len(WINDOWS)
-    per_window = np.zeros((n_keys, len(sig), len(WINDOWS), _PER_WINDOW))
+    per_window = np.zeros((n_rows, len(sig), len(WINDOWS), _PER_WINDOW))
     a, b = np.array(list(combinations(range(len(sig)), 2)), dtype=np.intp).reshape(-1, 2).T
-    corr = np.zeros((n_keys, len(WINDOWS), a.size))
+    corr = np.zeros((n_rows, len(WINDOWS), a.size))
     for w, stop in enumerate(stops):
-        lengths = stop[:n_keys] - start[:n_keys]
+        lengths = stop[:n_rows] - start[:n_rows]
         for n in np.unique(lengths):
             group = np.flatnonzero(lengths == n)
             for chunk in np.split(group, range(_BLOCK_WINDOWS, group.size, _BLOCK_WINDOWS)):
                 block = np.stack([x[start[chunk, None] + np.arange(n)] for x in sig], axis=1)
                 per_window[chunk, :, w], corr[chunk, w] = _window_features(block, sample_rate_hz, a, b)
-    rows = np.hstack([per_window.reshape(n_keys, n_windows * _PER_WINDOW),
-                      corr.reshape(n_keys, len(WINDOWS) * a.size), meta[first[:n_keys]]])
+    rows = np.hstack([per_window.reshape(n_rows, n_windows * _PER_WINDOW),
+                      corr.reshape(n_rows, len(WINDOWS) * a.size), meta[:n_rows]])
 
     # Errors are raised in input order, so a failure names the first failing
     # candidate as one-at-a-time work would.  Rows before the first bad one
@@ -218,7 +212,7 @@ def _feature_rows(
     # The bad row counts per window, so that a non-finite sample fails with
     # its own message first.
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    counted = int(bad[0]) if bad.size else n_keys
+    counted = int(bad[0]) if bad.size else n_rows
     peak_cols = np.arange(1, n_windows + 1) * _PER_WINDOW - 1  # n_peaks ends each window
     for lo in range(0, counted, _BLOCK_WINDOWS):
         chunk = slice(lo, min(lo + _BLOCK_WINDOWS, counted))
@@ -230,19 +224,17 @@ def _feature_rows(
             len(find_prominent_peaks(x[start[k]:stop[k]], t[start[k]:stop[k]], min_prominence))
             for x, stop in product(sig, stops)
         ]
-        c = cands[k]
+        c = candidates[k]
         at = int(np.flatnonzero(~np.isfinite(rows[k]))[0])
         raise ValueError(f"candidate [{c.c1}, {c.c2}]: non-finite feature at index {at}")
     if empty.size:
-        c = cands[n_keys]
-        w = WINDOWS[0] if stops[0][n_keys] <= start[n_keys] else WINDOWS[1]
+        c = candidates[n_rows]
+        w = WINDOWS[0] if stops[0][n_rows] <= start[n_rows] else WINDOWS[1]
         raise ValueError(
             f"candidate [{c.c1}, {c.c2}]: window {w} is empty after "
             f"clipping to the trace span [{t0}, {t1}]"
         )
-    X = rows[row_key]
-    X[:, -len(META_FEATURES):] = meta  # each row's own bits: 0.0 and -0.0 share a key
-    return X
+    return rows
 
 
 def extract(
@@ -333,10 +325,9 @@ def extract_table(
     sample_rate_hz: float = 20.0,
     label_min_overlap: float = 0.5,
 ) -> FeatureTable:
-    """Feature rows of candidates on one trace, in input order; a distinct
-    (c1, c2, p_min, p_max, epsilon, length) key is computed once and its row
-    copied to the duplicates.  Errors are extract's, for the first failing
-    candidate in input order."""
+    """Feature rows of candidates on one trace, each computed as given, in
+    input order.  Errors are extract's, for the first failing candidate in
+    input order."""
     names = feature_layout(signals)
     n = len(candidates)
     X = np.zeros((0, len(names)))

@@ -15,12 +15,13 @@ Sweeping geometrically spaced bands over the physiological inter-chew
 range (0.4 s to 1.5 s by factors of 1 + epsilon) turns "find chewing of
 unknown rate" into a small family of banded problems.
 
-``segment`` solves every (fragment, band) with that DP but enumerates the
-tied optimal chains only where the optimum reaches ``min_len`` gaps; a
-fragment of at most ``min_len`` peaks is skipped whole.  It returns a
-``CandidateWindow`` per distinct chain, so k tied chains over one span give
-k identical rows, and their enumeration is still combinatorial.  Only the
-reference searches ``longest_*_periodic`` return ``PeriodicSubsequence``.
+``segment`` runs that DP per (fragment, band) and, where the optimum
+reaches ``min_len`` gaps, returns one ``CandidateWindow`` per distinct
+(first, last) span of the tied optimal chains.  Each on-optimum event
+carries the set of chain starts that reach it, so this costs
+O(on-optimum events x distinct starts), never the chain count (2^k for k
+paired chews).  Only the reference searches ``longest_*_periodic``
+enumerate every tied chain, as ``PeriodicSubsequence``.
 """
 
 from __future__ import annotations
@@ -141,16 +142,12 @@ def _validate_times(t) -> np.ndarray:
     return ts
 
 
-def _longest_chains(tl: list[float], p_min: float, p_max: float, min_len: int) -> list[tuple[float, ...]]:
-    # Every longest chain of the increasing times tl whose gaps lie in
-    # [p_min, p_max], sorted; none when the longest has fewer than min_len
-    # (>= 1) gaps, and then the tied chains are never enumerated.
+def _optima(tl: list[float], p_min: float, p_max: float) -> list[int]:
+    # opt[i]: gaps of the longest chain ending at tl[i].  Sliding-window DP:
+    # dq holds candidate predecessors with non-increasing opt values; a
+    # predecessor enters once its gap reaches p_min and leaves once its gap
+    # passes p_max.
     n = len(tl)
-    if n <= min_len:
-        return []
-    # Sliding-window DP: dq holds candidate predecessors with non-increasing
-    # opt values; a predecessor enters once its gap reaches p_min and leaves
-    # once its gap passes p_max.
     opt = [0] * n
     dq: deque[int] = deque()
     nxt = 0  # next index eligible to enter the window
@@ -165,57 +162,42 @@ def _longest_chains(tl: list[float], p_min: float, p_max: float, min_len: int) -
             dq.popleft()
         if dq:
             opt[i] = opt[dq[0]] + 1
+    return opt
 
+
+def _predecessors(tl: list[float], opt: list[int], i: int, p_min: float, p_max: float) -> list[int]:
+    # The events one gap before i on a longest chain ending at i.
+    out = []
+    for j in range(i - 1, -1, -1):
+        gap = tl[i] - tl[j]
+        if gap > p_max:
+            break
+        if opt[j] == opt[i] - 1 and gap >= p_min:
+            out.append(j)
+    return out
+
+
+def _longest_spans(
+    tl: list[float], p_min: float, p_max: float, min_len: int
+) -> tuple[int, set[tuple[float, float]]]:
+    # The optimum and the distinct (first, last) times of its tied chains,
+    # none when it is below min_len (>= 1).  On-optimum events are found
+    # level by level back from the optimal endpoints; each then carries the
+    # chain starts that reach it: its own, or the union of its predecessors'.
+    opt = _optima(tl, p_min, p_max)
     best = max(opt)
     if best < min_len:
-        return []
-
-    def predecessors(i: int) -> list[int]:
-        want = opt[i] - 1
-        out = []
-        j = i - 1
-        while j >= 0:
-            gap = tl[i] - tl[j]
-            if gap > p_max:
-                break
-            if opt[j] == want and gap >= p_min:
-                out.append(j)
-            j -= 1
-        out.reverse()
-        return out
-
-    # Walk the backpointer DAG from every optimal endpoint; each root-to-end
-    # path is one tied optimum.
-    chains: list[tuple[float, ...]] = []
-    for end in [i for i in range(n) if opt[i] == best]:
-        stack: list[tuple[int, list[int]]] = [(end, [end])]
-        while stack:
-            i, tail = stack.pop()
-            if opt[i] == 0:
-                chains.append(tuple(tl[k] for k in reversed(tail)))
-                continue
-            preds = predecessors(i)
-            if len(preds) == 1:
-                tail.append(preds[0])
-                stack.append((preds[0], tail))
-            else:
-                for j in preds:
-                    stack.append((j, tail + [j]))
-    chains.sort()
-    return chains
-
-
-def _sweep(fragments: list[list[float]], cfg: SweepConfig, min_len: int) -> list[tuple]:
-    """``(chain, band)`` of each distinct longest chain, by start, band, chain."""
-    # Fragments hold disjoint times, so one table dedupes chains across
-    # bands; the lowest band comes first and wins.
-    bands = cfg.bands()
-    found: dict[tuple[float, ...], tuple[float, float]] = {}
-    for frag in fragments:
-        for band in bands:
-            for c in _longest_chains(frag, *band, min_len):
-                found.setdefault(c, band)
-    return sorted(found.items(), key=lambda item: (item[0][0], item[1][0], item[0]))
+        return best, set()
+    ends = level = [i for i in range(len(tl)) if opt[i] == best]
+    preds: dict[int, list[int]] = {}
+    while level:
+        for i in level:
+            preds[i] = _predecessors(tl, opt, i, p_min, p_max)
+        level = {j for i in level for j in preds[i]}
+    starts: dict[int, set[int]] = {}
+    for i in sorted(preds):  # an event's predecessors come before it
+        starts[i] = set().union(*(starts[j] for j in preds[i])) or {i}
+    return best, {(tl[s], tl[e]) for e in ends for s in starts[e]}
 
 
 def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubsequence]:
@@ -223,16 +205,32 @@ def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubseque
 
     Both bounds are inclusive.  Every optimum (tie) is returned, ordered by
     start time, and tagged with the smallest epsilon consistent with the
-    band ratio.
+    band ratio.  Ties can be exponential in number: k paired events give 2^k.
     """
     if not 0 < p_min <= p_max:
         raise ValueError(f"need 0 < p_min <= p_max, got [{p_min}, {p_max}]")
-    ts = _validate_times(t)
+    tl = _validate_times(t).tolist()
+    opt = _optima(tl, p_min, p_max)
+    best = max(opt, default=0)
+    # Walk the backpointer DAG from every optimal endpoint (none when no gap
+    # fits); each root-to-end path is one tied optimum.
+    chains: list[tuple[float, ...]] = []
+    for end in [i for i in range(len(tl)) if 0 < best == opt[i]]:
+        stack: list[tuple[int, list[int]]] = [(end, [end])]
+        while stack:
+            i, tail = stack.pop()
+            if opt[i] == 0:
+                chains.append(tuple(tl[k] for k in reversed(tail)))
+                continue
+            preds = _predecessors(tl, opt, i, p_min, p_max)
+            if len(preds) == 1:
+                tail.append(preds[0])
+                stack.append((preds[0], tail))
+            else:
+                for j in preds:
+                    stack.append((j, tail + [j]))
     epsilon = max(p_max / p_min - 1.0, 1e-12)
-    return [
-        PeriodicSubsequence(timestamps=c, p_min=p_min, p_max=p_max, epsilon=epsilon)
-        for c in _longest_chains(ts.tolist(), p_min, p_max, 1)
-    ]
+    return [PeriodicSubsequence(c, p_min, p_max, epsilon) for c in sorted(chains)]
 
 
 def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
@@ -242,10 +240,11 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     bands (all gaps on the shared edge) is kept once, tagged with the lower
     band.  Results are ordered by start time, then band.
     """
-    return [
-        PeriodicSubsequence(c, p_min, p_max, cfg.epsilon)
-        for c, (p_min, p_max) in _sweep([_validate_times(t).tolist()], cfg, 1)
-    ]
+    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
+    for p_min, p_max in cfg.bands():
+        for s in longest_abs_periodic(t, p_min, p_max):
+            found.setdefault(s.timestamps, PeriodicSubsequence(s.timestamps, p_min, p_max, cfg.epsilon))
+    return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 
 
 def check_min_len(min_len: int) -> None:
@@ -257,18 +256,27 @@ def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[Candi
     """Candidate chewing subsequences from a stream of prominent peaks.
 
     The peak stream is split wherever consecutive peaks are more than
-    cfg.max apart (no band gap can bridge such a break), each fragment is
-    swept independently, and candidates shorter than ``min_len`` gaps are
-    dropped.  Output is ordered by start time, then band; tied chains over
-    one span each give a row.
+    cfg.max apart (no band gap can bridge such a break), and each fragment
+    of more than ``min_len`` peaks is swept band by band.  A band gives one
+    candidate per distinct (c1, c2) of its tied optimal chains when the
+    optimum reaches ``min_len`` gaps; a span found in several bands is kept
+    once, in the lowest, with that band's optimum as ``length``.  Output is
+    ordered by start time, band, then end time.
     """
     check_min_len(min_len)
     times = _validate_times([p.t for p in peaks])
-    fragments = np.split(times, np.flatnonzero(np.diff(times) > cfg.max) + 1)
-    return [
-        CandidateWindow(c[0], c[-1], p_min, p_max, cfg.epsilon, len(c) - 1)
-        for c, (p_min, p_max) in _sweep([f.tolist() for f in fragments], cfg, min_len)
-    ]
+    bands = cfg.bands()
+    # Fragments hold disjoint times, so one table dedupes spans across bands.
+    found: dict[tuple[float, float], CandidateWindow] = {}
+    for frag in np.split(times, np.flatnonzero(np.diff(times) > cfg.max) + 1):
+        if len(frag) <= min_len:
+            continue
+        tl = frag.tolist()
+        for p_min, p_max in bands:
+            best, spans = _longest_spans(tl, p_min, p_max, min_len)
+            for c1, c2 in spans:
+                found.setdefault((c1, c2), CandidateWindow(c1, c2, p_min, p_max, cfg.epsilon, best))
+    return sorted(found.values(), key=lambda c: (c.c1, c.p_min, c.c2))
 
 
 CANDIDATE_HEADER = ("c1_s", "c2_s", "p_min", "p_max", "epsilon", "length")

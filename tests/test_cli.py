@@ -42,6 +42,8 @@ BAD_STAGE_FIELDS = [
     ("delta = -5", "delta must be positive, got -5.0"),
     ("episode_overlap_threshold = 1.5", "overlap_threshold must be in [0, 1], got 1.5"),
     ("episode_overlap_base = foo", "base must be one of ('truth', 'pred', 'min'), got 'foo'"),
+    ("candidate_label_min_overlap = 2", "candidate_label_min_overlap must be in [0, 1], got 2.0"),
+    ("candidate_label_min_overlap = nan", "candidate_label_min_overlap must be in [0, 1], got nan"),
 ]
 
 

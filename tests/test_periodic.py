@@ -253,10 +253,28 @@ class TestSegmentOracle:
     @given(peak_streams())
     @example((as_peaks([0.0, 0.5, 1.0, 1.5]), SweepConfig(0.4, 1.5, 0.25), 1))  # edge 0.5: lower band
     def test_matches_full_sweep(self, case):
+        # The oracle enumerates every tied chain; its first row per (c1, c2)
+        # is the lowest band's, and segment keeps one row per span.
         peaks, cfg, min_len = case
-        assert segment(peaks, cfg, min_len) == [
-            CandidateWindow(s.c1, s.c2, s.p_min, s.p_max, s.epsilon, s.length)
-            for s in naive_segment(peaks, cfg, min_len)
+        spans: dict[tuple[float, float], CandidateWindow] = {}
+        for s in naive_segment(peaks, cfg, min_len):
+            spans.setdefault((s.c1, s.c2), CandidateWindow(s.c1, s.c2, s.p_min, s.p_max, s.epsilon, s.length))
+        assert segment(peaks, cfg, min_len) == sorted(
+            spans.values(), key=lambda c: (c.c1, c.p_min, c.c2)
+        )
+
+    def test_paired_chews_give_spans_not_chains(self):
+        # 40 chews 1.3 s apart, each seen as two peaks 0.1 s apart: every
+        # gap (1.2, 1.3, 1.4 s) fits one band, so 2^40 tied chains share 4
+        # spans.  Enumerating the chains would never finish.
+        chews = np.arange(40) * 1.3
+        times = np.round(np.sort(np.concatenate([chews, chews + 0.1])), 6)
+        t0 = time.perf_counter()
+        cands = segment(as_peaks(times), SweepConfig(), min_len=3)
+        assert time.perf_counter() - t0 < 1.0
+        assert [(c.c1, c.c2, c.length) for c in cands] == [
+            (times[0], times[-2], 39), (times[0], times[-1], 39),
+            (times[1], times[-2], 39), (times[1], times[-1], 39),
         ]
 
 
