@@ -16,6 +16,7 @@ lowest threshold, as a feature-by-feature search would break them.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -280,8 +281,6 @@ def train(
             raw += _tree_predict(tree, X)
         losses.append(_logloss(y, _sigmoid(raw), w))
 
-    from .features import layout_fingerprint  # local import avoids a cycle
-
     return TrainedModel(
         trees=tuple(trees),
         base_score=base_score,
@@ -292,10 +291,13 @@ def train(
     )
 
 
+def layout_fingerprint(names: Sequence[str]) -> str:
+    """The first 16 hex digits of the SHA-256 of the names, one per line."""
+    return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()[:16]
+
+
 def _check_layout(model: TrainedModel, X: np.ndarray, feature_names: Sequence[str] | None) -> None:
     if feature_names is not None:
-        from .features import layout_fingerprint
-
         fp = layout_fingerprint(tuple(feature_names))
         if fp != model.fingerprint:
             raise ValueError(
@@ -391,6 +393,8 @@ def model_from_text(text: str, source: str | Path = "model text") -> TrainedMode
     if missing:
         raise ValueError(f"{source}: model header lacks {', '.join(missing)}")
     names = tuple(header["feature_names"].split(",")) if header["feature_names"] else ()
+    if layout_fingerprint(names) != header["layout_fingerprint"]:
+        raise ValueError(f"{source}: layout_fingerprint does not match feature_names")
     trees: list[list[tuple[int, TreeNode]]] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
         if line.startswith("tree "):

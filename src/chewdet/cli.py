@@ -148,7 +148,7 @@ def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
 
 
 def _read_peaks_csv(path: Path) -> list[Peak]:
-    return [Peak(*row) for row in read_table(path, PEAK_HEADER, PEAK_KINDS).rows()]
+    return read_table(path, PEAK_HEADER, PEAK_KINDS).rows(Peak)
 
 
 def _write_predictions_csv(path: str, judged) -> None:
@@ -157,10 +157,9 @@ def _write_predictions_csv(path: str, judged) -> None:
 
 
 def _read_predictions_csv(path: Path) -> list[tuple[CandidateWindow, bool, float]]:
-    return [
-        (CandidateWindow(*row[:6]), bool(row[7]), row[6])
-        for row in read_table(path, PREDICTION_HEADER, PREDICTION_KINDS).rows()
-    ]
+    return read_table(path, PREDICTION_HEADER, PREDICTION_KINDS).rows(
+        lambda *row: (CandidateWindow(*row[:6]), bool(row[7]), row[6])
+    )
 
 
 def _warn_if_constant(model, path: Path) -> None:

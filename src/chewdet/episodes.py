@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, check_delta, covered_seconds, merge_intervals
+from .records import IntervalKind, LabeledInterval, covered_seconds, episode_intervals
 from .tables import read_table, write_table
 
 
@@ -112,7 +112,6 @@ def episodes_from_clusters(
     clusters: Sequence[Sequence[int]], delta: float, participant: str = ""
 ) -> list[LabeledInterval]:
     """Clusters of seconds -> episode intervals, merging gaps <= delta."""
-    check_delta(delta)
     spans = []
     seen: set[int] = set()
     for members in clusters:
@@ -122,11 +121,7 @@ def episodes_from_clusters(
             raise ValueError("clusters must be disjoint")
         seen.update(members)
         spans.append((float(min(members)), float(max(members)) + 1.0))
-    merged = merge_intervals(spans, delta)
-    return [
-        LabeledInterval(start=a, end=b, kind=IntervalKind.EPISODE, participant=participant)
-        for a, b in merged
-    ]
+    return episode_intervals(spans, delta, participant)
 
 
 def detect_episodes(
@@ -155,11 +150,6 @@ def write_episode_csv(
 
 
 def read_episode_csv(path: str | Path) -> list[LabeledInterval]:
-    table = read_table(path, EPISODE_HEADER, EPISODE_KINDS)
-    out = []
-    for row, (participant, start, end, _, _) in enumerate(table.rows()):
-        try:
-            out.append(LabeledInterval(start, end, IntervalKind.EPISODE, participant))
-        except ValueError as exc:
-            raise table.error(row, str(exc)) from exc
-    return out
+    return read_table(path, EPISODE_HEADER, EPISODE_KINDS).rows(
+        lambda pid, start, end, _n, _peak: LabeledInterval(start, end, IntervalKind.EPISODE, pid)
+    )

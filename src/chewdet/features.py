@@ -17,8 +17,8 @@ signal (prox, ambient, lfa, energy) and window the block is:
 That is 30 x 4 signals x 2 windows = 240 values, followed by the 6 pairwise
 signal correlations per window (12), the candidate's band metadata (p_min,
 p_max, epsilon, length), and the local hour of day: 257 in total.  Dropping
-signals for an ablation shrinks the layout accordingly; the layout
-fingerprint changes with it.
+signals for an ablation shrinks the layout, and boosting.layout_fingerprint
+changes with it.
 
 Zero-variance windows fall back to 0 for skewness, kurtosis, and
 correlations so every vector stays finite.
@@ -27,14 +27,13 @@ Cost: per candidate, O(S * w * log w) time for S signals and windows of
 w samples.  Windows of one length are gathered into (k, S, w) blocks of at
 most _BLOCK_WINDOWS windows and every statistic is one reduction over the
 block's last axis, so extra memory is bounded by one block.  Peaks are
-counted for _BLOCK_WINDOWS candidates' windows of one signal at a time, in
-one walled pass (peaks.window_peak_counts), so the count costs O(window
-samples) time and one block of extra memory.
+counted only by peaks.window_peak_counts, one walled pass over the windows
+of _BLOCK_WINDOWS candidates and one signal: O(window samples) time, one
+block of extra memory, and a non-finite sample named by its trace index.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import inf
@@ -44,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boosting import TrainedModel, split_counts
-from .peaks import find_prominent_peaks, window_peak_counts
+from .peaks import window_peak_counts
 from .periodic import CandidateWindow
 from .records import LabeledInterval, overlap_range
 from .signals import DerivedTrace
@@ -92,11 +91,6 @@ def feature_layout(signals: Sequence[str] = SIGNALS) -> tuple[str, ...]:
         names.extend(f"corr_{a}_{b}_{w}" for a, b in combinations(signals, 2))
     names.extend(META_FEATURES)
     return tuple(names)
-
-
-def layout_fingerprint(names: Sequence[str]) -> str:
-    digest = hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
-    return digest[:16]
 
 
 def local_hour(tz_offset_s: float = 0.0) -> Callable[[float], int]:
@@ -206,26 +200,19 @@ def _feature_rows(
                       corr.reshape(n_rows, len(WINDOWS) * a.size), meta[:n_rows]])
 
     # Errors are raised in input order, so a failure names the first failing
-    # candidate as one-at-a-time work would.  Rows before the first bad one
-    # hold only finite samples (a non-finite one makes its window's max
-    # non-finite); their peaks are counted a block of windows at a time.
-    # The bad row counts per window, so that a non-finite sample fails with
-    # its own message first.
+    # candidate as one-at-a-time work would.  Peaks are counted a block of
+    # windows at a time up to and including the first bad row: rows before it
+    # hold only finite samples, so a non-finite sample fails there first.
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    counted = int(bad[0]) if bad.size else n_rows
+    counted = int(bad[0]) + 1 if bad.size else n_rows
     peak_cols = np.arange(1, n_windows + 1) * _PER_WINDOW - 1  # n_peaks ends each window
     for lo in range(0, counted, _BLOCK_WINDOWS):
         chunk = slice(lo, min(lo + _BLOCK_WINDOWS, counted))
         for col, (x, stop) in zip(peak_cols, product(sig, stops)):
             rows[chunk, col] = window_peak_counts(x, start[chunk], stop[chunk], min_prominence)
     if bad.size:
-        k = counted
-        rows[k, peak_cols] = [
-            len(find_prominent_peaks(x[start[k]:stop[k]], t[start[k]:stop[k]], min_prominence))
-            for x, stop in product(sig, stops)
-        ]
-        c = candidates[k]
-        at = int(np.flatnonzero(~np.isfinite(rows[k]))[0])
+        c = candidates[bad[0]]
+        at = int(np.flatnonzero(~np.isfinite(rows[bad[0]]))[0])
         raise ValueError(f"candidate [{c.c1}, {c.c2}]: non-finite feature at index {at}")
     if empty.size:
         c = candidates[n_rows]

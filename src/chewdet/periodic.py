@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .peaks import Peak
+from .records import check_increasing
 from .tables import read_table, write_table
 
 _RATIO_SLACK = 1.0 + 1e-12  # absorbs one rounding step in band-edge ratios
@@ -134,11 +135,7 @@ def _validate_times(t) -> np.ndarray:
     ts = np.asarray(t, dtype=float)
     if ts.ndim != 1:
         raise ValueError("timestamps must be one-dimensional")
-    if ts.shape[0] > 1 and not np.all(np.diff(ts) > 0):
-        i = int(np.flatnonzero(np.diff(ts) <= 0)[0])
-        raise ValueError(
-            f"timestamps must be strictly increasing; t[{i}]={ts[i]} >= t[{i + 1}]={ts[i + 1]}"
-        )
+    check_increasing(ts)
     return ts
 
 
@@ -288,7 +285,4 @@ def write_candidate_csv(path: str | Path, candidates: Sequence[CandidateWindow])
 
 
 def read_candidate_csv(path: str | Path) -> list[CandidateWindow]:
-    return [
-        CandidateWindow(*row)
-        for row in read_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS).rows()
-    ]
+    return read_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS).rows(CandidateWindow)

@@ -3,12 +3,14 @@
 On-disk formats are two small CSVs: a 20 Hz sensor log
 (``t_ms,prox,ambient,qw,qx,qy,qz,ax,ay,az``) and a label file
 (``participant,kind,start_s,end_s``) with ``kind`` in ``{chew, episode}``.
+
+``check_increasing`` is the one time-order check, and ``episode_intervals``
+the one way spans become episodes, for ground truth and predictions alike.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
@@ -100,12 +102,7 @@ class Session:
             if arr.shape[0] != n:
                 raise ValueError(f"{name} length {arr.shape[0]} != frame count {n}")
             object.__setattr__(self, name, arr)
-        if n and not np.all(np.diff(arrays["t"]) > 0):
-            i = int(np.flatnonzero(np.diff(arrays["t"]) <= 0)[0])
-            raise ValueError(
-                f"timestamps must be strictly increasing; frames {i} and {i + 1} "
-                f"have t={arrays['t'][i]:.3f} and t={arrays['t'][i + 1]:.3f}"
-            )
+        check_increasing(arrays["t"])
         if n:
             for iv in self.labels:
                 if iv.start < arrays["t"][0] or iv.end > arrays["t"][-1]:
@@ -177,14 +174,9 @@ def write_sensor_csv(path: str | Path, session: Session) -> None:
 
 
 def read_label_csv(path: str | Path) -> list[LabeledInterval]:
-    table = read_table(path, LABEL_HEADER, LABEL_KINDS)
-    out: list[LabeledInterval] = []
-    for row, (participant, kind, start, end) in enumerate(table.rows()):
-        try:
-            out.append(LabeledInterval(start, end, IntervalKind(kind), participant))
-        except ValueError as exc:
-            raise table.error(row, str(exc)) from exc
-    return out
+    return read_table(path, LABEL_HEADER, LABEL_KINDS).rows(
+        lambda pid, kind, start, end: LabeledInterval(start, end, IntervalKind(kind), pid)
+    )
 
 
 def write_label_csv(path: str | Path, intervals: Iterable[LabeledInterval]) -> None:
@@ -212,6 +204,16 @@ def overlap_range(spans: Sequence[tuple[float, float]], lo, hi) -> tuple[np.ndar
     return first, np.maximum(first, np.searchsorted(arr[:, 0], hi, side="left"))
 
 
+def check_increasing(t: np.ndarray) -> None:
+    """Raise unless ``t`` rises strictly (a NaN fails), naming the first bad pair.  O(n)."""
+    back = np.flatnonzero(~(t[1:] > t[:-1]))
+    if back.size:
+        i = int(back[0])
+        raise ValueError(
+            f"timestamps must be strictly increasing; t[{i}]={t[i]} >= t[{i + 1}]={t[i + 1]}"
+        )
+
+
 def check_delta(delta: float) -> None:
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -237,6 +239,17 @@ def merge_intervals(
     return [(a, b) for a, b in merged]
 
 
+def episode_intervals(
+    spans: Iterable[tuple[float, float]], delta: float, participant: str
+) -> list[LabeledInterval]:
+    """``participant``'s EPISODE intervals: ``spans`` merged across gaps <= ``delta``."""
+    check_delta(delta)
+    return [
+        LabeledInterval(start=a, end=b, kind=IntervalKind.EPISODE, participant=participant)
+        for a, b in merge_intervals(spans, delta)
+    ]
+
+
 def derive_episode_labels(
     chews: Sequence[LabeledInterval], delta: float
 ) -> list[LabeledInterval]:
@@ -245,16 +258,11 @@ def derive_episode_labels(
     Consecutive chewing sequences with an inter-gap <= ``delta`` seconds
     belong to one episode; a longer gap starts a new episode.
     """
-    check_delta(delta)
     participants = {iv.participant for iv in chews}
     if len(participants) > 1:
         raise ValueError(f"intervals span multiple participants: {sorted(participants)}")
     participant = participants.pop() if participants else ""
-    spans = merge_intervals(((iv.start, iv.end) for iv in chews), delta)
-    return [
-        LabeledInterval(start=a, end=b, kind=IntervalKind.EPISODE, participant=participant)
-        for a, b in spans
-    ]
+    return episode_intervals(((iv.start, iv.end) for iv in chews), delta, participant)
 
 
 def inter_sequence_gap_cdf(
@@ -274,14 +282,8 @@ def inter_sequence_gap_cdf(
         raise ValueError(
             f"need at least 2 intervals of one participant to compute gaps, got {len(chews)}"
         )
-    counts = Counter(gaps)
-    total = len(gaps)
-    table = []
-    running = 0
-    for gap in sorted(counts):
-        running += counts[gap]
-        table.append((gap, running / total))
-    return table
+    values, counts = np.unique(gaps, return_counts=True)
+    return list(zip(values.tolist(), (np.cumsum(counts) / len(gaps)).tolist()))
 
 
 def covered_seconds(start: float, end: float) -> range:

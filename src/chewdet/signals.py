@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import Session
+from .records import Session, check_increasing
 from .tables import read_table, write_table
 
 DERIVED_HEADER = ("t_ms", "prox", "ambient", "lfa_deg", "energy_g2")
@@ -37,6 +37,7 @@ class DerivedTrace:
         for name in ("prox", "ambient", "lfa", "energy"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must match the time base length {n}")
+        check_increasing(self.t)
         if n and (self.lfa.min() < -1e-9 or self.lfa.max() > 180.0 + 1e-9):
             raise ValueError("lean-forward angle out of [0, 180] degrees")
         if n and self.energy.min() < 0:
@@ -110,4 +111,8 @@ def write_derived_csv(path: str | Path, trace: DerivedTrace) -> None:
 
 
 def read_derived_csv(path: str | Path) -> DerivedTrace:
-    return DerivedTrace(*read_table(path, DERIVED_HEADER, DERIVED_KINDS).columns)
+    columns = read_table(path, DERIVED_HEADER, DERIVED_KINDS).columns
+    try:
+        return DerivedTrace(*columns)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -78,9 +78,16 @@ class Table:
     columns: list
     lines: list[int]
 
-    def rows(self) -> Iterator[tuple]:
-        """The rows as tuples of Python floats, ints and strs."""
-        return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns))
+    def rows(self, make: Callable = lambda *row: row) -> list:
+        """``make(*row)`` per row of Python floats, ints and strs (default: the
+        tuple); a ``ValueError`` from ``make`` is re-raised naming the line."""
+        out: list = []
+        try:
+            for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)):
+                out.append(make(*row))
+        except ValueError as exc:
+            raise self.error(len(out), str(exc)) from exc
+        return out
 
     def error(self, row: int, message: str) -> ValueError:
         return ValueError(f"{self.path}: line {self.lines[row]}: {message}")

@@ -383,8 +383,14 @@ def _longest_run(mask: np.ndarray) -> int:
 
 
 def _timeseries_block(
-    x: np.ndarray, tw: np.ndarray, min_prominence: float
+    x: np.ndarray, tw: np.ndarray, min_prominence: float, first: int
 ) -> list[float]:
+    # A non-finite sample is named by its index in the trace; x starts at
+    # trace sample ``first``.
+    nonfinite = np.flatnonzero(~np.isfinite(x))
+    if nonfinite.size:
+        k = int(nonfinite[0])
+        raise ValueError(f"signal sample {first + k} is not finite ({x[k]})")
     n = x.shape[0]
     m = x.mean()
     below = x < m
@@ -464,7 +470,7 @@ def naive_extract(
             amps = _freq_amplitudes(x, sample_rate_hz)
             values.extend(float(v) for v in amps)
             values.extend(_moments(amps))
-            values.extend(_timeseries_block(x, trace.t[sl], min_prominence))
+            values.extend(_timeseries_block(x, trace.t[sl], min_prominence, sl.start))
     for w in WINDOWS:
         sl = windows[w]
         for a, b in combinations(signals, 2):

@@ -387,6 +387,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"m.txt: line {row + 1}: node 0 of tree 0"):
             model_from_text("\n".join(lines) + "\n", "m.txt")
 
+    def test_fingerprint_disagreeing_with_feature_names_rejected_at_load(self):
+        text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2), feature_names=("a",)))
+        assert "feature_names = a\n" in text
+        with pytest.raises(ValueError, match=r"^m.txt: layout_fingerprint does not match feature_names$"):
+            model_from_text(text.replace("feature_names = a\n", "feature_names = c\n"), "m.txt")
+
     def test_unparsable_header_value_names_line(self):
         text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2)))
         text = text.replace("max_depth = 1\n", "max_depth = deep\n")

@@ -190,6 +190,27 @@ class TestErrors:
         assert code == 1
         assert "predictions_SYN.csv: line 2: malformed row" in err
 
+    def test_featurize_refuses_derived_rows_out_of_time_order(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, "duration = 240\nparticipant = SYN\n"
+                                  "meal = start=60 sequences=2 rate=1.5 bite=5 seq_dur=25 gap=15\n")
+        out = tmp_path / "run"
+        assert run("synth", "--scenario", scenario, "--out", out) == 0
+        for command in ("derive", "peaks", "segment"):
+            assert run(command, "--participant", "SYN", "--out", out) == 0
+        derived = out / "derived_SYN.csv"
+        lines = derived.read_text().splitlines(keepends=True)
+        lines[100], lines[101] = lines[101], lines[100]
+        derived.write_text("".join(lines))
+        manifest = (out / "manifest.txt").read_bytes()
+        capsys.readouterr()
+        code = run("featurize", "--participant", "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{derived}: timestamps must be strictly increasing; t[99]=" in err
+        assert "Traceback" not in err
+        assert not (out / "features_SYN.csv").exists()
+        assert (out / "manifest.txt").read_bytes() == manifest
+
     def test_losocv_names_requested_participants_without_data(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", "A",

@@ -9,7 +9,7 @@ from oracles import naive_extract, naive_label_candidates
 from scipy import stats as sp_stats
 
 from chewdet import features
-from chewdet.boosting import BoostConfig, TrainedModel, train
+from chewdet.boosting import BoostConfig, TrainedModel, layout_fingerprint, train
 from chewdet.features import (
     FREQ_HZ,
     SIGNALS,
@@ -17,7 +17,6 @@ from chewdet.features import (
     extract_table,
     feature_layout,
     label_candidates,
-    layout_fingerprint,
     local_hour,
     rank_features,
     read_feature_csv,
@@ -297,19 +296,25 @@ class TestBlockPath:
         table = extract_table(trace, cands, HOUR0, "P1", signals=signals)
         assert table.X.tobytes() == np.array(expected).tobytes()
 
-    def test_peaks_counted_once_per_distinct_candidate(self, monkeypatch):
+    def test_peaks_counted_in_one_pass_per_signal_and_window(self, monkeypatch):
         calls = []
-        original = features.find_prominent_peaks
+        original = features.window_peak_counts
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(features, "find_prominent_peaks", counting)
+        monkeypatch.setattr(features, "window_peak_counts", counting)
         c_a, c_b = cand(10.0, 20.0), cand(30.0, 40.0)
         table = extract_table(make_trace(seed=11), [c_a, c_b, c_a, c_a], HOUR0, "P1")
-        assert len(calls) == 0  # counted in one walled pass per block, not per window
+        assert len(calls) == len(SIGNALS) * 2  # one block: one pass per signal and window
         assert table.X[0].tobytes() == table.X[2].tobytes() == table.X[3].tobytes()
+
+    def test_nan_sample_named_by_its_trace_index(self):
+        trace = make_trace(n=100, seed=12)
+        trace.prox[80] = np.nan  # sample 40 of the candidate's cw window
+        with pytest.raises(ValueError, match=r"^signal sample 80 is not finite \(nan\)$"):
+            extract_table(trace, [cand(4.0, 4.2)], HOUR0, "P1")
 
 
 class TestLabeling:

@@ -1,14 +1,20 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chewdet.records import (
     GAP_FACTOR,
     IntervalKind,
     LabeledInterval,
     Session,
+    check_increasing,
     covered_seconds,
     derive_episode_labels,
     disjoint_spans,
+    episode_intervals,
     ingest_sensor_csv,
     inter_sequence_gap_cdf,
     merge_intervals,
@@ -117,6 +123,24 @@ class TestSession:
                 labels=(chew(0.0, 10.0),),
             )
 
+    def test_times_must_increase_strictly_naming_the_pair(self):
+        with pytest.raises(ValueError, match=r"^timestamps must be strictly increasing; "
+                                             r"t\[1\]=0\.05 >= t\[2\]=0\.05$"):
+            Session(
+                participant="P1",
+                t=np.array([0.0, 0.05, 0.05]),
+                prox=np.zeros(3),
+                ambient=np.zeros(3),
+                quat=np.tile([1.0, 0, 0, 0], (3, 1)),
+                accel=np.tile([0.0, 0, 1], (3, 1)),
+            )
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match=r"t\[0\]=0\.0 >= t\[1\]=nan"):
+            check_increasing(np.array([0.0, np.nan, 1.0]))
+        check_increasing(np.array([]))
+        check_increasing(np.array([3.0]))
+
     def test_arrays_read_only(self):
         session = Session(
             participant="P1",
@@ -185,6 +209,21 @@ class TestEpisodeDerivation:
             ]
 
 
+class TestEpisodeIntervals:
+    def test_labels_and_predictions_share_one_merge(self):
+        chews = [chew(200, 260, "P2"), chew(0, 60, "P2"), chew(2000, 2010, "P2")]
+        merged = episode_intervals([(200, 260), (0, 60), (2000, 2010)], 900, "P2")
+        assert merged == derive_episode_labels(chews, delta=900)
+        assert merged == [
+            LabeledInterval(0.0, 260.0, IntervalKind.EPISODE, "P2"),
+            LabeledInterval(2000.0, 2010.0, IntervalKind.EPISODE, "P2"),
+        ]
+
+    def test_delta_checked_even_without_spans(self):
+        with pytest.raises(ValueError, match="delta must be positive, got 0"):
+            episode_intervals([], 0, "P1")
+
+
 class TestSpans:
     def test_overlap_message_names_both_spans(self):
         msg = r"^intervals overlap: \[0\.0, 60\.0\] and \[30\.0, 90\.0\]$"
@@ -217,6 +256,24 @@ class TestSpans:
 
 
 class TestGapCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 30)), min_size=2, max_size=30))
+    def test_matches_counting_oracle(self, steps):
+        # Gaps of 0 to 3 s (repeats and touching ends included) between
+        # chews of 1 to 30 s, at a fractional offset.
+        chews, t = [], 0.3
+        for gap, length in steps:
+            t += gap
+            chews.append(chew(t, t + length / 7))
+            t += length / 7
+        spans = [(iv.start, iv.end) for iv in chews]
+        gaps = [b0 - a1 for (_, a1), (b0, _) in zip(spans, spans[1:])]
+        counts, running, expected = Counter(gaps), 0, []
+        for gap in sorted(counts):
+            running += counts[gap]
+            expected.append((gap, running / len(gaps)))
+        assert repr(inter_sequence_gap_cdf(chews)) == repr(expected)
+
     def test_single_gap(self):
         table = inter_sequence_gap_cdf([chew(0, 60), chew(360, 420)])
         assert table == [(300.0, 1.0)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,17 +175,39 @@ class TestDerive:
         assert energies(accel) == pytest.approx([0.0, 9.0, 25.0])
 
 
+def random_trace(n=25, t=None):
+    rng = np.random.default_rng(12)
+    return DerivedTrace(
+        t=np.arange(n) / 20.0 if t is None else t,
+        prox=rng.normal(100, 3, n),
+        ambient=np.abs(rng.normal(500, 10, n)),
+        lfa=rng.uniform(0, 180, n),
+        energy=rng.uniform(0, 4, n),
+    )
+
+
+class TestDerivedTrace:
+    def test_time_base_must_increase_strictly(self):
+        t = np.arange(5) / 20.0
+        t[[2, 3]] = t[[3, 2]]
+        with pytest.raises(ValueError, match=r"^timestamps must be strictly increasing; "
+                                             r"t\[2\]=0\.15 >= t\[3\]=0\.1$"):
+            random_trace(5, t)
+
+
 class TestDerivedCsv:
+    def test_swapped_rows_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "derived.csv"
+        write_derived_csv(path, random_trace())
+        lines = path.read_text().splitlines()
+        lines[3], lines[4] = lines[4], lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: timestamps must be "
+                                             r"strictly increasing; t\[2\]=0\.15 >= t\[3\]=0\.1$"):
+            read_derived_csv(path)
+
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        n = 25
-        trace = DerivedTrace(
-            t=np.arange(n) / 20.0,
-            prox=rng.normal(100, 3, n),
-            ambient=np.abs(rng.normal(500, 10, n)),
-            lfa=rng.uniform(0, 180, n),
-            energy=rng.uniform(0, 4, n),
-        )
+        trace = random_trace()
         path = tmp_path / "derived.csv"
         write_derived_csv(path, trace)
         back = read_derived_csv(path)

@@ -288,6 +288,22 @@ def test_every_reader_reports_the_bad_line(tmp_path, fmt, blank, case):
     assert expected in str(info.value)
 
 
+def test_rows_name_the_line_a_row_fails_on(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("a,b\n1.0,2.0\n\n3.0,1.0\n")
+    table = read_table(path, ("a", "b"), "ff")
+    assert table.rows() == [(1.0, 2.0), (3.0, 1.0)]
+
+    def ordered(a, b):
+        if not a < b:
+            raise ValueError(f"need a < b, got {a} and {b}")
+        return a, b
+
+    with pytest.raises(ValueError) as info:
+        table.rows(ordered)
+    assert str(info.value) == f"{path}: line 4: need a < b, got 3.0 and 1.0"
+
+
 @pytest.mark.parametrize("fmt", sorted(READERS))
 def test_every_reader_skips_blank_lines(tmp_path, fmt):
     reader, header, rows, _, _ = READERS[fmt]
