@@ -3,11 +3,14 @@
 Each round fits one regression tree to the gradient/hessian statistics of
 the logistic loss (for two classes the softmax objective reduces to it),
 by exact greedy search: one pass per node scores every cut of every
-feature between sorted distinct values.  Splits must clear the ``gamma``
-gain threshold and leave at least ``min_child_weight`` hessian mass in
-both children; leaf values are Newton steps -G/(H + lambda) scaled by the
-learning rate.  A round whose root cannot split contributes nothing, so
-with an infinite gamma the model stays at its base score.
+feature between sorted distinct values.  Each ``train`` call stable-sorts
+every feature once, O(n * F log n) for n rows and F features; a node
+hands its sorted order on to its children, so it costs O(rows * F) and
+one (F, rows) index array is held per depth level.  Splits must clear the
+``gamma`` gain threshold and leave at least ``min_child_weight`` hessian
+mass in both children; leaf values are Newton steps -G/(H + lambda)
+scaled by the learning rate.  A round whose root cannot split contributes
+nothing, so with an infinite gamma the model stays at its base score.
 
 Everything is deterministic: row subsampling draws from one seeded
 generator, and split ties break toward the lowest feature index, then the
@@ -17,6 +20,7 @@ lowest threshold, as a feature-by-feature search would break them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -116,18 +120,15 @@ def _logloss(y: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
 
 
 def _best_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    cfg: BoostConfig,
+    X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, order: np.ndarray, cfg: BoostConfig
 ) -> tuple[int, float] | None:
     """Exact greedy search (Chen & Guestrin 2016, Alg. 1) over all features
     at once, scoring every cut between distinct sorted values of each column.
 
-    Costs O(rows * F * log rows) time and about a dozen float arrays of shape
-    (rows, F) per node.  A feature whose best cut scores NaN (0/0 with
-    reg_lambda = 0) is skipped; a +inf gain may win.
+    ``rows`` are the node's rows, ascending; row f of ``order`` holds them
+    sorted by feature f (see ``_keep``).  Costs O(rows * F) time and about a
+    dozen float arrays of shape (F, rows) per node.  A feature whose best
+    cut scores NaN (0/0 with reg_lambda = 0) is skipped; a +inf gain may win.
     """
     G = float(g[rows].sum())
     H = float(h[rows].sum())
@@ -135,40 +136,43 @@ def _best_split(
     parent = G * G / (H + lam)
     if rows.size < 2 or X.shape[1] == 0:
         return None
-    Xr = X[rows]
-    order = np.argsort(Xr, axis=0, kind="stable")
-    vs = np.take_along_axis(Xr, order, axis=0)
-    gl = np.cumsum(g[rows][order], axis=0)[:-1]
-    hl = np.cumsum(h[rows][order], axis=0)[:-1]
+    vs = np.take_along_axis(X.T, order, axis=1)
+    gl = np.cumsum(g[order], axis=1)[:, :-1]
+    hl = np.cumsum(h[order], axis=1)[:, :-1]
     gr, hr = G - gl, H - hl
     gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
     mcw = cfg.min_child_weight
-    valid = (np.diff(vs, axis=0) > 0) & (hl >= mcw) & (hr >= mcw)
+    valid = (np.diff(vs, axis=1) > 0) & (hl >= mcw) & (hr >= mcw)
     gain = np.where(valid, gain, -np.inf)
     # Both argmaxes take the first maximum: the lowest feature, then the
-    # lowest threshold.  A column's max is NaN exactly when it holds a NaN.
-    best = gain.max(axis=0)
+    # lowest threshold.  A feature's max is NaN exactly when it holds a NaN.
+    best = gain.max(axis=1)
     best[np.isnan(best)] = -np.inf
     f = int(np.argmax(best))
     if not best[f] > cfg.gamma:
         return None
-    k = int(np.argmax(gain[:, f]))
-    return f, float((vs[k, f] + vs[k + 1, f]) / 2.0)
+    k = int(np.argmax(gain[f]))
+    return f, float((vs[f, k] + vs[f, k + 1]) / 2.0)
+
+
+def _keep(order: np.ndarray, keep: np.ndarray, size: int) -> np.ndarray:
+    """Each row of ``order`` cut down to the ``size`` row indices marked in
+    ``keep``.  A stable sort of all rows, so filtered, sorts the kept rows
+    by (value, row index), as a stable sort of X[rows] would."""
+    return order[keep[order]].reshape(order.shape[0], size)
 
 
 def _build_tree(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    cfg: BoostConfig,
+    X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, presorted: np.ndarray, cfg: BoostConfig
 ) -> Tree | None:
     nodes: list[TreeNode] = []
+    side = np.zeros(X.shape[0], dtype=bool)  # the rows to keep; read only at a node's rows
+    side[rows] = True
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         split = None
         if depth < cfg.max_depth and rows.size >= 2:
-            split = _best_split(X, g, h, rows, cfg)
+            split = _best_split(X, g, h, rows, order, cfg)
         idx = len(nodes)
         if split is None:
             G = float(g[rows].sum())
@@ -178,13 +182,15 @@ def _build_tree(
             return idx
         f, thr = split
         nodes.append(TreeNode(feature=f, threshold=thr, left=-1, right=-1, value=0.0))
+        children = []
         mask = X[rows, f] < thr
-        left = grow(rows[mask], depth + 1)
-        right = grow(rows[~mask], depth + 1)
-        nodes[idx] = TreeNode(feature=f, threshold=thr, left=left, right=right, value=0.0)
+        for part in (mask, ~mask):
+            side[rows] = part
+            children.append(grow(rows[part], _keep(order, side, int(part.sum())), depth + 1))
+        nodes[idx] = TreeNode(f, thr, *children, value=0.0)
         return idx
 
-    grow(rows, 0)
+    grow(rows, _keep(presorted, side, rows.size), 0)
     # A root that cannot split produces no tree at all; the round is a no-op.
     return None if nodes[0].is_leaf else tuple(nodes)
 
@@ -259,21 +265,20 @@ def train(
     w = np.where(y == 1.0, pos_weight, 1.0)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
+    X = np.asfortranarray(X)  # each feature's values contiguous; row f of `presorted` sorts f
+    presorted = np.argsort(X.T, axis=1, kind="stable")
     raw = np.zeros(n)
-    base_score = 0.0
     trees: list[Tree] = []
     losses: list[float] = []
     for r in range(cfg.n_rounds):
         p = _sigmoid(raw)
         g = w * (p - y)
         h = w * p * (1.0 - p)
+        rows = np.arange(n)
         if cfg.subsample < 1.0:
-            k = max(1, int(round(cfg.subsample * n)))
-            rows = np.sort(rng.choice(n, size=k, replace=False))
-        else:
-            rows = np.arange(n)
+            rows = np.sort(rng.choice(n, size=max(1, round(cfg.subsample * n)), replace=False))
         try:
-            tree = _build_tree(X, g, h, rows, cfg)
+            tree = _build_tree(X, g, h, rows, presorted, cfg)
         except ZeroDivisionError:
             raise ValueError(f"round {r}: a node's hessian sum and reg_lambda are both 0") from None
         if tree is not None:
@@ -283,7 +288,7 @@ def train(
 
     return TrainedModel(
         trees=tuple(trees),
-        base_score=base_score,
+        base_score=0.0,
         config=cfg,
         feature_names=names,
         fingerprint=layout_fingerprint(names),
@@ -351,7 +356,7 @@ def split_counts(model: TrainedModel) -> np.ndarray:
 
 # The model header's keys beyond BoostConfig's fields, as model_to_text writes them.
 _HEADER_TYPES = dict(
-    format="str", base_score="float", layout_fingerprint="str", feature_names="str", n_trees="int"
+    format="str", base_score="finite float", layout_fingerprint="str", feature_names="str", n_trees="int"
 )
 
 
@@ -398,13 +403,20 @@ def model_from_text(text: str, source: str | Path = "model text") -> TrainedMode
     trees: list[list[tuple[int, TreeNode]]] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
         if line.startswith("tree "):
+            if line != f"tree {len(trees)}":
+                raise ValueError(f"{source}: line {lineno}: expected 'tree {len(trees)}', got {line!r}")
             trees.append([])
         elif line.strip():
             try:
-                _, feature, threshold, left, right, value = line.split(",")
+                i, feature, threshold, left, right, value = line.split(",")
                 node = TreeNode(int(feature), float(threshold), int(left), int(right), float(value))
+                i = int(i)
             except ValueError:
                 raise ValueError(f"{source}: line {lineno}: malformed tree node {line!r}") from None
+            if i != len(trees[-1]):
+                raise ValueError(f"{source}: line {lineno}: node {i} is row {len(trees[-1])} of its tree")
+            if not (math.isfinite(node.threshold) and math.isfinite(node.value)):
+                raise ValueError(f"{source}: line {lineno}: tree node {line!r} is not finite")
             trees[-1].append((lineno, node))
     if len(trees) != header["n_trees"]:
         raise ValueError(f"{source}: model declares {header['n_trees']} trees, holds {len(trees)}")

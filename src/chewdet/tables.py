@@ -22,6 +22,7 @@ as ``repr(value)``, None as ``auto``.  Errors of both codecs are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -133,7 +134,7 @@ def _read_block(path: Path, block: list[tuple[int, str]], names, kinds: str):
         row, col = divmod(int(np.flatnonzero(bad)[0]), num.shape[1])
         raise ValueError(
             f"{path}: line {block[row][0]}: column {names[numeric[col]]} "
-            f"is not finite: {num[row, col]!r}"
+            f"is not finite: {float(num[row, col])!r}"
         )
     whole = num[:, [j for j, k in enumerate(numeric) if kinds[k] in "im"]]
     off = ((whole != np.trunc(whole)) | (np.abs(whole) >= 2.0**63)).any(axis=1)
@@ -181,11 +182,19 @@ def read_table(path: str | Path, header: Sequence[str], kinds: str, lead: str = 
 # Flat ``key = value`` files.
 # ---------------------------------------------------------------------------
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {raw}")
+    return value
+
+
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 _PARSERS = {
     "bool": lambda raw: _BOOLS[raw.lower()],
     "int": int,
     "float": float,
+    "finite float": _finite_float,
     "float | None": lambda raw: None if raw.lower() in ("auto", "none") else float(raw),
     "str": str,
 }

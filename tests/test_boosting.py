@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ NAN_CUT = (
 HALF_GAIN = (np.array([[0.0], [1.0]]), np.array([1.0, -1.0]), np.ones(2), np.arange(2))
 
 
+def best_split(X, g, h, rows, cfg):
+    """``boosting._best_split`` on the node's order, kept from a sort of all
+    rows as ``train`` keeps it."""
+    keep = np.zeros(X.shape[0], dtype=bool)
+    keep[rows] = True
+    order = boosting._keep(np.argsort(X.T, axis=1, kind="stable"), keep, rows.size)
+    return boosting._best_split(X, g, h, rows, order, cfg)
+
+
 def split_outcome(search, X, g, h, rows, cfg):
     """(feature, threshold bits) or None, or the exception raised when a
     node's hessian sum and reg_lambda are both 0."""
@@ -102,15 +112,79 @@ class TestSplitSearch:
     @example((*HALF_GAIN, BoostConfig(gamma=0.5, min_child_weight=0.0)))
     @example((*HALF_GAIN, BoostConfig(gamma=0.0, min_child_weight=1.0)))
     def test_matches_per_feature_oracle(self, case):
-        assert split_outcome(boosting._best_split, *case) == split_outcome(naive_best_split, *case)
+        assert split_outcome(best_split, *case) == split_outcome(naive_best_split, *case)
 
     def test_nan_best_cut_skips_only_its_feature(self):
-        assert split_outcome(boosting._best_split, *NAN_CUT) == (0, (0.5).hex())
+        assert split_outcome(best_split, *NAN_CUT) == (0, (0.5).hex())
 
     def test_gain_must_exceed_gamma(self):
         cfg = BoostConfig(gamma=0.5, min_child_weight=1.0)
-        assert boosting._best_split(*HALF_GAIN, cfg) is None
-        assert boosting._best_split(*HALF_GAIN, replace(cfg, gamma=0.4375)) == (0, 0.5)
+        assert best_split(*HALF_GAIN, cfg) is None
+        assert best_split(*HALF_GAIN, replace(cfg, gamma=0.4375)) == (0, 0.5)
+
+
+def trained_text(X, y, cfg):
+    """The saved model, or the error that training raised."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return model_to_text(train(X, y, cfg))
+    except ValueError as exc:
+        return str(exc)
+
+
+def naive_node_search(X, g, h, rows, order, cfg):
+    return naive_best_split(X, g, h, rows, cfg)
+
+
+@st.composite
+def training_sets(draw):
+    # Few distinct values (-0.0 ties 0.0) and repeated columns make ties
+    # common within and across features.
+    n, width = draw(st.integers(2, 24)), draw(st.integers(1, 3))
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.2, 7.0])
+    X = np.array(draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                               min_size=n, max_size=n)))
+    X = X[:, draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=5))]
+    y = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+                      .filter(lambda labels: 0 < sum(labels) < len(labels))))
+    cfg = BoostConfig(
+        eta=draw(st.sampled_from([0.3, 1.0])),
+        max_depth=draw(st.integers(1, 3)),
+        gamma=draw(st.sampled_from([0.0, 0.125])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.25, 1.0])),
+        subsample=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        n_rounds=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 3)),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return X, y, cfg
+
+
+class TestPresortedTraining:
+    @settings(max_examples=300, deadline=None)
+    @given(training_sets())
+    @example(zero_hessian_case())
+    def test_model_matches_per_node_oracle_search(self, case):
+        # Every node searched by sorting its own rows, feature by feature.
+        with mock.patch.object(boosting, "_best_split", naive_node_search):
+            expected = trained_text(*case)
+        assert trained_text(*case) == expected
+
+    def test_features_sorted_once_per_call(self, monkeypatch):
+        calls = []
+        real = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boosting.np, "argsort", counted)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        cfg = BoostConfig(max_depth=3, min_child_weight=0.0, subsample=0.8, n_rounds=4)
+        model = train(X, np.sin(3 * X[:, 0]) + X[:, 1] > 0, cfg)
+        assert sum(len(tree) for tree in model.trees) > 3 * len(model.trees)  # deeper than stumps
+        assert len(calls) == 1
 
 
 class TestToySeparable:
@@ -386,6 +460,39 @@ class TestSerialization:
         lines[row] = ",".join(parts)
         with pytest.raises(ValueError, match=rf"m.txt: line {row + 1}: node 0 of tree 0"):
             model_from_text("\n".join(lines) + "\n", "m.txt")
+
+    @pytest.mark.parametrize("line, field, value", [
+        ("base_score", None, "nan"), (1, 2, "nan"), (2, 5, "inf"), (3, 5, "-inf"),
+    ])
+    def test_non_finite_number_rejected_at_load(self, line, field, value):
+        lines = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2))).splitlines()
+        if field is None:
+            row = next(i for i, text in enumerate(lines) if text.startswith("base_score = "))
+            lines[row] = f"base_score = {value}"
+            expected = f"model header key base_score: expected finite float, got '{value}'"
+        else:  # node row `line` of the first tree: a split, then its two leaves
+            row = lines.index("tree 0") + line
+            parts = lines[row].split(",")
+            parts[field] = value
+            lines[row] = ",".join(parts)
+            expected = f"tree node {lines[row]!r} is not finite"
+        with pytest.raises(ValueError) as info:
+            model_from_text("\n".join(lines) + "\n", "m.txt")
+        assert str(info.value) == f"m.txt: line {row + 1}: {expected}"
+
+    def test_tree_and_node_numbers_checked_at_load(self):
+        lines = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2))).splitlines()
+        assert model_from_text("\n".join(lines) + "\n").trees
+        second = lines.index("tree 1")
+        bad = lines[:second] + ["tree 7"] + lines[second + 1:]
+        with pytest.raises(ValueError, match=rf"^m.txt: line {second + 1}: expected 'tree 1', "
+                                             r"got 'tree 7'$"):
+            model_from_text("\n".join(bad) + "\n", "m.txt")
+        first = lines.index("tree 0") + 1
+        bad = list(lines)
+        bad[first] = "9" + bad[first][1:]
+        with pytest.raises(ValueError, match=rf"^m.txt: line {first + 1}: node 9 is row 0 of its tree$"):
+            model_from_text("\n".join(bad) + "\n", "m.txt")
 
     def test_fingerprint_disagreeing_with_feature_names_rejected_at_load(self):
         text = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2), feature_names=("a",)))

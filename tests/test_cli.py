@@ -348,6 +348,18 @@ class TestBrokenModel:
         assert f"model.txt: line {row + 1}: node 0 of tree 0" in err
         assert "Traceback" not in err
 
+    def test_nan_base_score_fails_cleanly(self, tmp_path, capsys):
+        lines = toy_model_lines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("base_score = "))
+        lines[row] = "base_score = nan"
+        code, err = self.predict(tmp_path, capsys, lines)
+        assert code == 1
+        assert err.startswith("chewdet predict: error:")
+        assert (f"model.txt: line {row + 1}: model header key base_score: "
+                "expected finite float, got 'nan'") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "predictions_SYN.csv").exists()
+
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):

@@ -278,7 +278,7 @@ def test_every_reader_reports_the_bad_line(tmp_path, fmt, blank, case):
         expected = f"line {len(lines)}: malformed row"
     else:
         lines.append(_with_field(bad_base, index, "nan"))
-        expected = f"line {len(lines)}: column {name} is not finite"
+        expected = f"line {len(lines)}: column {name} is not finite: nan"
     lines.append(bad_base)
     path = tmp_path / f"{fmt}.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -286,6 +286,15 @@ def test_every_reader_reports_the_bad_line(tmp_path, fmt, blank, case):
         reader(path)
     assert str(path) in str(info.value)
     assert expected in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_printed_as_a_plain_float(tmp_path, value):
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"a,b\n1.0,2.0\n\n3.0,{value}\n")
+    with pytest.raises(ValueError) as info:
+        read_table(path, ("a", "b"), "ff")
+    assert str(info.value) == f"{path}: line 4: column b is not finite: {value}"
 
 
 def test_rows_name_the_line_a_row_fails_on(tmp_path):
