@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .records import check_range
 from .tables import field_types, key_values, parse_fields, render_fields
 
 _RAW_CLIP = 500.0  # keeps exp() in range; sigmoid saturates long before this
@@ -35,17 +36,19 @@ _PROB_EPS = 1e-15
 
 @dataclass(frozen=True)
 class BoostConfig:
-    """Booster hyperparameters.
+    """Booster hyperparameters, each in the interval ``check_range`` states.
 
     eta: learning rate in (0, 1].
-    max_depth: maximum tree depth (root at depth 0).
-    gamma: minimum gain required to accept a split.
-    min_child_weight: minimum hessian sum in each child.
-    subsample: row fraction drawn (without replacement) per round.
-    n_rounds: boosting rounds.
+    max_depth: maximum tree depth (root at depth 0), in [1, inf).
+    gamma: minimum gain required to accept a split, in [0, inf]; inf never
+        splits, so the model stays at its base score.
+    min_child_weight: minimum hessian sum in each child, in [0, inf).
+    subsample: row fraction drawn (without replacement) per round, in (0, 1].
+    n_rounds: boosting rounds, in [1, inf).
     seed: RNG seed for subsampling.
-    reg_lambda: L2 penalty on leaf values (Newton damping).
-    pos_weight: positive-class weight; None means negatives/positives.
+    reg_lambda: L2 penalty on leaf values (Newton damping), in [0, inf).
+    pos_weight: positive-class weight in (0, inf); None (``auto``) means
+        negatives/positives.
     """
 
     eta: float = 0.3
@@ -59,22 +62,14 @@ class BoostConfig:
     pos_weight: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.min_child_weight < 0:
-            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
-        if not 0 < self.subsample <= 1:
-            raise ValueError(f"subsample must be in (0, 1], got {self.subsample}")
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
-        if self.reg_lambda < 0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.pos_weight is not None and self.pos_weight <= 0:
-            raise ValueError(f"pos_weight must be positive, got {self.pos_weight}")
+        for name, interval in (
+            ("eta", "(0, 1]"), ("max_depth", "[1, inf)"), ("gamma", "[0, inf]"),
+            ("min_child_weight", "[0, inf)"), ("subsample", "(0, 1]"),
+            ("n_rounds", "[1, inf)"), ("reg_lambda", "[0, inf)"),
+        ):
+            check_range(name, getattr(self, name), interval)
+        if self.pos_weight is not None:
+            check_range("pos_weight", self.pos_weight, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -400,6 +395,10 @@ def model_from_text(text: str, source: str | Path = "model text") -> TrainedMode
     names = tuple(header["feature_names"].split(",")) if header["feature_names"] else ()
     if layout_fingerprint(names) != header["layout_fingerprint"]:
         raise ValueError(f"{source}: layout_fingerprint does not match feature_names")
+    try:
+        config = BoostConfig(**{key: header[key] for key in field_types(BoostConfig)})
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     trees: list[list[tuple[int, TreeNode]]] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
         if line.startswith("tree "):
@@ -433,7 +432,7 @@ def model_from_text(text: str, source: str | Path = "model text") -> TrainedMode
     return TrainedModel(
         trees=tuple(tuple(node for _, node in tree) for tree in trees),
         base_score=header["base_score"],
-        config=BoostConfig(**{key: header[key] for key in field_types(BoostConfig)}),
+        config=config,
         feature_names=names,
         fingerprint=header["layout_fingerprint"],
     )

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from .boosting import BoostConfig
 from .episodes import DbscanConfig
-from .peaks import check_prominence
-from .periodic import SweepConfig, check_min_len
-from .records import check_delta, check_overlap_rule
+from .periodic import SweepConfig
+from .records import check_overlap_rule, check_range
 from .tables import field_types, key_values, parse_fields, render_fields
 
 
@@ -55,14 +54,14 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         # A bad field fails here, not in the first stage that needs it.
         self.sweep(), self.boost(), self.dbscan()
-        check_prominence(self.min_prominence)
-        check_min_len(self.min_len)
-        check_delta(self.delta)
         check_overlap_rule(self.episode_overlap_threshold, self.episode_overlap_base)
-        if not 0.0 <= self.candidate_label_min_overlap <= 1.0:
-            raise ValueError(
-                f"candidate_label_min_overlap must be in [0, 1], got {self.candidate_label_min_overlap}"
-            )
+        # threshold > 1 is the always-negative classifier.
+        for name, interval in (
+            ("sample_rate_hz", "(0, inf)"), ("min_prominence", "(0, inf)"),
+            ("min_len", "[1, inf)"), ("threshold", "[0, inf]"), ("delta", "(0, inf)"),
+            ("candidate_label_min_overlap", "[0, 1]"), ("tz_offset_s", "(-inf, inf)"),
+        ):
+            check_range(name, getattr(self, name), interval)
 
     def sweep(self) -> SweepConfig:
         return SweepConfig(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, covered_seconds, episode_intervals
+from .records import IntervalKind, LabeledInterval, check_range, covered_seconds, episode_intervals
 from .tables import read_table, write_table
 
 
@@ -46,10 +46,8 @@ class DbscanConfig:
     use_score_weight: bool = True
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
+        check_range("eps", self.eps, "(0, inf)")
+        check_range("min_pts", self.min_pts, "[1, inf)")
 
 
 def score_seconds(positives: Sequence) -> list[SecondScore]:

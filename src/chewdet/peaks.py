@@ -32,6 +32,8 @@ from math import inf
 
 import numpy as np
 
+from .records import check_range
+
 
 @dataclass(frozen=True)
 class Peak:
@@ -87,11 +89,6 @@ def _prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return peak_at[real], heights[real] - np.maximum(left, right)[real]
 
 
-def check_prominence(min_prominence: float) -> None:
-    if min_prominence <= 0:
-        raise ValueError(f"min_prominence must be positive, got {min_prominence}")
-
-
 def _check_finite(values: np.ndarray, index: np.ndarray | None = None) -> None:
     # index[k] is values[k]'s index in the signal, when not k itself.
     finite = np.isfinite(values)
@@ -114,14 +111,14 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
         interior maximum and yield an empty list.
 
     Raises:
-        ValueError: on a length mismatch, a non-positive threshold, or a
-            non-finite sample (naming the first one's index).
+        ValueError: on a length mismatch, a threshold outside (0, inf), or
+            a non-finite sample (naming the first one's index).
     """
     sig = np.asarray(signal, dtype=float)
     ts = np.asarray(t, dtype=float)
     if sig.shape != ts.shape:
         raise ValueError(f"signal length {sig.shape} != time length {ts.shape}")
-    check_prominence(min_prominence)
+    check_range("min_prominence", min_prominence, "(0, inf)")
     _check_finite(sig)
     if sig.shape[0] < 3:
         return []
@@ -143,9 +140,9 @@ def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarr
     and extra memory.
 
     Raises:
-        ValueError: on mismatched or out-of-range bounds, a non-positive
-            threshold, or a non-finite sample in a window (naming the first
-            one's index in ``signal``).
+        ValueError: on mismatched or out-of-range bounds, a threshold
+            outside (0, inf), or a non-finite sample in a window (naming
+            the first one's index in ``signal``).
     """
     sig = np.asarray(signal, dtype=float)
     a = np.asarray(starts, dtype=np.intp)
@@ -156,7 +153,7 @@ def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarr
         )
     if a.size and (a.min() < 0 or (b < a).any() or b.max() > sig.size):
         raise ValueError(f"window bounds must satisfy 0 <= start <= stop <= {sig.size}")
-    check_prominence(min_prominence)
+    check_range("min_prominence", min_prominence, "(0, inf)")
     counts = np.zeros(a.size, dtype=np.intp)
     # An empty window holds no peak, and would put two walls side by side.
     keep = np.flatnonzero(b > a)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .peaks import Peak
-from .records import check_increasing
+from .records import check_increasing, check_range
 from .tables import read_table, write_table
 
 _RATIO_SLACK = 1.0 + 1e-12  # absorbs one rounding step in band-edge ratios
@@ -109,11 +109,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not 0 < self.min < self.max:
             raise ValueError(f"need 0 < min < max, got [{self.min}, {self.max}]")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_range("epsilon", self.epsilon, "(0, inf)")
         # ceil() of this is the band count, found without building the bands.
         count = (math.log(self.max) - math.log(self.min)) / math.log1p(self.epsilon)
-        if count > MAX_BANDS:
+        if not count <= MAX_BANDS:
             count = math.ceil(count) if count < math.inf else count
             raise ValueError(
                 f"epsilon {self.epsilon} needs {count:.6g} bands from {self.min} to "
@@ -244,11 +243,6 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 
 
-def check_min_len(min_len: int) -> None:
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
-
-
 def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[CandidateWindow]:
     """Candidate chewing subsequences from a stream of prominent peaks.
 
@@ -260,7 +254,7 @@ def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[Candi
     once, in the lowest, with that band's optimum as ``length``.  Output is
     ordered by start time, band, then end time.
     """
-    check_min_len(min_len)
+    check_range("min_len", min_len, "[1, inf)")
     times = _validate_times([p.t for p in peaks])
     bands = cfg.bands()
     # Fragments hold disjoint times, so one table dedupes spans across bands.

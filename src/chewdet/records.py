@@ -4,8 +4,9 @@ On-disk formats are two small CSVs: a 20 Hz sensor log
 (``t_ms,prox,ambient,qw,qx,qy,qz,ax,ay,az``) and a label file
 (``participant,kind,start_s,end_s``) with ``kind`` in ``{chew, episode}``.
 
-``check_increasing`` is the one time-order check, and ``episode_intervals``
-the one way spans become episodes, for ground truth and predictions alike.
+``check_increasing`` is the one time-order check, ``check_range`` the one
+range check for every numeric setting, and ``episode_intervals`` the one way
+spans become episodes, for ground truth and predictions alike.
 """
 
 from __future__ import annotations
@@ -214,16 +215,21 @@ def check_increasing(t: np.ndarray) -> None:
         )
 
 
-def check_delta(delta: float) -> None:
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+def check_range(name: str, value: float, interval: str) -> None:
+    """Raise unless ``value`` lies in ``interval``, written as it is printed:
+    ``"(0, 1]"``, ``"[1, inf)"``, ``"(-inf, inf)"``.  Only comparisons that
+    NaN fails decide, so NaN is never in range."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    below = value <= hi if interval[-1] == "]" else value < hi
+    if not (above and below):
+        raise ValueError(f"{name} must be in {interval}, got {value}")
 
 
 def check_overlap_rule(threshold: float, base: str) -> None:
     if base not in OVERLAP_BASES:
         raise ValueError(f"base must be one of {OVERLAP_BASES}, got {base!r}")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"overlap_threshold must be in [0, 1], got {threshold}")
+    check_range("overlap_threshold", threshold, "[0, 1]")
 
 
 def merge_intervals(
@@ -243,7 +249,7 @@ def episode_intervals(
     spans: Iterable[tuple[float, float]], delta: float, participant: str
 ) -> list[LabeledInterval]:
     """``participant``'s EPISODE intervals: ``spans`` merged across gaps <= ``delta``."""
-    check_delta(delta)
+    check_range("delta", delta, "(0, inf)")
     return [
         LabeledInterval(start=a, end=b, kind=IntervalKind.EPISODE, participant=participant)
         for a, b in merge_intervals(spans, delta)

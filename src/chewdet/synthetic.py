@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, Session, disjoint_spans
+from .records import IntervalKind, LabeledInterval, Session, check_range, disjoint_spans
 from .tables import field_types, key_values, parse_fields
 
 CHEW_RATE_BAND_HZ = (0.94, 2.17)
@@ -46,18 +46,13 @@ class MealSpec:
     seq_gap_s: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"meal start must be >= 0, got {self.start}")
-        if self.n_sequences < 1:
-            raise ValueError(f"need at least one sequence, got {self.n_sequences}")
         lo, hi = CHEW_RATE_BAND_HZ
-        if not lo <= self.chew_rate_hz <= hi:
-            raise ValueError(
-                f"chew rate {self.chew_rate_hz} Hz outside the plausible band {CHEW_RATE_BAND_HZ}"
-            )
-        if self.bite_period_s <= 0 or self.seq_gap_s <= 0:
-            raise ValueError("bite period and sequence gap must be positive")
-        if self.seq_duration_s * self.chew_rate_hz < 2:
+        for name, interval in (
+            ("start", "[0, inf)"), ("n_sequences", "[1, inf)"), ("chew_rate_hz", f"[{lo}, {hi}]"),
+            ("bite_period_s", "(0, inf)"), ("seq_duration_s", "(0, inf)"), ("seq_gap_s", "(0, inf)"),
+        ):
+            check_range(name, getattr(self, name), interval)
+        if not self.seq_duration_s * self.chew_rate_hz >= 2:
             raise ValueError("sequence too short to hold two chews")
 
     @property
@@ -75,8 +70,8 @@ class Confounder:
     def __post_init__(self) -> None:
         if self.kind not in CONFOUNDER_KINDS:
             raise ValueError(f"unknown confounder {self.kind!r}, expected one of {CONFOUNDER_KINDS}")
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("confounder needs start >= 0 and positive duration")
+        check_range("start", self.start, "[0, inf)")
+        check_range("duration", self.duration, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -94,12 +89,16 @@ class ScenarioSpec:
     sample_rate_hz: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        for name, interval in (
+            ("duration", "(0, inf)"), ("sample_rate_hz", "(0, inf)"), ("start_epoch", "(-inf, inf)"),
+            ("noise_prox", "[0, inf)"), ("noise_ambient", "[0, inf)"),
+            ("noise_lfa_deg", "[0, inf)"), ("noise_accel", "[0, inf)"),
+        ):
+            check_range(name, getattr(self, name), interval)
         object.__setattr__(self, "meals", tuple(self.meals))
         object.__setattr__(self, "confounders", tuple(self.confounders))
         for lo, hi in disjoint_spans((m.span for m in self.meals), "meals"):
-            if hi > self.duration:
+            if not hi <= self.duration:
                 raise ValueError(f"meal [{lo}, {hi}] runs past the scenario duration")
 
 

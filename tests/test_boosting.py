@@ -480,6 +480,19 @@ class TestSerialization:
             model_from_text("\n".join(lines) + "\n", "m.txt")
         assert str(info.value) == f"m.txt: line {row + 1}: {expected}"
 
+    @pytest.mark.parametrize("line, message", [
+        ("eta = 5", "eta must be in (0, 1], got 5.0"),
+        ("gamma = nan", "gamma must be in [0, inf], got nan"),
+        ("min_child_weight = nan", "min_child_weight must be in [0, inf), got nan"),
+    ])
+    def test_header_setting_out_of_range_names_source(self, line, message):
+        lines = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2))).splitlines()
+        key = line.partition(" = ")[0]
+        lines = [line if text.startswith(f"{key} = ") else text for text in lines]
+        with pytest.raises(ValueError) as info:
+            model_from_text("\n".join(lines) + "\n", "m.txt")
+        assert str(info.value) == f"m.txt: {message}"
+
     def test_tree_and_node_numbers_checked_at_load(self):
         lines = model_to_text(train(TOY_X, TOY_Y, toy_config(n_rounds=2))).splitlines()
         assert model_from_text("\n".join(lines) + "\n").trees

@@ -37,10 +37,18 @@ seed = 7
 
 # Config fields only a stage after derive reads, each with its error.
 BAD_STAGE_FIELDS = [
-    ("min_prominence = 0", "min_prominence must be positive, got 0.0"),
-    ("min_len = 0", "min_len must be >= 1, got 0"),
-    ("delta = -5", "delta must be positive, got -5.0"),
+    ("min_prominence = 0", "min_prominence must be in (0, inf), got 0.0"),
+    ("min_prominence = nan", "min_prominence must be in (0, inf), got nan"),
+    ("min_len = 0", "min_len must be in [1, inf), got 0"),
+    ("delta = -5", "delta must be in (0, inf), got -5.0"),
+    ("delta = nan", "delta must be in (0, inf), got nan"),
     ("episode_overlap_threshold = 1.5", "overlap_threshold must be in [0, 1], got 1.5"),
+    ("episode_overlap_threshold = nan", "overlap_threshold must be in [0, 1], got nan"),
+    ("threshold = nan", "threshold must be in [0, inf], got nan"),
+    ("threshold = -0.5", "threshold must be in [0, inf], got -0.5"),
+    ("dbscan_eps = nan", "eps must be in (0, inf), got nan"),
+    ("gamma = nan", "gamma must be in [0, inf], got nan"),
+    ("min_child_weight = nan", "min_child_weight must be in [0, inf), got nan"),
     ("episode_overlap_base = foo", "base must be one of ('truth', 'pred', 'min'), got 'foo'"),
     ("candidate_label_min_overlap = 2", "candidate_label_min_overlap must be in [0, 1], got 2.0"),
     ("candidate_label_min_overlap = nan", "candidate_label_min_overlap must be in [0, 1], got nan"),
@@ -453,6 +461,15 @@ class TestStandaloneCommands:
         assert run("predict", "--participant", "SYN", "--out", out) == 0
         assert "it is constant" in capsys.readouterr().err
         assert (out / "predictions_SYN.csv").exists()
+
+    def test_nan_threshold_flag_refused(self, full_chain, capsys):
+        predictions = (full_chain / "predictions_SYN.csv").read_bytes()
+        code = run("predict", "--participant", "SYN", "--out", full_chain, "--threshold", "nan")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "chewdet predict: error: threshold must be in [0, inf], got nan" in err
+        assert "Traceback" not in err
+        assert (full_chain / "predictions_SYN.csv").read_bytes() == predictions
 
     def test_threshold_flag_overrides_config(self, full_chain, tmp_path):
         # threshold 1.01: nothing is positive, so zero episodes come out.

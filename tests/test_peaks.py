@@ -50,7 +50,7 @@ class TestBasics:
             find_prominent_peaks([1, 2, 3], [0.0, 1.0], 1.0)
 
     def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^min_prominence must be in \(0, inf\), got 0.0$"):
             peaks_of([0, 1, 0], min_prominence=0.0)
 
     def test_nan_sample_rejected_with_its_index(self):
@@ -193,7 +193,7 @@ class TestWindowCounts:
             window_peak_counts(x, [2], [1], 1.0)
         with pytest.raises(ValueError, match="bounds"):
             window_peak_counts(x, [0], [6], 1.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^min_prominence must be in \(0, inf\), got 0.0$"):
             window_peak_counts(x, [0], [5], 0.0)
 
 

@@ -220,7 +220,7 @@ class TestEpisodeIntervals:
         ]
 
     def test_delta_checked_even_without_spans(self):
-        with pytest.raises(ValueError, match="delta must be positive, got 0"):
+        with pytest.raises(ValueError, match=r"^delta must be in \(0, inf\), got 0$"):
             episode_intervals([], 0, "P1")
 
 
