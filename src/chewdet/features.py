@@ -202,14 +202,18 @@ def _feature_rows(
     # Errors are raised in input order, so a failure names the first failing
     # candidate as one-at-a-time work would.  Peaks are counted a block of
     # windows at a time up to and including the first bad row: rows before it
-    # hold only finite samples, so a non-finite sample fails there first.
+    # hold only finite samples, so a non-finite sample fails there first.  A
+    # window whose max - min (its first two columns) is below the threshold
+    # holds no peak and is passed as empty; a NaN spread is still counted.
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     counted = int(bad[0]) + 1 if bad.size else n_rows
     peak_cols = np.arange(1, n_windows + 1) * _PER_WINDOW - 1  # n_peaks ends each window
     for lo in range(0, counted, _BLOCK_WINDOWS):
         chunk = slice(lo, min(lo + _BLOCK_WINDOWS, counted))
         for col, (x, stop) in zip(peak_cols, product(sig, stops)):
-            rows[chunk, col] = window_peak_counts(x, start[chunk], stop[chunk], min_prominence)
+            spread = rows[chunk, col + 1 - _PER_WINDOW] - rows[chunk, col + 2 - _PER_WINDOW]
+            ends = np.where(spread < min_prominence, start[chunk], stop[chunk])
+            rows[chunk, col] = window_peak_counts(x, start[chunk], ends, min_prominence)
     if bad.size:
         c = candidates[bad[0]]
         at = int(np.flatnonzero(~np.isfinite(rows[bad[0]]))[0])

@@ -15,8 +15,12 @@ Cost: O(n) time and O(n) extra memory for a trace of n samples, on any
 input (a drifting baseline included).  Runs of equal samples collapse to
 one value and only turning points enter the base search, since a sample
 on a monotone slope is never the lowest point between a maximum and
-higher terrain.  A monotone stack then finds each maximum's base on
-either side, pushing and popping each maximum once per side.
+higher terrain.  Whole-array rounds then peel each maximum below both
+neighbouring maxima: its bases are its two adjacent minima and no other
+search stops at it, so it is settled and dropped, its minima merged.
+Rounds stop once one settles under 1/8 of the maxima left (so they cost
+at most 8n comparisons) or under 32, when a round costs more than the
+stack work it saves; a monotone stack settles the rest in O(n).
 
 ``window_peak_counts`` counts the peaks of many windows of one signal in
 one such pass: the windows are laid end to end with an infinite wall
@@ -42,19 +46,19 @@ class Peak:
     prominence: float
 
 
-def _bases(highs: list[float], valleys: list[float]) -> list[float]:
+def _bases(highs: np.ndarray, valleys: np.ndarray) -> list[float]:
     # Per high, the lowest valley back to the nearest strictly higher high
     # (or the start); valleys[k] lies just before highs[k].  A stack entry
     # carries the lowest valley since the entry below it; the infinite
     # sentinel at the bottom is never popped by a finite high.  An infinite
     # high is a wall between windows: no search crosses it, so the stack
-    # starts over there.
+    # starts over there; its base is -inf, so its prominence is inf.
     out: list[float] = []
     stack_h, stack_low = [inf], [inf]
-    for h, low in zip(highs, valleys):
+    for h, low in zip(highs.tolist(), valleys.tolist()):
         if h == inf:
             stack_h, stack_low = [inf], [inf]
-            out.append(inf)
+            out.append(-inf)
             continue
         while stack_h[-1] <= h:
             stack_h.pop()
@@ -73,20 +77,26 @@ def _prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # between each pair).  A wall stops every base search, as a window's
     # end does, and keeps end samples and end-touching plateaus from being
     # peaks.  Turning points (leftmost sample of each run that reverses
-    # direction) alternate low, high, ..., low; the walls between windows
-    # are highs among them and are dropped from the result.
+    # direction) alternate low, high, ..., low; walls are highs among them,
+    # never peeled (see Cost above), and are dropped from the result.
     step = np.diff(walled)
     change = np.flatnonzero(step)
     rising = step[change] > 0
     at = change[:-1][rising[:-1] != rising[1:]] + 1
     peak_at = at[1::2]
     heights = walled[peak_at]
-    highs = heights.tolist()
-    lows = walled[at[0::2]].tolist()
-    left = _bases(highs, lows)
-    right = _bases(highs[::-1], lows[:0:-1])[::-1]
+    prom, slot, h, v = np.empty(heights.size), np.arange(heights.size), heights, walled[at[0::2]]
+    while h.size:
+        low = (h < np.append(inf, h[:-1])) & (h < np.append(h[1:], inf))
+        k = np.flatnonzero(low)
+        prom[slot[k]] = h[k] - np.maximum(v[k], v[k + 1])
+        v[k + 1] = np.minimum(v[k], v[k + 1])
+        h, slot, v = h[~low], slot[~low], v[np.append(~low, True)]
+        if 8 * k.size < h.size + k.size or k.size < 32:
+            break
+    prom[slot] = h - np.maximum(_bases(h, v), _bases(h[::-1], v[:0:-1])[::-1])
     real = heights < inf
-    return peak_at[real], heights[real] - np.maximum(left, right)[real]
+    return peak_at[real], prom[real]
 
 
 def _check_finite(values: np.ndarray, index: np.ndarray | None = None) -> None:
@@ -114,8 +124,7 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
         ValueError: on a length mismatch, a threshold outside (0, inf), or
             a non-finite sample (naming the first one's index).
     """
-    sig = np.asarray(signal, dtype=float)
-    ts = np.asarray(t, dtype=float)
+    sig, ts = np.asarray(signal, dtype=float), np.asarray(t, dtype=float)
     if sig.shape != ts.shape:
         raise ValueError(f"signal length {sig.shape} != time length {ts.shape}")
     check_range("min_prominence", min_prominence, "(0, inf)")
@@ -145,8 +154,7 @@ def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarr
             the first one's index in ``signal``).
     """
     sig = np.asarray(signal, dtype=float)
-    a = np.asarray(starts, dtype=np.intp)
-    b = np.asarray(stops, dtype=np.intp)
+    a, b = np.asarray(starts, dtype=np.intp), np.asarray(stops, dtype=np.intp)
     if sig.ndim != 1 or a.shape != b.shape or a.ndim != 1:
         raise ValueError(
             f"need a 1-D signal and 1-D bounds of one shape, got {sig.shape}, {a.shape}, {b.shape}"

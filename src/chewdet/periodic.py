@@ -58,10 +58,9 @@ class PeriodicSubsequence:
         object.__setattr__(self, "timestamps", tuple(float(v) for v in self.timestamps))
         if len(self.timestamps) < 2:
             raise ValueError("a periodic subsequence needs at least 2 timestamps")
-        if not 0 < self.p_min <= self.p_max:
-            raise ValueError(f"need 0 < p_min <= p_max, got [{self.p_min}, {self.p_max}]")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.p_min <= self.p_max < math.inf:
+            raise ValueError(f"need 0 < p_min <= p_max < inf, got [{self.p_min}, {self.p_max}]")
+        check_range("epsilon", self.epsilon, "(0, inf)")
         if self.p_max / self.p_min > (1.0 + self.epsilon) * _RATIO_SLACK:
             raise ValueError(
                 f"band ratio {self.p_max / self.p_min} exceeds 1 + epsilon = {1 + self.epsilon}"
@@ -109,6 +108,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not 0 < self.min < self.max:
             raise ValueError(f"need 0 < min < max, got [{self.min}, {self.max}]")
+        check_range("max", self.max, "(0, inf)")
         check_range("epsilon", self.epsilon, "(0, inf)")
         # ceil() of this is the band count, found without building the bands.
         count = (math.log(self.max) - math.log(self.min)) / math.log1p(self.epsilon)
@@ -203,8 +203,8 @@ def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubseque
     start time, and tagged with the smallest epsilon consistent with the
     band ratio.  Ties can be exponential in number: k paired events give 2^k.
     """
-    if not 0 < p_min <= p_max:
-        raise ValueError(f"need 0 < p_min <= p_max, got [{p_min}, {p_max}]")
+    if not 0 < p_min <= p_max < math.inf:
+        raise ValueError(f"need 0 < p_min <= p_max < inf, got [{p_min}, {p_max}]")
     tl = _validate_times(t).tolist()
     opt = _optima(tl, p_min, p_max)
     best = max(opt, default=0)

@@ -22,6 +22,7 @@ through evaluation._prf, the precision/recall arithmetic both share.
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 from typing import Callable, Sequence
 
 import numpy as np
@@ -293,6 +294,58 @@ def naive_prominent_peaks(signal, min_prominence: float) -> list[tuple[int, floa
         if prom >= min_prominence:
             out.append((idx, float(sig[idx]), prom))
     return out
+
+
+def _stack_bases(highs: list[float], valleys: list[float]) -> list[float]:
+    # Per high, the lowest valley back to the nearest strictly higher high
+    # (or the start); valleys[k] lies just before highs[k].  A stack entry
+    # carries the lowest valley since the entry below it; the infinite
+    # sentinel at the bottom is never popped by a finite high.  An infinite
+    # high is a wall between windows: no search crosses it, so the stack
+    # starts over there.
+    out: list[float] = []
+    stack_h, stack_low = [inf], [inf]
+    for h, low in zip(highs, valleys):
+        if h == inf:
+            stack_h, stack_low = [inf], [inf]
+            out.append(inf)
+            continue
+        while stack_h[-1] <= h:
+            stack_h.pop()
+            below = stack_low.pop()
+            if below < low:
+                low = below
+        stack_h.append(h)
+        stack_low.append(low)
+        out.append(low)
+    return out
+
+
+def stack_prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and prominences of the maxima of walled windows, by the stack alone.
+
+    The earlier body of peaks._prominences, before the peel: every turning
+    point goes through the monotone stack, left to right and back.
+    """
+    # Position in ``walled`` and prominence of every maximum of finite
+    # windows laid between walls of infinite height (one at each end, one
+    # between each pair).  A wall stops every base search, as a window's
+    # end does, and keeps end samples and end-touching plateaus from being
+    # peaks.  Turning points (leftmost sample of each run that reverses
+    # direction) alternate low, high, ..., low; the walls between windows
+    # are highs among them and are dropped from the result.
+    step = np.diff(walled)
+    change = np.flatnonzero(step)
+    rising = step[change] > 0
+    at = change[:-1][rising[:-1] != rising[1:]] + 1
+    peak_at = at[1::2]
+    heights = walled[peak_at]
+    highs = heights.tolist()
+    lows = walled[at[0::2]].tolist()
+    left = _stack_bases(highs, lows)
+    right = _stack_bases(highs[::-1], lows[:0:-1])[::-1]
+    real = heights < inf
+    return peak_at[real], heights[real] - np.maximum(left, right)[real]
 
 
 def naive_best_split(X, g, h, rows, cfg) -> tuple[int, float] | None:

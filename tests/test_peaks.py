@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_prominent_peaks
+from oracles import naive_prominent_peaks, stack_prominences
 from scipy import signal as sp_signal
 
+from chewdet import peaks
 from chewdet.peaks import find_prominent_peaks, window_peak_counts
 
 
@@ -195,6 +196,109 @@ class TestWindowCounts:
             window_peak_counts(x, [0], [6], 1.0)
         with pytest.raises(ValueError, match=r"^min_prominence must be in \(0, inf\), got 0.0$"):
             window_peak_counts(x, [0], [5], 0.0)
+
+
+def walled(*windows):
+    # Windows laid end to end between infinite walls, as _prominences takes them.
+    parts = [[np.inf]]
+    for w in windows:
+        parts += [np.asarray(w, dtype=float), [np.inf]]
+    return np.concatenate(parts)
+
+
+@st.composite
+def walled_traces(draw):
+    # 200 to 2,000 samples cut into 1 to 21 windows: Gaussian or integer
+    # random walks, or draws from a small integer alphabet, which tie
+    # neighbouring maxima and make plateaus.
+    n = draw(st.integers(200, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "integer walk", "alphabet"]))
+    if kind == "walk":
+        x = rng.normal(size=n).cumsum()
+    elif kind == "integer walk":
+        x = rng.integers(-2, 3, size=n).cumsum().astype(float)
+    else:
+        x = rng.integers(0, draw(st.integers(2, 5)), size=n).astype(float)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=draw(st.integers(0, 20)), replace=False))
+    return walled(*np.split(x, cuts))
+
+
+def stack_sizes(monkeypatch) -> list[int]:
+    # The number of highs, walls included, that reach each _bases call.
+    sizes = []
+    original = peaks._bases
+
+    def recording(highs, valleys):
+        sizes.append(len(highs))
+        return original(highs, valleys)
+
+    monkeypatch.setattr(peaks, "_bases", recording)
+    return sizes
+
+
+class TestPeel:
+    """The peel in front of the stack leaves every prominence bit for bit."""
+
+    @staticmethod
+    def assert_matches_stack(x):
+        at, prom = peaks._prominences(x)
+        want_at, want_prom = stack_prominences(x)
+        assert at.tolist() == want_at.tolist()
+        assert prom.tobytes() == want_prom.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=walled_traces())
+    def test_matches_stack_bit_for_bit(self, x):
+        self.assert_matches_stack(x)
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["rising", "falling"])
+    def test_staircase_stops_peeling_after_one_round(self, monkeypatch, step):
+        # The drifting ramp, either way round: each round could settle only
+        # the lowest maximum, so the first settles 1 of 1,000 and the stack
+        # takes the other 999.
+        i = np.arange(2001)
+        x = walled((0.5 * i + 5.0 * (i % 2))[::step])
+        sizes = stack_sizes(monkeypatch)
+        self.assert_matches_stack(x)
+        assert sizes == [999, 999]
+
+    def test_rise_and_fall_settles_only_the_two_ends(self, monkeypatch):
+        # The ramp up, then mirrored: 1,000 maxima rise to two tied summits
+        # and fall again.  Only the lowest at either end is below both
+        # neighbours, so the stack takes the other 998.
+        i = np.arange(1001)
+        up = 0.5 * i + 5.0 * (i % 2)
+        x = walled(np.concatenate((up, up[-2::-1])))
+        sizes = stack_sizes(monkeypatch)
+        self.assert_matches_stack(x)
+        assert sizes == [998, 998]
+
+    def test_equal_neighbouring_maxima_are_not_peeled(self, monkeypatch):
+        # The two 5s tie: each one's search runs past the other to the ends,
+        # so both have prominence 5.  Peeled, the first would read 5 - 1.
+        # The 3s are below both neighbours and go in the first round; the
+        # tied pair is then left to the stack.
+        x = walled([0, 3, 1, 5, 2, 5, 1, 3, 0])
+        sizes = stack_sizes(monkeypatch)
+        at, prom = peaks._prominences(x)
+        assert at.tolist() == [2, 4, 6, 8]
+        assert prom.tolist() == [2.0, 5.0, 5.0, 2.0]
+        assert sizes == [2, 2]
+        self.assert_matches_stack(x)
+
+    def test_walls_stop_the_peel_as_they_stop_the_stack(self, monkeypatch):
+        # Each summit is alone between two walls, so all are settled in one
+        # round with their own window's valleys; the five walls between the
+        # windows go to the stack.  One-sample and monotone windows hold no
+        # maximum, nor do plateaus touching a wall.
+        x = walled([0, 5, 0], [0, 1, 0], [3, 9, 3], [4], [1, 2, 3], [6, 6, 2, 7, 7])
+        sizes = stack_sizes(monkeypatch)
+        at, prom = peaks._prominences(x)
+        assert at.tolist() == [2, 6, 10]
+        assert prom.tolist() == [5.0, 1.0, 6.0]
+        assert sizes == [5, 5]
+        self.assert_matches_stack(x)
 
 
 class TestScipyCrossCheck:

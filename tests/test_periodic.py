@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -156,6 +157,12 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"epsilon {epsilon} needs {count} bands"):
             SweepConfig(epsilon=epsilon)
 
+    def test_infinite_max_refused_naming_max(self):
+        # 0 < min < inf holds, so the range check, not the band count, refuses
+        # it.  test_ranges checks the same through PipelineConfig and a file.
+        with pytest.raises(ValueError, match=r"^max must be in \(0, inf\), got inf$"):
+            SweepConfig(max=math.inf)
+
     def test_band_limit_admits_its_own_count(self):
         epsilon = (1.5 / 0.4) ** (1 / MAX_BANDS) * (1 + 1e-12) - 1
         assert len(SweepConfig(0.4, 1.5, epsilon).bands()) == MAX_BANDS
@@ -311,6 +318,18 @@ class TestInvariantValidation:
     def test_band_edge_ratio_allowed(self):
         sub = PeriodicSubsequence(timestamps=(0.0, 0.45), p_min=0.4, p_max=0.48, epsilon=0.2)
         assert sub.length == 1
+
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0, math.inf])
+    def test_epsilon_outside_range_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, inf\), got {epsilon}$"):
+            PeriodicSubsequence(timestamps=(0.0, 1.0), p_min=1.0, p_max=1.0, epsilon=epsilon)
+
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf])
+    def test_band_must_be_finite(self, p_max):
+        with pytest.raises(ValueError, match=r"^need 0 < p_min <= p_max < inf"):
+            PeriodicSubsequence(timestamps=(0.0, 1.0), p_min=1.0, p_max=p_max, epsilon=0.2)
+        with pytest.raises(ValueError, match=r"^need 0 < p_min <= p_max < inf"):
+            longest_abs_periodic([0.0, 1.0, 2.0], 1.0, p_max)
 
     def test_single_timestamp_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
