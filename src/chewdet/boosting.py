@@ -3,14 +3,18 @@
 Each round fits one regression tree to the gradient/hessian statistics of
 the logistic loss (for two classes the softmax objective reduces to it),
 by exact greedy search: one pass per node scores every cut of every
-feature between sorted distinct values.  Each ``train`` call stable-sorts
-every feature once, O(n * F log n) for n rows and F features; a node
-hands its sorted order on to its children, so it costs O(rows * F) and
-one (F, rows) index array is held per depth level.  Splits must clear the
-``gamma`` gain threshold and leave at least ``min_child_weight`` hessian
-mass in both children; leaf values are Newton steps -G/(H + lambda)
-scaled by the learning rate.  A round whose root cannot split contributes
-nothing, so with an infinite gamma the model stays at its base score.
+feature between sorted distinct values.  Splits must clear the ``gamma``
+gain threshold and leave at least ``min_child_weight`` = m hessian mass in
+both children, so a node whose hessian sum H is below 2m is a leaf, not searched:
+a cut with left mass hl >= m leaves fl(H - hl) <= fl(H - m) < m, as H - m is
+exact (Sterbenz) for m/2 <= H < 2m and negative below.  Each ``train`` call
+stable-sorts every feature once, O(n * F log n) for n rows and F features.
+Only a node that searches cuts its parent's sorted order down to its rows and
+hands it on, in O(rows * F); a light or depth-limited node costs O(rows), and
+one (F, rows) index array is held per depth level.  Leaf values are Newton
+steps -G/(H + lambda) scaled by the learning rate.  A round whose root cannot
+split contributes nothing, so with an infinite gamma the model stays at its
+base score.
 
 Everything is deterministic: row subsampling draws from one seeded
 generator, and split ties break toward the lowest feature index, then the
@@ -165,15 +169,17 @@ def _build_tree(
     side[rows] = True
 
     def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+        # ``order`` is the parent's; it is cut down to ``rows`` (marked in
+        # ``side``) only for a node that searches, before any child resets ``side``.
+        G = float(g[rows].sum())
+        H = float(h[rows].sum())
         split = None
-        if depth < cfg.max_depth and rows.size >= 2:
+        if depth < cfg.max_depth and rows.size >= 2 and not H < 2 * cfg.min_child_weight:
+            order = _keep(order, side, rows.size)
             split = _best_split(X, g, h, rows, order, cfg)
         idx = len(nodes)
         if split is None:
-            G = float(g[rows].sum())
-            H = float(h[rows].sum())
-            value = -cfg.eta * G / (H + cfg.reg_lambda)
-            nodes.append(TreeNode(feature=-1, threshold=0.0, left=-1, right=-1, value=value))
+            nodes.append(TreeNode(-1, 0.0, -1, -1, value=-cfg.eta * G / (H + cfg.reg_lambda)))
             return idx
         f, thr = split
         nodes.append(TreeNode(feature=f, threshold=thr, left=-1, right=-1, value=0.0))
@@ -181,11 +187,11 @@ def _build_tree(
         mask = X[rows, f] < thr
         for part in (mask, ~mask):
             side[rows] = part
-            children.append(grow(rows[part], _keep(order, side, int(part.sum())), depth + 1))
+            children.append(grow(rows[part], order, depth + 1))
         nodes[idx] = TreeNode(f, thr, *children, value=0.0)
         return idx
 
-    grow(rows, _keep(presorted, side, rows.size), 0)
+    grow(rows, presorted, 0)
     # A root that cannot split produces no tree at all; the round is a no-op.
     return None if nodes[0].is_leaf else tuple(nodes)
 
@@ -301,13 +307,10 @@ def _check_layout(model: TrainedModel, X: np.ndarray, feature_names: Sequence[st
         fp = layout_fingerprint(tuple(feature_names))
         if fp != model.fingerprint:
             raise ValueError(
-                f"feature layout fingerprint {fp} does not match the model's "
-                f"{model.fingerprint}"
+                f"feature layout fingerprint {fp} does not match the model's {model.fingerprint}"
             )
     if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"feature width {X.shape[1]} != model width {model.n_features}"
-        )
+        raise ValueError(f"feature width {X.shape[1]} != model width {model.n_features}")
 
 
 def predict_raw(model: TrainedModel, X, feature_names: Sequence[str] | None = None) -> np.ndarray:
@@ -341,12 +344,8 @@ def classify_candidates(
 
 def split_counts(model: TrainedModel) -> np.ndarray:
     """How many ensemble splits use each feature index."""
-    counts = np.zeros(model.n_features, dtype=int)
-    for tree in model.trees:
-        for node in tree:
-            if not node.is_leaf:
-                counts[node.feature] += 1
-    return counts
+    used = [node.feature for tree in model.trees for node in tree if not node.is_leaf]
+    return np.bincount(np.array(used, dtype=int), minlength=model.n_features)
 
 
 # The model header's keys beyond BoostConfig's fields, as model_to_text writes them.

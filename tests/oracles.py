@@ -17,6 +17,9 @@ naive_per_episode_metrics, loop_cluster) are the earlier bodies of the
 functions they check, kept so that the overlap-range rewrites can be held
 to the same results bit for bit; the episode oracle reports its counts
 through evaluation._prf, the precision/recall arithmetic both share.
+stack_prominences and searched_build_tree are kept the same way: the
+earlier prominence stack, and the earlier tree builder that searches every
+node, on the booster's own split search and order filter.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from chewdet.boosting import TreeNode, _best_split, _keep
 from chewdet.episodes import DbscanConfig, SecondScore
 from chewdet.evaluation import Metrics, _prf
 from chewdet.features import (
@@ -381,6 +385,42 @@ def naive_best_split(X, g, h, rows, cfg) -> tuple[int, float] | None:
             best_gain = float(gain[k])
             best = (f, float((vs[cut[k]] + vs[cut[k] + 1]) / 2.0))
     return best
+
+
+def searched_build_tree(X, g, h, rows, presorted, cfg):
+    """One boosting tree, every node below max_depth with 2+ rows searched.
+
+    The earlier body of boosting._build_tree, before light nodes skipped the
+    search: each child's sorted order is cut down as soon as it is made.
+    """
+    nodes: list[TreeNode] = []
+    side = np.zeros(X.shape[0], dtype=bool)  # the rows to keep; read only at a node's rows
+    side[rows] = True
+
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+        split = None
+        if depth < cfg.max_depth and rows.size >= 2:
+            split = _best_split(X, g, h, rows, order, cfg)
+        idx = len(nodes)
+        if split is None:
+            G = float(g[rows].sum())
+            H = float(h[rows].sum())
+            value = -cfg.eta * G / (H + cfg.reg_lambda)
+            nodes.append(TreeNode(feature=-1, threshold=0.0, left=-1, right=-1, value=value))
+            return idx
+        f, thr = split
+        nodes.append(TreeNode(feature=f, threshold=thr, left=-1, right=-1, value=0.0))
+        children = []
+        mask = X[rows, f] < thr
+        for part in (mask, ~mask):
+            side[rows] = part
+            children.append(grow(rows[part], _keep(order, side, int(part.sum())), depth + 1))
+        nodes[idx] = TreeNode(f, thr, *children, value=0.0)
+        return idx
+
+    grow(rows, _keep(presorted, side, rows.size), 0)
+    # A root that cannot split produces no tree at all; the round is a no-op.
+    return None if nodes[0].is_leaf else tuple(nodes)
 
 
 def _moments(x: np.ndarray) -> tuple[float, float]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_best_split
+from oracles import naive_best_split, searched_build_tree
 
 from chewdet import boosting
 from chewdet.boosting import (
@@ -29,13 +29,14 @@ TOY_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
 TOY_Y = np.array([0, 0, 1, 1])
 
 
-def zero_hessian_case():
+def zero_hessian_case(min_child_weight=0.0):
     # With eta = 1 and no L2 damping, p saturates to exactly 1.0 on a
     # node's rows in round 36, so its hessian sum is 0 with reg_lambda 0.
     rng = np.random.default_rng(0)
     for _ in range(7):
         X = rng.normal(size=(12, 2))
-    cfg = BoostConfig(eta=1, reg_lambda=0, min_child_weight=0, n_rounds=100, subsample=1, max_depth=2)
+    cfg = BoostConfig(eta=1, reg_lambda=0, min_child_weight=min_child_weight, n_rounds=100,
+                      subsample=1, max_depth=2)
     return X, X[:, 0] > 0, cfg
 
 
@@ -46,6 +47,28 @@ def toy_config(**overrides):
     )
     base.update(overrides)
     return BoostConfig(**base)
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call to ``boosting.<name>`` from now on."""
+    calls = []
+    real = getattr(boosting, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(boosting, name, counted)
+    return calls
+
+
+def node_depths(tree):
+    """Each node's depth, in the tree's node order."""
+    depths = [0] * len(tree)
+    for i, node in enumerate(tree):
+        if not node.is_leaf:
+            depths[node.left] = depths[node.right] = depths[i] + 1
+    return depths
 
 
 def sigmoid(x):
@@ -137,7 +160,7 @@ def naive_node_search(X, g, h, rows, order, cfg):
 
 
 @st.composite
-def training_sets(draw):
+def training_sets(draw, min_child_weights=(0.0, 0.25, 1.0)):
     # Few distinct values (-0.0 ties 0.0) and repeated columns make ties
     # common within and across features.
     n, width = draw(st.integers(2, 24)), draw(st.integers(1, 3))
@@ -151,7 +174,7 @@ def training_sets(draw):
         eta=draw(st.sampled_from([0.3, 1.0])),
         max_depth=draw(st.integers(1, 3)),
         gamma=draw(st.sampled_from([0.0, 0.125])),
-        min_child_weight=draw(st.sampled_from([0.0, 0.25, 1.0])),
+        min_child_weight=draw(st.sampled_from(min_child_weights)),
         subsample=draw(st.sampled_from([0.5, 0.8, 1.0])),
         n_rounds=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 3)),
@@ -167,6 +190,21 @@ class TestPresortedTraining:
     def test_model_matches_per_node_oracle_search(self, case):
         # Every node searched by sorting its own rows, feature by feature.
         with mock.patch.object(boosting, "_best_split", naive_node_search):
+            expected = trained_text(*case)
+        assert trained_text(*case) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(training_sets(min_child_weights=(0.0, 0.125, 0.25, 0.5, 1.0)))
+    # H = 1.0 = 2 * mcw at the first root: it is searched and splits.
+    @example((TOY_X, TOY_Y, toy_config(min_child_weight=0.5)))
+    # H = 1.0 just under 2 * mcw: no round searches, no tree.
+    @example((TOY_X, TOY_Y, toy_config(min_child_weight=math.nextafter(0.5, 1))))
+    @example(zero_hessian_case())
+    # A depth-1 node of round 36 has H = 0 < 2 * mcw: its leaf value names the round.
+    @example(zero_hessian_case(min_child_weight=1e-300))
+    def test_model_matches_every_node_searched(self, case):
+        # Light nodes are leaves without a search; the oracle searches them.
+        with mock.patch.object(boosting, "_build_tree", searched_build_tree):
             expected = trained_text(*case)
         assert trained_text(*case) == expected
 
@@ -309,20 +347,40 @@ class TestDeterminismAndStructure:
         assert model.trees == ()
 
     def test_each_node_is_searched_once(self, monkeypatch):
-        # Stumps: one split search per round, at the root, whether or not
-        # the root splits.
-        calls = []
-        real = boosting._best_split
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(boosting, "_best_split", counted)
+        # Stumps with min_child_weight 0: one split search per round, at the
+        # root, whether or not the root splits.
+        calls = count_calls(monkeypatch, "_best_split")
         assert len(train(TOY_X, TOY_Y, toy_config(n_rounds=5)).trees) == 5
         assert len(calls) == 5
         assert train(TOY_X, TOY_Y, toy_config(n_rounds=5, gamma=np.inf)).trees == ()
         assert len(calls) == 10
+
+    def test_light_nodes_are_neither_searched_nor_filtered(self, monkeypatch):
+        # h = 0.25 per row at p = 0.5, so the first root has H = 1.0.
+        searches = count_calls(monkeypatch, "_best_split")
+        filters = count_calls(monkeypatch, "_keep")
+        light = toy_config(n_rounds=5, min_child_weight=math.nextafter(0.5, 1))
+        assert train(TOY_X, TOY_Y, light).trees == ()
+        assert (len(searches), len(filters)) == (0, 0)
+        # At H = 2 * mcw the root is searched and splits; every later root
+        # has H < 1 and is not.
+        assert len(train(TOY_X, TOY_Y, toy_config(n_rounds=5, min_child_weight=0.5)).trees) == 1
+        assert (len(searches), len(filters)) == (1, 1)
+
+    def test_only_searched_nodes_filter_the_sorted_order(self, monkeypatch):
+        searches = count_calls(monkeypatch, "_best_split")
+        filters = count_calls(monkeypatch, "_keep")
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 3))
+        cfg = BoostConfig(max_depth=2, min_child_weight=0.0, subsample=1.0, n_rounds=3)
+        model = train(X, np.sin(3 * X[:, 0]) + X[:, 1] > 0, cfg)
+        depths = [node_depths(tree) for tree in model.trees]
+        # Nodes above max_depth are searched (each holds 2+ rows); the
+        # leaves at max_depth are neither searched nor filtered.
+        assert sum(d.count(2) for d in depths) >= 4
+        assert len(searches) == len(filters) == sum(d.count(0) + d.count(1) for d in depths)
+        # Each search gets the order cut down to its node's rows.
+        assert [s[4].shape for s in searches] == [(3, s[3].size) for s in searches]
 
     def test_depth_limit_respected(self):
         rng = np.random.default_rng(4)
@@ -333,15 +391,8 @@ class TestDeterminismAndStructure:
             subsample=1.0, n_rounds=5, reg_lambda=1.0,
         )
         model = train(X, y, cfg)
-
-        def depth(tree, idx=0):
-            node = tree[idx]
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(tree, node.left), depth(tree, node.right))
-
         assert model.trees
-        assert all(depth(tree) <= 4 for tree in model.trees)
+        assert all(max(node_depths(tree)) <= 4 for tree in model.trees)
 
     def test_stump_locality(self):
         # Depth-1 model: crossing the single threshold switches the output
