@@ -23,13 +23,12 @@ changes with it.
 Zero-variance windows fall back to 0 for skewness, kurtosis, and
 correlations so every vector stays finite.
 
-Cost: per candidate, O(S * w * log w) time for S signals and windows of
-w samples.  Windows of one length are gathered into (k, S, w) blocks of at
-most _BLOCK_WINDOWS windows and every statistic is one reduction over the
-block's last axis, so extra memory is bounded by one block.  Peaks are
-counted only by peaks.window_peak_counts, one walled pass over the windows
-of _BLOCK_WINDOWS candidates and one signal: O(window samples) time, one
-block of extra memory, and a non-finite sample named by its trace index.
+Cost: O(S * w * log w) time per candidate for S signals and windows of w
+samples.  Windows are sorted by length and gathered 64 at a time into
+(k, S, w) blocks padded to the longest, so extra memory is one block of 64
+windows at its longest and padding adds at most one block of work.  Peaks
+are counted only by peaks.window_peak_counts in one walled pass per signal
+and block: O(window samples) time, a non-finite sample named by its index.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ def local_hour(tz_offset_s: float = 0.0) -> Callable[[float], int]:
     return hour
 
 
-# Windows of one length gathered into one block of array work; a call's
-# extra memory is one block, whatever the candidate count.
+# Windows per padded block: a call's extra memory is one block.
 _BLOCK_WINDOWS = 64
 _PER_WINDOW = len(STAT_FEATURES) + len(FREQ_HZ) + len(SPECTRUM_FEATURES) + len(TS_FEATURES)
 
@@ -115,16 +113,15 @@ def _pow15(v: float) -> float:
         return inf
 
 
-def _moments(d: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Population skewness and excess kurtosis over the last axis of the
-    # mean-removed d, whose mean square is m2; constants give exactly 0.
-    # m2**1.5 is a Python-float pow per value: numpy's vectorised power
-    # rounds some last bits differently.  A pow that overflows is inf, and
-    # the row then fails as non-finite.
+def _moments(m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Population skewness and excess kurtosis from the means of d**2, d**3
+    # and d**4 for mean-removed d; constants give exactly 0.  m2**1.5 is a
+    # Python-float pow per value: numpy's vectorised power rounds some last
+    # bits differently.  One that overflows is inf: the row fails as non-finite.
     flat = m2 == 0.0
     m2 = np.where(flat, 1.0, m2)
-    skew = np.mean(d**3, axis=-1) / np.reshape([_pow15(v) for v in m2.ravel().tolist()], m2.shape)
-    kurt = np.mean(d**4, axis=-1) / (m2 * m2) - 3.0
+    skew = m3 / np.reshape([_pow15(v) for v in m2.ravel().tolist()], m2.shape)
+    kurt = m4 / (m2 * m2) - 3.0
     return np.where(flat, 0.0, skew), np.where(flat, 0.0, kurt)
 
 
@@ -135,34 +132,63 @@ def _longest_runs(mask: np.ndarray) -> np.ndarray:
     return (at - np.maximum.accumulate(np.where(mask, -1, at), axis=-1)).max(axis=-1)
 
 
-def _window_features(block: np.ndarray, sample_rate_hz: float, a, b) -> tuple[np.ndarray, np.ndarray]:
-    # The _PER_WINDOW features of each (k, S, n) block row, n_peaks left 0,
-    # and the correlations of the signal pairs (a[i], b[i]).  Every
-    # reduction runs over a C-contiguous last axis, so each row's result is
-    # that of its window alone, bit for bit.
-    n = block.shape[-1]
-    mean = block.mean(axis=-1)
-    d = block - mean[..., None]
-    m2 = np.mean(d * d, axis=-1)
-    q1, med, q3 = np.percentile(block, [25.0, 50.0, 75.0], axis=-1)
-    amps = np.zeros(block.shape[:-1] + (len(FREQ_HZ),))
-    if n >= 2:
-        spectrum = np.abs(np.fft.rfft(d, axis=-1)) * (2.0 / n)
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
-        bins = [int(np.argmin(np.abs(freqs - hz))) for hz in FREQ_HZ]
-        amps = np.ascontiguousarray(spectrum[..., bins])
+def _quartiles(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    # Q1, median and Q3, shape (3, k, S), of each (k, S, w) row's first
+    # lengths[i] samples (+inf pads): np.percentile's _get_indexes and _lerp
+    # over one sort, 1 sample getting weight 1 (b - 0.0).  Sort and partition
+    # may swap -0.0 and 0.0, so mixed zeros, seen unsorted, or a NaN take it.
+    n = lengths[:, None]
+    at = (n - 1) * np.array([0.25, 0.5, 0.75])
+    lo = np.where(at >= n - 1, -1.0, np.floor(at))  # index -1: the last sample
+    ordered = np.sort(block, axis=-1)
+    a, b = (np.take_along_axis(ordered, (i % n).astype(np.intp)[:, None], -1) for i in (lo, lo + 1))
+    weight, diff = (at - lo)[:, None], b - a
+    q = np.where(weight >= 0.5, b - diff * (1 - weight), a + diff * weight)
+    zero, odd = block == 0.0, np.isnan(ordered[..., -1])
+    if zero.any():
+        odd |= (zero & np.signbit(block)).any(axis=-1) & (zero & ~np.signbit(block)).any(axis=-1)
+    for i, s in zip(*np.nonzero(odd)):
+        q[i, s] = np.percentile(block[i, s, : lengths[i]], [25.0, 50.0, 75.0])
+    return np.moveaxis(q, -1, 0)
+
+
+def _length_stats(x: np.ndarray, sample_rate_hz: float, a, b) -> tuple[np.ndarray, ...]:
+    # What of a C-contiguous (k, S, n) block has bits that depend on n: mean,
+    # the means of d*d, x*x, d**3, d**4 and d[:, a]*d[:, b], max, min and the
+    # spectrum amplitudes (all 0 at n = 1, where d is 0 for finite samples).
+    n = x.shape[-1]
+    mean = x.mean(axis=-1)
+    d = x - mean[..., None]
+    means = np.concatenate([d * d, x * x, d**3, d**4, d[:, a] * d[:, b]], axis=1).mean(axis=-1)
+    bins = np.argmin(np.abs(np.fft.rfftfreq(n, 1.0 / sample_rate_hz) - np.array(FREQ_HZ)[:, None]), 1)
+    amps = np.take(np.abs(np.fft.rfft(d, axis=-1)), bins, axis=-1) * (2.0 / n)
+    return mean, means, x.max(axis=-1), x.min(axis=-1), amps
+
+
+def _window_features(block: np.ndarray, lengths: np.ndarray, sample_rate_hz: float, a, b):
+    # The _PER_WINDOW features (n_peaks 0) and pair (a[i], b[i]) correlations
+    # of each (k, S, w) block row: lengths[i] samples then +inf, rows sorted by
+    # length.  One _length_stats per distinct length gives the bits that depend
+    # on it; the rest is masked work and one sort: O(k S w log w), one block.
+    k, n_sig, w = block.shape
+    cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1), k]
+    parts = [_length_stats(np.ascontiguousarray(block[lo:hi, :, : lengths[lo]]), sample_rate_hz, a, b)
+             for lo, hi in zip(cuts, cuts[1:])]
+    mean, means, top, low, amps = (np.concatenate(p) for p in zip(*parts))
+    m2, ms, m3, m4, cov = np.split(means, np.arange(1, 5) * n_sig, axis=1)
+    valid = np.arange(w) < lengths[:, None, None]
+    below, above = block < mean[..., None], (block > mean[..., None]) & valid
     d_amps = amps - amps.mean(axis=-1, keepdims=True)
-    below, above = block < mean[..., None], block > mean[..., None]
+    q1, med, q3 = _quartiles(block, lengths)
+    n = lengths[:, None]
     per_window = [
-        block.max(axis=-1), block.min(axis=-1), mean, med, m2,
-        np.sqrt(np.mean(block * block, axis=-1)), *_moments(d, m2), q1, q3, q3 - q1,
-        *np.moveaxis(amps, -1, 0), *_moments(d_amps, np.mean(d_amps * d_amps, axis=-1)),
+        top, low, mean, med, m2, np.sqrt(ms), *_moments(m2, m3, m4), q1, q3, q3 - q1,
+        *np.moveaxis(amps, -1, 0), *_moments(*np.mean([d_amps * d_amps, d_amps**3, d_amps**4], -1)),
         below.sum(axis=-1), above.sum(axis=-1),
-        np.argmin(block, axis=-1) / n, np.argmax(block, axis=-1) / n,
-        _longest_runs(below), _longest_runs(above), np.zeros(block.shape[:-1]),
+        np.argmin(block, axis=-1) / n, np.argmax(np.where(valid, block, -inf), axis=-1) / n,
+        _longest_runs(below), _longest_runs(above), np.zeros((k, n_sig)),
     ]
     flat = (m2[:, a] == 0.0) | (m2[:, b] == 0.0)
-    cov = np.mean(np.ascontiguousarray(d[:, a] * d[:, b]), axis=-1)
     corr = np.where(flat, 0.0, cov / np.sqrt(np.where(flat, 1.0, m2[:, a] * m2[:, b])))
     return np.stack(per_window, axis=-1), corr
 
@@ -191,11 +217,15 @@ def _feature_rows(
     corr = np.zeros((n_rows, len(WINDOWS), a.size))
     for w, stop in enumerate(stops):
         lengths = stop[:n_rows] - start[:n_rows]
-        for n in np.unique(lengths):
-            group = np.flatnonzero(lengths == n)
-            for chunk in np.split(group, range(_BLOCK_WINDOWS, group.size, _BLOCK_WINDOWS)):
-                block = np.stack([x[start[chunk, None] + np.arange(n)] for x in sig], axis=1)
-                per_window[chunk, :, w], corr[chunk, w] = _window_features(block, sample_rate_hz, a, b)
+        order = np.argsort(lengths, kind="stable")
+        for lo in range(0, n_rows, _BLOCK_WINDOWS):
+            chunk = order[lo:lo + _BLOCK_WINDOWS]
+            at = np.arange(lengths[chunk[-1]])
+            pad = at >= lengths[chunk, None]
+            index = np.where(pad, 0, start[chunk, None] + at)
+            block = np.where(pad[:, None], inf, np.stack([x[index] for x in sig], axis=1))
+            per_window[chunk, :, w], corr[chunk, w] = _window_features(
+                block, lengths[chunk], sample_rate_hz, a, b)
     rows = np.hstack([per_window.reshape(n_rows, n_windows * _PER_WINDOW),
                       corr.reshape(n_rows, len(WINDOWS) * a.size), meta[:n_rows]])
 

@@ -208,24 +208,26 @@ class TestExtract:
         c_a, c_b = cand(10.0, 20.0), cand(30.0, 40.0)
         direct = extract(trace, c_a, HOUR0)
         table = extract_table(trace, [c_b, c_a], HOUR0, "P1")
-        assert np.allclose(table.X[1], direct)
+        assert table.X[1].tobytes() == direct.tobytes()
 
 
 @st.composite
 def feature_cases(draw):
-    # Short traces of constant, tied (rounded) or noisy signals, a NaN
-    # sometimes planted in prox, and candidates anywhere from 2.5 s before
-    # the trace to 2.5 s after it, on or just off the sample grid, so
-    # windows clip at either end down to 1 or 2 samples or to nothing.  An
-    # infinite p_min makes a non-finite feature.
+    # Short traces of constant, tied (rounded), noisy or signed (-0.0, 0.0,
+    # 1.0 and 2.0) signals, a NaN sometimes planted in prox, and candidates
+    # anywhere from 2.5 s before the trace to 2.5 s after it, on or just off
+    # the sample grid, so windows clip at either end down to 1 or 2 samples
+    # or to nothing.  An infinite p_min makes a non-finite feature.
     n = draw(st.integers(1, 120))
     start = draw(st.sampled_from([0.0, 13 * 3600.0 + 0.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def signal(level, scale):
-        kind = draw(st.sampled_from(["constant", "tied", "noisy"]))
+        kind = draw(st.sampled_from(["constant", "tied", "noisy", "signed"]))
         if kind == "constant":
             return np.full(n, level)
+        if kind == "signed":
+            return rng.choice([-0.0, 0.0, 1.0, 2.0], size=n)
         x = level + scale * rng.normal(size=n)
         return np.round(x) if kind == "tied" else x
 
@@ -279,11 +281,56 @@ def overflowing_skewness():
     return trace, [cand(2.0, 6.0)], SIGNALS
 
 
+def chunks_crossed(bad):
+    # 140 candidates in no length order, with 29 distinct chewing-window
+    # lengths, so each window kind spans three length-sorted blocks of 64;
+    # some windows are clipped at the trace start, some at its end, and one
+    # at both.  With bad, the first candidate's band is infinite and its
+    # chewing window sorts into the second block, while a NaN prox sample
+    # lies only in windows of later candidates: the first candidate's error
+    # must win.
+    trace = make_trace(n=400, seed=14)  # spans 20 s
+    cands = [cand(15.0, 15.9, p_min=np.inf if bad else 0.5), cand(0.5, 19.5)]
+    cands += [cand(k * 13 % 390 / 20.0, k * 13 % 390 / 20.0 + k * 7 % 30 / 20.0) for k in range(138)]
+    if bad:
+        trace.prox[20] = np.nan
+    return trace, cands, SIGNALS
+
+
+MIXED_ZEROS = [2.0, -0.0, 2.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, -0.0]
+
+
+def padded(*windows, n_sig=1):
+    # A (k, S, w) block of windows in length order, padded with +inf past
+    # each window's samples, and the window lengths.
+    lengths = np.array([len(x) // n_sig for x in windows])
+    block = np.full((len(windows), n_sig, lengths.max()), np.inf)
+    for row, x, n in zip(block, windows, lengths):
+        row[:, :n] = np.reshape(x, (n_sig, n))
+    return block, lengths
+
+
+@st.composite
+def quartile_blocks(draw, pool):
+    n_sig = draw(st.integers(1, 3))
+    lengths = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=8)))
+    samples = st.sampled_from(pool)
+    return padded(*(draw(st.lists(samples, min_size=n * n_sig, max_size=n * n_sig)) for n in lengths),
+                  n_sig=n_sig)
+
+
+def check_quartiles(block, lengths):
+    want = [[np.percentile(x[:n], [25.0, 50.0, 75.0]) for x in row] for row, n in zip(block, lengths)]
+    assert features._quartiles(block, lengths).tobytes() == np.moveaxis(want, -1, 0).tobytes()
+
+
 class TestBlockPath:
     @settings(max_examples=300, deadline=None)
     @given(feature_cases())
     @example(bad_band_before_nan())
     @example(overflowing_skewness())
+    @example(chunks_crossed(bad=False))
+    @example(chunks_crossed(bad=True))
     def test_matches_per_window_oracle_bit_for_bit(self, case):
         trace, cands, signals = case
         try:
@@ -309,6 +356,51 @@ class TestBlockPath:
         table = extract_table(make_trace(seed=11), [c_a, c_b, c_a, c_a], HOUR0, "P1")
         assert len(calls) == len(SIGNALS) * 2  # one block: one pass per signal and window
         assert table.X[0].tobytes() == table.X[2].tobytes() == table.X[3].tobytes()
+
+    # Samples with no overflow in between, so any RuntimeWarning means a
+    # pad was read: CI runs this test with warnings as errors.
+    @settings(max_examples=300, deadline=None)
+    @given(quartile_blocks([-0.0, 0.0, -1.0, 1.0, 0.5, 2.0]))
+    @example(padded([-0.0]))
+    @example(padded(MIXED_ZEROS))
+    @example(padded([-0.0], [0.0, 1.0], MIXED_ZEROS))
+    def test_quartiles_match_percentile_finite(self, case):
+        check_quartiles(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quartile_blocks([-0.0, 0.0, -1.0, 1.0, -1e308, 1e308, -np.inf, np.inf, np.nan]))
+    @example(padded([-0.0], [1e308, -1e308, np.inf]))
+    def test_quartiles_match_percentile_extreme(self, case):
+        with np.errstate(all="ignore"):
+            check_quartiles(*case)
+
+    def test_no_percentile_and_one_reduction_per_length_and_block(self, monkeypatch):
+        # 130 candidates on the sample grid with 20 distinct chewing-window
+        # lengths (gap + 81 samples) and one bite-window length (81).
+        gaps = [k * 7 % 20 for k in range(130)]
+        cands = [cand(3.0 + k % 50 / 2, 3.0 + k % 50 / 2 + g / 20.0) for k, g in enumerate(gaps)]
+        blocks, lengths = [], []
+        window_features, length_stats = features._window_features, features._length_stats
+
+        def count_block(block, *args):
+            blocks.append(block.shape[0])
+            return window_features(block, *args)
+
+        def count_length(x, *args):
+            lengths.append(x.shape[-1])
+            return length_stats(x, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.percentile called")
+
+        monkeypatch.setattr(features, "_window_features", count_block)
+        monkeypatch.setattr(features, "_length_stats", count_length)
+        monkeypatch.setattr(np, "percentile", refuse)
+        extract_table(make_trace(seed=15), cands, HOUR0, "P1")
+        cw = sorted(g + 81 for g in gaps)
+        expected = [n for lo in range(0, 130, 64) for n in sorted(set(cw[lo:lo + 64]))] + [81] * 3
+        assert sorted(lengths) == sorted(expected)
+        assert sorted(blocks) == sorted([64, 64, 2] * 2)
 
     def test_nan_sample_named_by_its_trace_index(self):
         trace = make_trace(n=100, seed=12)
