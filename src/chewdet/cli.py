@@ -144,7 +144,7 @@ def _load_config(args, rec: Recorder) -> PipelineConfig:
 
 
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
-    write_table(path, PEAK_HEADER, PEAK_KINDS, ((p.t, p.height, p.prominence) for p in pks))
+    write_table(path, PEAK_HEADER, PEAK_KINDS, pks)
 
 
 def _read_peaks_csv(path: Path) -> list[Peak]:

@@ -31,16 +31,15 @@ memory by passing one block of windows at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
 from .records import check_range
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
     t: float
     height: float
     prominence: float
@@ -134,10 +133,7 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
     at, prom = _prominences(np.concatenate(([inf], sig, [inf])))
     sel = prom >= min_prominence
     peak_at = at[sel] - 1
-    return [
-        Peak(t=tv, height=hv, prominence=pv)
-        for tv, hv, pv in zip(ts[peak_at].tolist(), sig[peak_at].tolist(), prom[sel].tolist())
-    ]
+    return list(map(Peak, ts[peak_at].tolist(), sig[peak_at].tolist(), prom[sel].tolist()))
 
 
 def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarray:

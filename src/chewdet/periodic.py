@@ -15,13 +15,21 @@ Sweeping geometrically spaced bands over the physiological inter-chew
 range (0.4 s to 1.5 s by factors of 1 + epsilon) turns "find chewing of
 unknown rate" into a small family of banded problems.
 
-``segment`` runs that DP per (fragment, band) and, where the optimum
-reaches ``min_len`` gaps, returns one ``CandidateWindow`` per distinct
-(first, last) span of the tied optimal chains.  Each on-optimum event
-carries the set of chain starts that reach it, so this costs
-O(on-optimum events x distinct starts), never the chain count (2^k for k
-paired chews).  Only the reference searches ``longest_*_periodic``
-enumerate every tied chain, as ``PeriodicSubsequence``.
+``segment`` first screens the (fragment, band) pairs: an event ends a
+chain of k gaps only if its predecessor window holds an event that ends
+one of k - 1.  Per band, two ``searchsorted`` calls give every window,
+widened by a few ulps, and whole-array rounds keep an event only while its
+window holds one kept in the round before.  The pairs left after
+min(min_len, 8) - 1 rounds are a superset of those whose optimum reaches
+``min_len``; only they run the DP.  Cost: O(B n log n) for B bands and n
+peaks, plus the rounds' O(B n) each, plus the exact DP on the pairs that
+get through.  Where the optimum reaches ``min_len`` gaps, ``segment``
+returns one ``CandidateWindow`` per distinct (first, last) span of the
+tied optimal chains.  Each on-optimum event carries the set of chain
+starts that reach it, so this costs O(on-optimum events x distinct
+starts), never the chain count (2^k for k paired chews).  Only the
+reference searches ``longest_*_periodic`` enumerate every tied chain, as
+``PeriodicSubsequence``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .tables import read_table, write_table
 
 _RATIO_SLACK = 1.0 + 1e-12  # absorbs one rounding step in band-edge ratios
 MAX_BANDS = 1000  # bands a sweep may have; the default sweep has 8
+_SCREEN_ROUNDS = 8  # the screen's rounds, capped so its cost holds for any min_len
 
 
 @dataclass(frozen=True)
@@ -243,30 +252,50 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 
 
+def _screen(times: np.ndarray, bands: list[tuple[float, float]], bounds: np.ndarray, min_len: int):
+    # The (fragment, band) pairs, in that order, that may reach min_len gaps
+    # (module docstring).  4 ulps of the largest finite time or band edge
+    # exceed the rounding of t[i] - t[j] and of the window bounds.
+    scale = max(np.abs(times[np.isfinite(times)]).max(initial=0.0), bands[-1][1])
+    tol = 4 * np.spacing(scale)
+    frag = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    hit = np.zeros((bounds.size - 1, len(bands)), dtype=bool)
+    count = np.zeros(times.size + 1, dtype=np.intp)
+    for b, (p_min, p_max) in enumerate(bands):
+        first = np.searchsorted(times, times - p_max - tol, "left")
+        stop = np.searchsorted(times, times - p_min + tol, "right")
+        alive = stop > first
+        for _ in range(min(min_len, _SCREEN_ROUNDS) - 1):
+            np.cumsum(alive, out=count[1:])
+            alive = count[stop] > count[first]
+        hit[frag[alive], b] = True
+    return zip(*np.nonzero(hit))
+
+
 def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[CandidateWindow]:
     """Candidate chewing subsequences from a stream of prominent peaks.
 
     The peak stream is split wherever consecutive peaks are more than
     cfg.max apart (no band gap can bridge such a break), and each fragment
-    of more than ``min_len`` peaks is swept band by band.  A band gives one
-    candidate per distinct (c1, c2) of its tied optimal chains when the
-    optimum reaches ``min_len`` gaps; a span found in several bands is kept
-    once, in the lowest, with that band's optimum as ``length``.  Output is
-    ordered by start time, band, then end time.
+    is swept band by band, bar the pairs the screen rules out (see the
+    module docstring).  A band gives one candidate per distinct (c1, c2) of
+    its tied optimal chains when the optimum reaches ``min_len`` gaps; a
+    span found in several bands is kept once, in the lowest, with that
+    band's optimum as ``length``.  Output is ordered by start time, band,
+    then end time.
     """
     check_range("min_len", min_len, "[1, inf)")
     times = _validate_times([p.t for p in peaks])
     bands = cfg.bands()
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(times) > cfg.max) + 1, [times.size]))
+    tl = times.tolist()
     # Fragments hold disjoint times, so one table dedupes spans across bands.
     found: dict[tuple[float, float], CandidateWindow] = {}
-    for frag in np.split(times, np.flatnonzero(np.diff(times) > cfg.max) + 1):
-        if len(frag) <= min_len:
-            continue
-        tl = frag.tolist()
-        for p_min, p_max in bands:
-            best, spans = _longest_spans(tl, p_min, p_max, min_len)
-            for c1, c2 in spans:
-                found.setdefault((c1, c2), CandidateWindow(c1, c2, p_min, p_max, cfg.epsilon, best))
+    for f, b in _screen(times, bands, bounds, min_len):
+        p_min, p_max = bands[b]
+        best, spans = _longest_spans(tl[bounds[f] : bounds[f + 1]], p_min, p_max, min_len)
+        for c1, c2 in spans:
+            found.setdefault((c1, c2), CandidateWindow(c1, c2, p_min, p_max, cfg.epsilon, best))
     return sorted(found.values(), key=lambda c: (c.c1, c.p_min, c.c2))
 
 

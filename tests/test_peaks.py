@@ -6,7 +6,8 @@ from oracles import naive_prominent_peaks, stack_prominences
 from scipy import signal as sp_signal
 
 from chewdet import peaks
-from chewdet.peaks import find_prominent_peaks, window_peak_counts
+from chewdet.cli import _read_peaks_csv, _write_peaks_csv
+from chewdet.peaks import Peak, find_prominent_peaks, window_peak_counts
 
 
 def peaks_of(values, min_prominence=4.5):
@@ -313,3 +314,36 @@ class TestScipyCrossCheck:
             idx, props = sp_signal.find_peaks(sig, prominence=thr)
             assert [p.t for p in ours] == [float(i) for i in idx]
             assert np.allclose([p.prominence for p in ours], props["prominences"])
+
+
+class TestPeakValue:
+    def test_fields_repr_and_tuple_equality(self):
+        p = Peak(t=1.5, height=10.0, prominence=4.5)
+        assert Peak._fields == ("t", "height", "prominence")
+        assert repr(p) == "Peak(t=1.5, height=10.0, prominence=4.5)"
+        assert p == Peak(1.5, 10.0, 4.5) == (1.5, 10.0, 4.5)
+        t, height, prominence = p
+        assert (t, height, prominence) == (p.t, p.height, p.prominence)
+        assert sorted([Peak(2.0, 1.0, 1.0), p]) == [p, Peak(2.0, 1.0, 1.0)]
+
+    def test_immutable_and_hashable(self):
+        p = Peak(1.5, 10.0, 4.5)
+        with pytest.raises(AttributeError):
+            p.t = 2.0
+        assert hash(p) == hash((1.5, 10.0, 4.5))
+        assert {p, Peak(1.5, 10.0, 4.5)} == {p}
+
+    def test_found_peaks_are_peaks_of_python_floats(self):
+        found = peaks_of([0, 3, 1, 8, 1, 3, 0], min_prominence=1.0)
+        assert found == [Peak(1.0, 3.0, 2.0), Peak(3.0, 8.0, 8.0), Peak(5.0, 3.0, 2.0)]
+        assert all(type(v) is float for p in found for v in p)
+
+    def test_csv_round_trip(self, tmp_path):
+        found = peaks_of([0, 3, 1, 8, 1, 3, 0], min_prominence=1.0)
+        path = tmp_path / "peaks.csv"
+        _write_peaks_csv(path, found)
+        assert path.read_text().splitlines() == [
+            "t_ms,height,prominence", "1000,3.0,2.0", "3000,8.0,8.0", "5000,3.0,2.0",
+        ]
+        assert _read_peaks_csv(path) == found
+        assert all(type(p) is Peak for p in _read_peaks_csv(path))

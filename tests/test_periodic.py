@@ -6,12 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chewdet import periodic
 from chewdet.peaks import Peak
 from chewdet.periodic import (
     MAX_BANDS,
     CandidateWindow,
     PeriodicSubsequence,
     SweepConfig,
+    _optima,
+    _screen,
     longest_abs_periodic,
     longest_rel_periodic,
     read_candidate_csv,
@@ -238,6 +241,8 @@ def peak_streams(draw):
     # cfg.max (6, 8, 10, 12, 18 and 30 steps are edges of the configs
     # below); runs of one step make periodic trains.  Fragments hold 0 to
     # 40 events, each after a break that may or may not exceed cfg.max.
+    # Some streams start at an epoch-scale offset (1.7e9 s plus whole
+    # steps), where t[i] - t[j] rounds to either side of a band edge.
     step = st.integers(1, 32) | st.sampled_from([6, 8, 10, 12, 18, 30])
     fragment = st.lists(st.tuples(step, st.integers(1, 8)), max_size=12).map(
         lambda runs: [v for v, k in runs for _ in range(k)][:40]
@@ -252,7 +257,8 @@ def peak_streams(draw):
     cfg = SweepConfig(*draw(st.sampled_from([
         (0.4, 1.5, 0.2), (0.4, 1.5, 0.25), (0.4, 1.35, 0.5), (0.5, 1.0, 0.25), (0.3, 0.9, 1.0),
     ])))
-    return as_peaks([k * 0.05 for k in grid]), cfg, draw(st.integers(1, 5))
+    origin = draw(st.sampled_from([0.0, 1.7e9])) + draw(st.integers(0, 10**6)) * 0.05
+    return as_peaks([origin + k * 0.05 for k in grid]), cfg, draw(st.integers(1, 5))
 
 
 class TestSegmentOracle:
@@ -285,6 +291,84 @@ class TestSegmentOracle:
         ]
 
 
+def fragments(times, cfg):
+    # Index bounds of the runs that segment sweeps, split where a gap exceeds cfg.max.
+    cuts = [i for i in range(1, len(times)) if times[i] - times[i - 1] > cfg.max]
+    return np.array([0, *cuts, len(times)] if len(times) else [0])
+
+
+class TestScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(peak_streams())
+    def test_passes_every_pair_that_reaches_min_len(self, case):
+        peaks, cfg, min_len = case
+        times = np.array([p.t for p in peaks])
+        bounds = fragments(times, cfg)
+        passed = {(int(f), int(b)) for f, b in _screen(times, cfg.bands(), bounds, min_len)}
+        for f in range(len(bounds) - 1):
+            tl = times[bounds[f] : bounds[f + 1]].tolist()
+            for b, (p_min, p_max) in enumerate(cfg.bands()):
+                if max(_optima(tl, p_min, p_max)) >= min_len:
+                    assert (f, b) in passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(peak_streams())
+    def test_exact_dp_runs_once_per_passed_pair(self, case):
+        peaks, cfg, min_len = case
+        times = np.array([p.t for p in peaks])
+        bounds = fragments(times, cfg)
+        bands = cfg.bands()
+        passed = [(times[bounds[f]], bands[b]) for f, b in _screen(times, bands, bounds, min_len)]
+        calls = []
+
+        def recording(tl, p_min, p_max, min_len):
+            calls.append((tl[0], (p_min, p_max)))
+            return longest_spans(tl, p_min, p_max, min_len)
+
+        longest_spans = periodic._longest_spans
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(periodic, "_longest_spans", recording)
+            segment(peaks, cfg, min_len)
+        assert calls == passed
+
+    def test_min_len_past_the_round_cap_stays_exact(self):
+        # min_len above the screen's round cap: the DP, not the screen, decides.
+        peaks, cfg = as_peaks(np.arange(21) * 0.7), SweepConfig()
+        for min_len in (9, 19, 20, 21):
+            spans: dict[tuple[float, float], CandidateWindow] = {}
+            for s in naive_segment(peaks, cfg, min_len):
+                spans.setdefault((s.c1, s.c2), CandidateWindow(s.c1, s.c2, s.p_min, s.p_max, s.epsilon, s.length))
+            assert segment(peaks, cfg, min_len) == sorted(spans.values(), key=lambda c: (c.c1, c.p_min, c.c2))
+        assert [c.length for c in segment(peaks, cfg, 20)] == [20]
+        assert segment(peaks, cfg, 21) == []
+
+    @pytest.mark.parametrize("times", [
+        [0.017637893958872174, 0.4176378939588722],  # on p_min, above t[1] - p_min
+        [-0.06236210604112782, 0.4176378939588722],  # on p_max, below t[1] - p_max
+    ])
+    def test_gap_rounded_onto_a_band_edge_passes(self, times):
+        # t[1] - t[0] rounds onto an edge of the lowest band, but t[0] lies
+        # outside the window that t[1] - p_max and t[1] - p_min bound: only
+        # the widening keeps the pair, and the span in that band.
+        (p_min, p_max), cfg = SweepConfig().bands()[0], SweepConfig()
+        assert times[1] - times[0] in (p_min, p_max)
+        assert not times[1] - p_max <= times[0] <= times[1] - p_min
+        assert segment(as_peaks(times), cfg, 1) == [CandidateWindow(*times, p_min, p_max, 0.2, 1)]
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 2.0, 3.0, 4.0, math.inf], [-math.inf, 0.0, 1.0, 2.0, 3.0, 4.0]])
+    def test_infinite_time_keeps_the_finite_run(self, times):
+        # An infinite time is a fragment of its own; the bound on rounding
+        # comes from the finite times, so the run 0..4 still comes back.
+        lo, hi = next((lo, hi) for lo, hi in SweepConfig().bands() if lo <= 1.0 <= hi)
+        assert segment(as_peaks(times), SweepConfig(), 3) == [
+            CandidateWindow(0.0, 4.0, lo, hi, 0.2, 4)
+        ]
+
+    @pytest.mark.parametrize("times", [[], [5.0]])
+    def test_empty_and_single_peak_give_nothing(self, times):
+        assert segment(as_peaks(times), SweepConfig(), 3) == []
+
+
 class TestLinearScaling:
     def test_runtime_is_roughly_linear(self):
         # Bounded density and fixed band: 10x the events should cost about
@@ -300,6 +384,26 @@ class TestLinearScaling:
             longest_abs_periodic(t, 0.5, 1.0)
             return time.perf_counter() - start
 
+        timed(2000)  # warm-up
+        small = min(timed(2000) for _ in range(3))
+        large = min(timed(20000) for _ in range(3))
+        assert large / small < 25
+
+    def test_segment_is_roughly_linear_when_every_band_passes(self):
+        # One fragment of about 1 Hz: blocks of a 1 s gap and three gaps at
+        # one band's midpoint, every band in turn, so each (fragment, band)
+        # pair gets through the screen, its worst case.
+        cfg = SweepConfig()
+        stride = [g for lo, hi in cfg.bands() for g in (1.0, (lo + hi) / 2, (lo + hi) / 2, (lo + hi) / 2)]
+
+        def timed(n):
+            peaks = as_peaks(np.cumsum(np.resize(stride, n)))
+            start = time.perf_counter()
+            segment(peaks, cfg, 3)
+            return time.perf_counter() - start
+
+        times = np.cumsum(np.resize(stride, 2000))
+        assert len(list(_screen(times, cfg.bands(), np.array([0, 2000]), 3))) == len(cfg.bands())
         timed(2000)  # warm-up
         small = min(timed(2000) for _ in range(3))
         large = min(timed(20000) for _ in range(3))
