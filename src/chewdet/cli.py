@@ -70,7 +70,7 @@ from .records import (
 )
 from .signals import derive, read_derived_csv, write_derived_csv
 from .synthetic import generate, read_scenario
-from .tables import read_table, write_table
+from .tables import read_table, transpose, write_table
 
 PEAK_HEADER = ("t_ms", "height", "prominence")
 PEAK_KINDS = "mff"
@@ -144,7 +144,7 @@ def _load_config(args, rec: Recorder) -> PipelineConfig:
 
 
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
-    write_table(path, PEAK_HEADER, PEAK_KINDS, pks)
+    write_table(path, PEAK_HEADER, PEAK_KINDS, transpose(pks, len(PEAK_KINDS)))
 
 
 def _read_peaks_csv(path: Path) -> list[Peak]:
@@ -153,7 +153,7 @@ def _read_peaks_csv(path: Path) -> list[Peak]:
 
 def _write_predictions_csv(path: str, judged) -> None:
     rows = ((*astuple(cand), proba, positive) for cand, positive, proba in judged)
-    write_table(path, PREDICTION_HEADER, PREDICTION_KINDS, rows)
+    write_table(path, PREDICTION_HEADER, PREDICTION_KINDS, transpose(rows, len(PREDICTION_KINDS)))
 
 
 def _read_predictions_csv(path: Path) -> list[tuple[CandidateWindow, bool, float]]:
@@ -325,7 +325,7 @@ def cmd_gap_cdf(args, cfg: PipelineConfig, rec: Recorder) -> None:
     if args.participant:
         intervals = [iv for iv in intervals if iv.participant == args.participant]
     cdf = inter_sequence_gap_cdf(intervals)
-    rec.write("cdf.csv", write_table, GAP_CDF_HEADER, "ff", cdf)
+    rec.write("cdf.csv", write_table, GAP_CDF_HEADER, "ff", transpose(cdf, 2))
     print(f"gap CDF over {len(cdf)} distinct values")
 
 

@@ -64,11 +64,7 @@ class PipelineConfig:
             check_range(name, getattr(self, name), interval)
 
     def sweep(self) -> SweepConfig:
-        return SweepConfig(
-            min=self.sweep_min,
-            max=self.sweep_max,
-            epsilon=self.epsilon,
-        )
+        return SweepConfig(min=self.sweep_min, max=self.sweep_max, epsilon=self.epsilon)
 
     def boost(self) -> BoostConfig:
         return BoostConfig(

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .records import IntervalKind, LabeledInterval, check_range, covered_seconds, episode_intervals
-from .tables import read_table, write_table
+from .tables import read_table, transpose, write_table
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def write_episode_csv(
     for ep in episodes:
         covered = [by_second[s] for s in covered_seconds(ep.start, ep.end) if s in by_second]
         rows.append((ep.participant, ep.start, ep.end, len(covered), max(covered, default=0)))
-    write_table(path, EPISODE_HEADER, EPISODE_KINDS, rows)
+    write_table(path, EPISODE_HEADER, EPISODE_KINDS, transpose(rows, len(EPISODE_KINDS)))
 
 
 def read_episode_csv(path: str | Path) -> list[LabeledInterval]:

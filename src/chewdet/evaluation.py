@@ -36,7 +36,7 @@ from .records import (
     overlap_range,
 )
 from .signals import DerivedTrace, derive
-from .tables import write_table
+from .tables import transpose, write_table
 
 REPORT_HEADER = ("participant", "level", "precision", "recall", "f1")
 REPORT_KINDS = "ssfff"
@@ -62,14 +62,8 @@ def _prf(n_matched_pred: int, n_pred: int, n_matched_truth: int, n_truth: int) -
     else:
         recall = n_matched_truth / n_truth
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return Metrics(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        tp=n_matched_pred,
-        fp=n_pred - n_matched_pred,
-        fn=n_truth - n_matched_truth,
-    )
+    tp, fp, fn = n_matched_pred, n_pred - n_matched_pred, n_truth - n_matched_truth
+    return Metrics(precision, recall, f1, tp, fp, fn)
 
 
 def per_second_metrics(
@@ -247,9 +241,7 @@ def score_participant(
     cfg: PipelineConfig,
     flags: Sequence[str] = (),
 ) -> ParticipantScore:
-    return score_chews(
-        session.participant, scores, episodes, session.chew_labels(), cfg, flags
-    )
+    return score_chews(session.participant, scores, episodes, session.chew_labels(), cfg, flags)
 
 
 def score_chews(
@@ -354,12 +346,13 @@ def losocv(
     grid = [(b, d) for b in boost_grid for d in dbscan_grid]
 
     prepared = _prepare_all(sessions, cfg, signals)
+    models: dict[tuple, TrainedModel | None] = {}
     scores: list[ParticipantScore] = []
     for held_idx, held in enumerate(prepared):
         train_items = [p for i, p in enumerate(prepared) if i != held_idx]
         chosen = grid[0]
         if len(grid) > 1 and len(train_items) >= 2:
-            chosen = _select_grid_point(train_items, grid, cfg)
+            chosen = _select_grid_point(train_items, grid, cfg, models)
         flags = [] if chosen else ["no_grid_vote"]
         boost_cfg, dbscan_cfg = chosen or grid[0]
         model = train_fold([p.table for p in train_items], boost_cfg)
@@ -377,17 +370,18 @@ def _select_grid_point(
     train_items: Sequence[_Prepared],
     grid: Sequence[tuple[BoostConfig, DbscanConfig]],
     cfg: PipelineConfig,
+    models: dict[tuple, TrainedModel | None],
 ) -> tuple[BoostConfig, DbscanConfig] | None:
     best_score, best = -1.0, None
-    # One model per (boost config, inner fold), shared by its DBSCAN points.
-    models: dict[tuple[BoostConfig, int], TrainedModel | None] = {}
+    # One model per (boost config, inner training tables), shared by its DBSCAN
+    # points and across outer folds: holding out h then i trains as i then h.
     for point in grid:
         boost_cfg, dbscan_cfg = point
         fold_scores = []
         for inner_idx, inner_held in enumerate(train_items):
-            key = (boost_cfg, inner_idx)
+            inner_train = [p.table for i, p in enumerate(train_items) if i != inner_idx]
+            key = (boost_cfg, tuple(map(id, inner_train)))
             if key not in models:
-                inner_train = [p.table for i, p in enumerate(train_items) if i != inner_idx]
                 classes = np.unique(np.concatenate([t.label for t in inner_train]))
                 models[key] = train_fold(inner_train, boost_cfg) if classes.size > 1 else None
             if models[key] is None:
@@ -428,7 +422,7 @@ def write_scores_csv(path: str | Path, scores: Sequence[ParticipantScore]) -> No
         for s in scores
         for level, m in s.levels()
     )
-    write_table(path, REPORT_HEADER, REPORT_KINDS, rows)
+    write_table(path, REPORT_HEADER, REPORT_KINDS, transpose(rows, len(REPORT_KINDS)))
 
 
 def write_report_csv(path: str | Path, report: EvalReport) -> None:

@@ -388,7 +388,7 @@ def write_feature_csv(path: str | Path, table: FeatureTable) -> None:
         path,
         (*table.names, *FEATURE_TAIL),
         "f" * len(table.names) + FEATURE_TAIL_KINDS,
-        zip(*table.X.T, table.c1, table.c2, table.participant, table.label),
+        (*table.X.T, table.c1, table.c2, table.participant, table.label),
     )
 
 

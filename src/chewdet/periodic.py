@@ -44,7 +44,7 @@ import numpy as np
 
 from .peaks import Peak
 from .records import check_increasing, check_range
-from .tables import read_table, write_table
+from .tables import read_table, transpose, write_table
 
 _RATIO_SLACK = 1.0 + 1e-12  # absorbs one rounding step in band-edge ratios
 MAX_BANDS = 1000  # bands a sweep may have; the default sweep has 8
@@ -304,7 +304,8 @@ CANDIDATE_KINDS = "fffffi"
 
 
 def write_candidate_csv(path: str | Path, candidates: Sequence[CandidateWindow]) -> None:
-    write_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS, map(astuple, candidates))
+    rows = map(astuple, candidates)
+    write_table(path, CANDIDATE_HEADER, CANDIDATE_KINDS, transpose(rows, len(CANDIDATE_KINDS)))
 
 
 def read_candidate_csv(path: str | Path) -> list[CandidateWindow]:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tables import read_table, write_table
+from .tables import read_table, transpose, write_table
 
 SENSOR_HEADER = ("t_ms", "prox", "ambient", "qw", "qx", "qy", "qz", "ax", "ay", "az")
 SENSOR_KINDS = "m" + "f" * 9
@@ -53,9 +53,7 @@ class LabeledInterval:
 
     def __post_init__(self) -> None:
         if not self.start < self.end:
-            raise ValueError(
-                f"interval start must precede end, got [{self.start}, {self.end}]"
-            )
+            raise ValueError(f"interval start must precede end, got [{self.start}, {self.end}]")
 
     @property
     def duration(self) -> float:
@@ -171,7 +169,7 @@ def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
 
 def write_sensor_csv(path: str | Path, session: Session) -> None:
     columns = (session.t, session.prox, session.ambient, *session.quat.T, *session.accel.T)
-    write_table(path, SENSOR_HEADER, SENSOR_KINDS, zip(*columns))
+    write_table(path, SENSOR_HEADER, SENSOR_KINDS, columns)
 
 
 def read_label_csv(path: str | Path) -> list[LabeledInterval]:
@@ -182,7 +180,7 @@ def read_label_csv(path: str | Path) -> list[LabeledInterval]:
 
 def write_label_csv(path: str | Path, intervals: Iterable[LabeledInterval]) -> None:
     rows = ((iv.participant, iv.kind.value, iv.start, iv.end) for iv in intervals)
-    write_table(path, LABEL_HEADER, LABEL_KINDS, rows)
+    write_table(path, LABEL_HEADER, LABEL_KINDS, transpose(rows, len(LABEL_KINDS)))
 
 
 def disjoint_spans(spans: Iterable[tuple[float, float]], what: str) -> list[tuple[float, float]]:

@@ -107,7 +107,7 @@ def derive(session: Session) -> DerivedTrace:
 
 def write_derived_csv(path: str | Path, trace: DerivedTrace) -> None:
     columns = (trace.t, trace.prox, trace.ambient, trace.lfa, trace.energy)
-    write_table(path, DERIVED_HEADER, DERIVED_KINDS, zip(*columns))
+    write_table(path, DERIVED_HEADER, DERIVED_KINDS, columns)
 
 
 def read_derived_csv(path: str | Path) -> DerivedTrace:

@@ -5,13 +5,14 @@ A table format is a header plus one kind letter per column: ``f`` float,
 written with ``repr`` so it reads back bit-exact; ``i`` integer; ``m``
 seconds, stored as integer milliseconds ``int(round(t * 1000.0))`` and read
 back as ``ms / 1000.0``; ``s`` string, quoted as the csv module quotes (a
-line break cannot be stored).  Lines end with ``\\r\\n``.  Reading compares
-the header after stripping whitespace from each name, skips whitespace-only
-lines, strips every field and parses the body in bulk with
-:func:`numpy.loadtxt`, whose float parser is correctly rounded.  Numeric
-fields must be finite, and ``i`` and ``m`` fields integral.  Cost:
-O(rows x columns) time both ways; beyond the columns themselves, a write
-holds one block of formatted cells and a read one block of lines.
+line break cannot be stored).  Lines end with ``\\r\\n``; the writer formats
+each block of rows from column slices.  Reading compares the header after
+stripping whitespace from each name, skips whitespace-only lines, strips
+every field and parses the body in bulk with :func:`numpy.loadtxt`, whose
+float parser is correctly rounded.  Numeric fields must be finite both
+ways, and ``i`` and ``m`` fields integral.  Cost: O(rows x columns) time
+both ways; beyond the columns themselves, a write holds one block of
+formatted cells and a read one block of lines.
 
 A flat file (run config, scenario, model header) holds ``key = value``
 lines; ``#`` starts a comment and blank lines are skipped.  Each key may
@@ -42,29 +43,39 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
-def _format(kind: str, values) -> list[str]:
+def _format(name: str, kind: str, values) -> list[str]:
     if kind == "s":
         return list(map(_quote, values))
+    values = np.asarray(values, dtype=float if kind in "fm" else None)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0].item()
+        raise ValueError(f"column {name} is not finite: {bad!r}")
     if kind == "f":
-        return list(map(repr, np.asarray(values, dtype=float).tolist()))
+        return list(map(repr, values.tolist()))
     if kind == "m":
-        values = np.rint(np.asarray(values, dtype=float) * 1000.0)
+        values = np.rint(values * 1000.0)
         if not np.all(np.abs(values) < 2.0**63):
             raise ValueError("time is not representable in integer milliseconds")
-    return list(map(str, np.asarray(values).astype(np.int64).tolist()))
+    return list(map(str, values.astype(np.int64).tolist()))
 
 
-def write_table(path: str | Path, header: Sequence[str], kinds: str, rows: Iterable[Sequence]) -> None:
-    """Write ``rows``, each holding one value per ``header`` name and kind."""
-    if len(header) != len(kinds):
-        raise ValueError(f"{len(header)} column names for {len(kinds)} kinds")
-    rows = iter(rows)
+def transpose(rows: Iterable[Sequence], width: int) -> list:
+    """The ``width`` columns of ``rows``, each row of ``width`` values."""
+    return list(zip(*rows, strict=True)) or [()] * width
+
+
+def write_table(path: str | Path, header: Sequence[str], kinds: str, columns: Sequence) -> None:
+    """Write ``columns``: one array or list per ``header`` name and kind, of one length."""
+    if not len(header) == len(kinds) == len(columns):
+        raise ValueError(f"{len(header)} column names, {len(kinds)} kinds, {len(columns)} columns")
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise ValueError(f"columns of unequal length: {[len(col) for col in columns]}")
+    step = max(1, BLOCK_CELLS // len(kinds))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        while block := list(islice(rows, max(1, BLOCK_CELLS // len(kinds)))):
-            if any(len(row) != len(kinds) for row in block):
-                raise ValueError(f"every row needs {len(kinds)} values")
-            cells = [_format(kind, col) for kind, col in zip(kinds, zip(*block))]
+        for lo in range(0, rows, step):
+            cells = list(map(_format, header, kinds, (col[lo : lo + step] for col in columns)))
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

@@ -219,6 +219,21 @@ class TestErrors:
         assert not (out / "features_SYN.csv").exists()
         assert (out / "manifest.txt").read_bytes() == manifest
 
+    def test_derive_refuses_an_energy_that_overflows(self, tmp_path, capsys):
+        # az = 1e200 is finite, so ingest keeps it, but its square is not: the
+        # derived CSV must not be written for peaks to refuse later.
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("t_ms,prox,ambient,qw,qx,qy,qz,ax,ay,az\n"
+                           "0,100.0,500.0,1.0,0.0,0.0,0.0,0.0,0.0,1.0\n"
+                           "50,100.0,500.0,1.0,0.0,0.0,0.0,0.0,0.0,1e200\n")
+        out = tmp_path / "run"
+        code = run("derive", "--input", sensors, "--participant", "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "column energy_g2 is not finite: inf" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("derived_*"))
+
     def test_losocv_names_requested_participants_without_data(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", "A",

@@ -35,6 +35,7 @@ from chewdet.tables import (
     parse_fields,
     read_table,
     render_fields,
+    transpose,
     write_table,
 )
 
@@ -195,7 +196,7 @@ class TestRoundTrip:
     @example([(x, x) for x in EXTREMES])
     def test_cdf(self, cdf):
         back = roundtrip(
-            lambda path, rows: write_table(path, GAP_CDF_HEADER, "ff", rows),
+            lambda path, rows: write_table(path, GAP_CDF_HEADER, "ff", transpose(rows, 2)),
             lambda path: list(read_table(path, GAP_CDF_HEADER, "ff").rows()),
             cdf,
         )
@@ -203,23 +204,68 @@ class TestRoundTrip:
 
 
 @SETTINGS
-@given(st.lists(st.tuples(ids | st.just(TRICKY_ID) | st.just(""), floats, st.integers(-10**15, 10**15)), max_size=5))
+@given(st.lists(st.tuples(ids | st.just(TRICKY_ID) | st.just(""), floats,
+                          st.integers(-10**15, 10**15), st.floats(-1e12, 1e12)), max_size=5))
+@example([(TRICKY_ID, x, -(10**15), 0.0005) for x in EXTREMES])
 def test_bytes_match_the_csv_module(rows):
+    # List columns and numpy-array columns write the bytes the csv module writes.
+    header = ("name", "x", "n", "t_ms")
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows([p, repr(x), n, int(round(t * 1000.0))] for p, x, n, t in rows)
+    names, x, n, t = transpose(rows, len(header))
+    arrays = (list(names), np.array(x, dtype=float), np.array(n, dtype=np.int64), np.array(t, dtype=float))
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d, "t.csv")
-        write_table(path, ("name", "x", "n"), "sfi", rows)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["name", "x", "n"])
-        writer.writerows([p, repr(x), n] for p, x, n in rows)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        for k, columns in enumerate((transpose(rows, len(header)), arrays)):
+            path = Path(d, f"{k}.csv")
+            write_table(path, header, "sfim", columns)
+            assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_time_column_rounds_to_whole_milliseconds(tmp_path):
     path = tmp_path / "t.csv"
     t = [0.0004999, 0.0005, 0.0015, 1577872800.05, 9_999_999_999.999]
-    write_table(path, ("t_ms",), "m", [(v,) for v in t])
+    write_table(path, ("t_ms",), "m", [t])
     assert path.read_text().splitlines()[1:] == [str(int(round(v * 1000.0))) for v in t]
+
+
+EMPTY_WRITERS = {
+    "sensor": lambda path: write_sensor_csv(path, Session("P", np.empty(0), np.empty(0), np.empty(0),
+                                                          np.empty((0, 4)), np.empty((0, 3)))),
+    "labels": lambda path: write_label_csv(path, []),
+    "derived": lambda path: write_derived_csv(path, DerivedTrace(*[np.empty(0)] * 5)),
+    "peaks": lambda path: _write_peaks_csv(path, []),
+    "candidates": lambda path: write_candidate_csv(path, []),
+    "predictions": lambda path: _write_predictions_csv(path, []),
+    "features": lambda path: write_feature_csv(path, FeatureTable(
+        names=("f0", "f1"), X=np.empty((0, 2)), c1=np.empty(0), c2=np.empty(0), participant=[],
+        label=np.empty(0, dtype=int))),
+    "episodes": lambda path: write_episode_csv(path, [], []),
+    "report": lambda path: write_scores_csv(path, []),
+    "cdf": lambda path: write_table(path, GAP_CDF_HEADER, "ff", transpose([], 2)),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_WRITERS)
+def test_zero_rows_write_only_the_header(tmp_path, name):
+    path = tmp_path / "t.csv"
+    EMPTY_WRITERS[name](path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) == 2 and lines[0] and lines[1] == b""
+
+
+def test_columns_of_unequal_length_are_refused_before_opening(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="unequal length"):
+        write_table(path, ("a", "b"), "ff", [np.zeros(3), [1.0, 2.0]])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, value", [("f", np.inf), ("f", -np.inf), ("m", np.nan), ("i", np.nan)])
+def test_non_finite_numeric_value_is_refused_naming_the_column(tmp_path, kind, value):
+    with pytest.raises(ValueError, match=f"column b is not finite: {value!r}"):
+        write_table(tmp_path / "t.csv", ("a", "b"), "f" + kind, [[1.0, 2.0], np.array([0.0, value])])
 
 
 def test_line_break_in_a_string_field_is_rejected(tmp_path):
