@@ -13,6 +13,8 @@ previous one inside a single output directory, so a full run is::
     chewdet episodes --participant SYN --out run/
     chewdet evaluate --participant SYN --out run/
 
+Commands are wired from one table, ``COMMANDS``: a row gives a command's
+name, help, body and own flags, added after the five common flags.
 A command body does no file plumbing of its own: it reads every input,
 the ``--config`` file included, through its ``Recorder``'s ``read``, which
 fails with "run `chewdet <producer>` first" when an artifact is missing,
@@ -212,7 +214,7 @@ def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 
 def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    session = rec.read(Path(args.input), "synth", ingest_sensor_csv, args.participant)
+    session = rec.read(Path(args.input), None, ingest_sensor_csv, args.participant)
     rec.write(f"ingested_{args.participant}.csv", write_sensor_csv, session)
     print(
         f"{args.participant}: {len(session)} frames, gaps={session.gaps.count} "
@@ -225,8 +227,9 @@ def cmd_derive(args, cfg: PipelineConfig, rec: Recorder) -> None:
         src, producer = Path(args.input), None
     else:
         src, producer = rec.out / f"sensors_{args.participant}.csv", "synth"
-        if not src.exists():
-            src = rec.out / f"ingested_{args.participant}.csv"
+        ingested = rec.out / f"ingested_{args.participant}.csv"
+        if not src.exists() and ingested.exists():
+            src = ingested
     session = rec.read(src, producer, ingest_sensor_csv, args.participant)
     rec.write(f"derived_{args.participant}.csv", write_derived_csv, derive(session))
 
@@ -298,7 +301,7 @@ def cmd_evaluate(args, cfg: PipelineConfig, rec: Recorder) -> None:
     positives = [cand for cand, positive, _ in judged if positive]
     episodes = rec.read(rec.out / f"episodes_{pid}.csv", "episodes", read_episode_csv)
     label_file = Path(args.labels) if args.labels else rec.out / f"labels_{pid}.csv"
-    chews = _chews(rec.read(label_file, "synth", read_label_csv), pid)
+    chews = _chews(rec.read(label_file, None if args.labels else "synth", read_label_csv), pid)
     score = score_chews(pid, score_seconds(positives), episodes, chews, cfg)
     for level, m in score.levels():
         print(f"{pid} {level:<8} precision={m.precision:.3f} recall={m.recall:.3f} f1={m.f1:.3f}")
@@ -320,7 +323,7 @@ def cmd_ablate(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 
 def cmd_gap_cdf(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    labels = rec.read(Path(args.labels), "synth", read_label_csv)
+    labels = rec.read(Path(args.labels), None, read_label_csv)
     intervals = [iv for iv in labels if iv.kind is IntervalKind.CHEW]
     if args.participant:
         intervals = [iv for iv in intervals if iv.participant == args.participant]
@@ -333,6 +336,31 @@ def cmd_gap_cdf(args, cfg: PipelineConfig, rec: Recorder) -> None:
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
+# An option is (flag, required[, help]).  The bodies look their readers and
+# writers up in this module when they run, so a name patched here takes effect.
+_P = ("--participant", True)
+COMMANDS = (
+    ("synth", "generate a synthetic session from a scenario file", cmd_synth,
+     [("--scenario", True), ("--participant", False)]),
+    ("ingest", "validate a sensor CSV and report gaps", cmd_ingest, [_P, ("--input", True)]),
+    ("derive", "compute the four analysis signals", cmd_derive, [_P, ("--input", False)]),
+    ("peaks", "find prominent proximity peaks", cmd_peaks, [_P]),
+    ("segment", "periodic-subsequence candidates from peaks", cmd_segment, [_P]),
+    ("featurize", "per-candidate feature matrix", cmd_featurize,
+     [_P, ("--sensors", False, "comma list, e.g. prox,ambient")]),
+    ("train", "train the chew classifier", cmd_train,
+     [("--participants", True, "comma list of feature files to pool")]),
+    ("predict", "classify candidates", cmd_predict, [_P]),
+    ("episodes", "cluster positives into episodes", cmd_episodes, [_P]),
+    ("evaluate", "two-level metrics for one participant", cmd_evaluate, [_P, ("--labels", False)]),
+    ("losocv", "leave-one-subject-out cross-validation", cmd_losocv,
+     [("--data", True, "directory of sensors_*.csv + labels*.csv"), ("--participants", False)]),
+    ("ablate", "LOSOCV on a sensor subset", cmd_ablate,
+     [("--data", True), ("--participants", False), ("--sensors", True)]),
+    ("gap-cdf", "CDF of gaps between chewing sequences", cmd_gap_cdf,
+     [("--labels", True), ("--participant", False)]),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -341,82 +369,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"chewdet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, participant: bool = True) -> None:
+    for command, help_text, body, options in COMMANDS:
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
-        if participant:
-            p.add_argument("--participant", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic session from a scenario file")
-    common(p, participant=False)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--participant", default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate a sensor CSV and report gaps")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("derive", help="compute the four analysis signals")
-    common(p)
-    p.add_argument("--input", default=None)
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("peaks", help="find prominent proximity peaks")
-    common(p)
-    p.set_defaults(func=cmd_peaks)
-
-    p = sub.add_parser("segment", help="periodic-subsequence candidates from peaks")
-    common(p)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("featurize", help="per-candidate feature matrix")
-    common(p)
-    p.add_argument("--sensors", default=None, help="comma list, e.g. prox,ambient")
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train", help="train the chew classifier")
-    common(p, participant=False)
-    p.add_argument("--participants", required=True, help="comma list of feature files to pool")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="classify candidates")
-    common(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("episodes", help="cluster positives into episodes")
-    common(p)
-    p.set_defaults(func=cmd_episodes)
-
-    p = sub.add_parser("evaluate", help="two-level metrics for one participant")
-    common(p)
-    p.add_argument("--labels", default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("losocv", help="leave-one-subject-out cross-validation")
-    common(p, participant=False)
-    p.add_argument("--data", required=True, help="directory of sensors_*.csv + labels*.csv")
-    p.add_argument("--participants", default=None)
-    p.set_defaults(func=cmd_losocv)
-
-    p = sub.add_parser("ablate", help="LOSOCV on a sensor subset")
-    common(p, participant=False)
-    p.add_argument("--data", required=True)
-    p.add_argument("--participants", default=None)
-    p.add_argument("--sensors", required=True)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("gap-cdf", help="CDF of gaps between chewing sequences")
-    common(p, participant=False)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--participant", default=None)
-    p.set_defaults(func=cmd_gap_cdf)
-
+        for flag, required, *text in options:
+            p.add_argument(flag, required=required, help=text[0] if text else None)
+        p.set_defaults(func=body)
     return parser
 
 

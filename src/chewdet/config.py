@@ -9,7 +9,7 @@ misspellings must not silently fall back to defaults.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .boosting import BoostConfig
@@ -67,17 +67,8 @@ class PipelineConfig:
         return SweepConfig(min=self.sweep_min, max=self.sweep_max, epsilon=self.epsilon)
 
     def boost(self) -> BoostConfig:
-        return BoostConfig(
-            eta=self.eta,
-            max_depth=self.max_depth,
-            gamma=self.gamma,
-            min_child_weight=self.min_child_weight,
-            subsample=self.subsample,
-            n_rounds=self.n_rounds,
-            seed=self.seed,
-            reg_lambda=self.reg_lambda,
-            pos_weight=self.pos_weight,
-        )
+        # Every BoostConfig field is a field of this config, of the same name.
+        return BoostConfig(**{f.name: getattr(self, f.name) for f in fields(BoostConfig)})
 
     def dbscan(self) -> DbscanConfig:
         return DbscanConfig(

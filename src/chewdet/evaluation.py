@@ -284,21 +284,14 @@ def train_fold(
     return train(X, y, boost_cfg, names)
 
 
-@dataclass
-class _Prepared:
-    session: Session
-    cands: list
-    table: FeatureTable
+# One participant's (session, candidates, feature table).
+_Prepared = tuple[Session, list, FeatureTable]
 
 
 def _prepare_all(
     sessions: Sequence[Session], cfg: PipelineConfig, signals: Sequence[str] | None
 ) -> list[_Prepared]:
-    prepared = []
-    for session in sessions:
-        cands, table = session_candidates(session, cfg, signals)
-        prepared.append(_Prepared(session=session, cands=cands, table=table))
-    return prepared
+    return [(session, *session_candidates(session, cfg, signals)) for session in sessions]
 
 
 def _evaluate_one(
@@ -308,16 +301,17 @@ def _evaluate_one(
     cfg: PipelineConfig,
     flags: Sequence[str] = (),
 ) -> ParticipantScore:
+    session, cands, table = item
     flags = [*flags] if model.trees else [*flags, "zero_trees"]
-    if not item.cands:
+    if not cands:
         flags.append("no_candidates")
         scores: list[SecondScore] = []
         episodes: list[LabeledInterval] = []
     else:
         scores, episodes = predict_session(
-            model, item.cands, item.table, dbscan_cfg, cfg.threshold, cfg.delta
+            model, cands, table, dbscan_cfg, cfg.threshold, cfg.delta
         )
-    return score_participant(scores, episodes, item.session, cfg, flags)
+    return score_participant(scores, episodes, session, cfg, flags)
 
 
 def losocv(
@@ -355,7 +349,7 @@ def losocv(
             chosen = _select_grid_point(train_items, grid, cfg, models)
         flags = [] if chosen else ["no_grid_vote"]
         boost_cfg, dbscan_cfg = chosen or grid[0]
-        model = train_fold([p.table for p in train_items], boost_cfg)
+        model = train_fold([table for _, _, table in train_items], boost_cfg)
         scores.append(_evaluate_one(model, held, dbscan_cfg, cfg, flags))
     second_avg, episode_avg = _macro(scores)
     return EvalReport(
@@ -379,7 +373,7 @@ def _select_grid_point(
         boost_cfg, dbscan_cfg = point
         fold_scores = []
         for inner_idx, inner_held in enumerate(train_items):
-            inner_train = [p.table for i, p in enumerate(train_items) if i != inner_idx]
+            inner_train = [t for i, (_, _, t) in enumerate(train_items) if i != inner_idx]
             key = (boost_cfg, tuple(map(id, inner_train)))
             if key not in models:
                 classes = np.unique(np.concatenate([t.label for t in inner_train]))

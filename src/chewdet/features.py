@@ -79,6 +79,8 @@ def feature_layout(signals: Sequence[str] = SIGNALS) -> tuple[str, ...]:
     for s in signals:
         if s not in SIGNALS:
             raise ValueError(f"unknown signal {s!r}, expected subset of {SIGNALS}")
+        if signals.count(s) > 1:
+            raise ValueError(f"signal {s!r} is named more than once in {tuple(signals)}")
     names: list[str] = []
     for s in signals:
         for w in WINDOWS:

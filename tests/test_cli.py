@@ -1,4 +1,5 @@
 import csv
+import shutil
 
 import numpy as np
 import pytest
@@ -76,11 +77,11 @@ def read_report(path):
         return {(r["participant"], r["level"]): float(r["f1"]) for r in csv.DictReader(fh)}
 
 
-@pytest.fixture()
-def full_chain(tmp_path):
-    scenario = write_scenario(tmp_path)
-    config = write_config(tmp_path)
-    out = tmp_path / "run"
+def run_chain(root):
+    """The README round trip in root/run, from root's scenario and config."""
+    scenario = write_scenario(root)
+    config = write_config(root)
+    out = root / "run"
     base = ["--config", config, "--out", out]
     assert run("synth", "--scenario", scenario, *base) == 0
     for command in ("derive", "peaks", "segment", "featurize"):
@@ -89,6 +90,17 @@ def full_chain(tmp_path):
     for command in ("predict", "episodes", "evaluate"):
         assert run(command, "--participant", "SYN", *base) == 0
     return out
+
+
+@pytest.fixture()
+def full_chain(tmp_path):
+    return run_chain(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    """One round trip shared by the tests that copy it before changing it."""
+    return run_chain(tmp_path_factory.mktemp("chain"))
 
 
 class TestFullChain:
@@ -159,6 +171,110 @@ class TestLineage:
         for mine, cli_file in (("features.csv", "features_SYN.csv"),
                                ("episodes.csv", "episodes_SYN.csv")):
             assert (tmp_path / mine).read_bytes() == (full_chain / cli_file).read_bytes()
+
+
+# (command, an artifact it reads from --out, the command that writes it)
+ARTIFACT_READS = [
+    ("peaks", "derived_SYN.csv", "derive"),
+    ("segment", "peaks_SYN.csv", "peaks"),
+    ("featurize", "derived_SYN.csv", "derive"),
+    ("featurize", "candidates_SYN.csv", "segment"),
+    ("train", "features_SYN.csv", "featurize"),
+    ("predict", "model.txt", "train"),
+    ("predict", "features_SYN.csv", "featurize"),
+    ("episodes", "predictions_SYN.csv", "predict"),
+    ("evaluate", "predictions_SYN.csv", "predict"),
+    ("evaluate", "episodes_SYN.csv", "episodes"),
+    ("evaluate", "labels_SYN.csv", "synth"),
+]
+
+# The flags argparse must ask for when a command is given none.
+REQUIRED_FLAGS = {
+    "synth": ["--scenario"],
+    "ingest": ["--participant", "--input"],
+    "derive": ["--participant"],
+    "peaks": ["--participant"],
+    "segment": ["--participant"],
+    "featurize": ["--participant"],
+    "train": ["--participants"],
+    "predict": ["--participant"],
+    "episodes": ["--participant"],
+    "evaluate": ["--participant"],
+    "losocv": ["--data"],
+    "ablate": ["--data", "--sensors"],
+    "gap-cdf": ["--labels"],
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command, name, producer", ARTIFACT_READS)
+    def test_missing_artifact_names_its_producer(self, chain_dir, tmp_path, capsys,
+                                                 command, name, producer):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        (out / name).unlink()
+        flag = "--participants" if command == "train" else "--participant"
+        code = run(command, flag, "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"chewdet {command}: error: missing artifact {out / name}; "
+                       f"run `chewdet {producer}` first\n")
+
+    @pytest.mark.parametrize("command", list(REQUIRED_FLAGS))
+    def test_bare_command_names_its_required_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: " + ", ".join(REQUIRED_FLAGS[command]) in err
+
+    @pytest.mark.parametrize("command, flag, extra", [
+        ("ingest", "--input", ["--participant", "SYN"]),
+        ("evaluate", "--labels", ["--participant", "SYN"]),
+        ("gap-cdf", "--labels", []),
+    ])
+    def test_missing_file_named_by_a_flag_is_an_input(self, chain_dir, tmp_path, capsys,
+                                                      command, flag, extra):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        missing = tmp_path / "absent.csv"
+        code = run(command, flag, missing, *extra, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"chewdet {command}: error: input file {missing} does not exist\n"
+
+    def test_repeated_sensor_refused(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        (out / "features_SYN.csv").unlink()
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", "B",
+                   "--out", out) == 0
+        capsys.readouterr()
+        for command, argv in (("featurize", ["--participant", "SYN"]), ("ablate", ["--data", out])):
+            assert run(command, *argv, "--sensors", "prox,prox", "--out", out) == 1
+            assert capsys.readouterr().err == (f"chewdet {command}: error: signal 'prox' is "
+                                               "named more than once in ('prox', 'prox')\n")
+        assert not (out / "features_SYN.csv").exists()
+        assert not (out / "report_ablate_prox-prox.csv").exists()
+
+    def test_derive_without_sensors_names_the_synth_artifact(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        code = run("derive", "--participant", "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"chewdet derive: error: missing artifact {out / 'sensors_SYN.csv'}; "
+                       "run `chewdet synth` first\n")
+
+    def test_derive_falls_back_to_the_ingested_log(self, chain_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        (out / "sensors_SYN.csv").rename(out / "ingested_SYN.csv")
+        derived = (out / "derived_SYN.csv").read_bytes()
+        (out / "derived_SYN.csv").unlink()
+        assert run("derive", "--participant", "SYN", "--out", out) == 0
+        assert (out / "derived_SYN.csv").read_bytes() == derived
+        assert "input.ingested_SYN.csv" in manifest_entries(out)[-1]
 
 
 class TestErrors:

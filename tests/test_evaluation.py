@@ -278,11 +278,11 @@ class TestPipeline:
             table = FeatureTable(("f0", "f1"), rng.normal(size=(20, 2)), np.zeros(20),
                                  np.ones(20), [pid] * 20, np.array(label))
             session = Session(pid, [], [], [], np.zeros((0, 4)), np.zeros((0, 3)))
-            prepared.append(evaluation._Prepared(session, [], table))
+            prepared.append((session, [], table))
         monkeypatch.setattr(evaluation, "_prepare_all", lambda *args: prepared)
         cfg = quick_config()
         grid = [cfg.boost(), replace(cfg.boost(), n_rounds=5)]
-        report = losocv([p.session for p in prepared], boost_grid=grid, cfg=cfg)
+        report = losocv([session for session, _, _ in prepared], boost_grid=grid, cfg=cfg)
         assert ["no_grid_vote" in s.flags for s in report.scores] == [True, False, False]
         assert "no_grid_vote" in report.to_text()
 

@@ -67,6 +67,10 @@ class TestLayout:
         with pytest.raises(ValueError, match="unknown signal"):
             feature_layout(("prox", "audio"))
 
+    def test_repeated_signal_rejected(self):
+        with pytest.raises(ValueError, match="signal 'prox' is named more than once"):
+            feature_layout(("prox", "ambient", "prox"))
+
     def test_fingerprint_tracks_layout(self):
         assert layout_fingerprint(feature_layout()) != layout_fingerprint(
             feature_layout(("prox",))
