@@ -256,7 +256,7 @@ def cmd_featurize(args, cfg: PipelineConfig, rec: Recorder) -> None:
     chews = None
     if label_file.exists():
         chews = _chews(rec.read(label_file, "synth", read_label_csv), pid)
-    sensors = args.sensors.split(",") if args.sensors else None
+    sensors = args.sensors.split(",") if args.sensors is not None else None
     table = featurize(trace, cands, pid, chews, cfg, sensors)
     rec.write(f"features_{pid}.csv", write_feature_csv, table)
     print(f"{pid}: {len(table)} x {len(table.names)} feature matrix")
@@ -302,6 +302,8 @@ def cmd_evaluate(args, cfg: PipelineConfig, rec: Recorder) -> None:
     episodes = rec.read(rec.out / f"episodes_{pid}.csv", "episodes", read_episode_csv)
     label_file = Path(args.labels) if args.labels else rec.out / f"labels_{pid}.csv"
     chews = _chews(rec.read(label_file, None if args.labels else "synth", read_label_csv), pid)
+    if not chews:
+        raise StageError(f"labels file {label_file} holds no chew of participant {pid}")
     score = score_chews(pid, score_seconds(positives), episodes, chews, cfg)
     for level, m in score.levels():
         print(f"{pid} {level:<8} precision={m.precision:.3f} recall={m.recall:.3f} f1={m.f1:.3f}")

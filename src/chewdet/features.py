@@ -21,7 +21,10 @@ signals for an ablation shrinks the layout, and boosting.layout_fingerprint
 changes with it.
 
 Zero-variance windows fall back to 0 for skewness, kurtosis, and
-correlations so every vector stays finite.
+correlations so every vector stays finite.  Skewness and kurtosis take d**3
+and d**4 as sq*d and sq*sq (sq = d*d) and m2**1.5 as m2*sqrt(m2): correctly
+rounded IEEE operations, whose bits, unlike numpy's power, do not follow the
+CPU kernels that numpy dispatches.
 
 Cost: O(S * w * log w) time per candidate for S signals and windows of w
 samples.  Windows are sorted by length and gathered 64 at a time into
@@ -108,21 +111,13 @@ _BLOCK_WINDOWS = 64
 _PER_WINDOW = len(STAT_FEATURES) + len(FREQ_HZ) + len(SPECTRUM_FEATURES) + len(TS_FEATURES)
 
 
-def _pow15(v: float) -> float:
-    try:
-        return v**1.5
-    except OverflowError:
-        return inf
-
-
 def _moments(m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Population skewness and excess kurtosis from the means of d**2, d**3
-    # and d**4 for mean-removed d; constants give exactly 0.  m2**1.5 is a
-    # Python-float pow per value: numpy's vectorised power rounds some last
-    # bits differently.  One that overflows is inf: the row fails as non-finite.
+    # Population skewness and excess kurtosis from the means of sq = d*d,
+    # sq*d and sq*sq for mean-removed d; constants give exactly 0, and an
+    # overflow inf or NaN: the row fails as non-finite.
     flat = m2 == 0.0
     m2 = np.where(flat, 1.0, m2)
-    skew = m3 / np.reshape([_pow15(v) for v in m2.ravel().tolist()], m2.shape)
+    skew = m3 / (m2 * np.sqrt(m2))
     kurt = m4 / (m2 * m2) - 3.0
     return np.where(flat, 0.0, skew), np.where(flat, 0.0, kurt)
 
@@ -156,12 +151,13 @@ def _quartiles(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _length_stats(x: np.ndarray, sample_rate_hz: float, a, b) -> tuple[np.ndarray, ...]:
     # What of a C-contiguous (k, S, n) block has bits that depend on n: mean,
-    # the means of d*d, x*x, d**3, d**4 and d[:, a]*d[:, b], max, min and the
-    # spectrum amplitudes (all 0 at n = 1, where d is 0 for finite samples).
+    # the means of sq = d*d, x*x, sq*d, sq*sq and d[:, a]*d[:, b], max, min and
+    # the spectrum amplitudes (all 0 at n = 1, where d is 0 for finite samples).
     n = x.shape[-1]
     mean = x.mean(axis=-1)
     d = x - mean[..., None]
-    means = np.concatenate([d * d, x * x, d**3, d**4, d[:, a] * d[:, b]], axis=1).mean(axis=-1)
+    sq = d * d
+    means = np.concatenate([sq, x * x, sq * d, sq * sq, d[:, a] * d[:, b]], axis=1).mean(axis=-1)
     bins = np.argmin(np.abs(np.fft.rfftfreq(n, 1.0 / sample_rate_hz) - np.array(FREQ_HZ)[:, None]), 1)
     amps = np.take(np.abs(np.fft.rfft(d, axis=-1)), bins, axis=-1) * (2.0 / n)
     return mean, means, x.max(axis=-1), x.min(axis=-1), amps
@@ -181,11 +177,12 @@ def _window_features(block: np.ndarray, lengths: np.ndarray, sample_rate_hz: flo
     valid = np.arange(w) < lengths[:, None, None]
     below, above = block < mean[..., None], (block > mean[..., None]) & valid
     d_amps = amps - amps.mean(axis=-1, keepdims=True)
+    sq = d_amps * d_amps
     q1, med, q3 = _quartiles(block, lengths)
     n = lengths[:, None]
     per_window = [
         top, low, mean, med, m2, np.sqrt(ms), *_moments(m2, m3, m4), q1, q3, q3 - q1,
-        *np.moveaxis(amps, -1, 0), *_moments(*np.mean([d_amps * d_amps, d_amps**3, d_amps**4], -1)),
+        *np.moveaxis(amps, -1, 0), *_moments(*np.mean([sq, sq * d_amps, sq * sq], -1)),
         below.sum(axis=-1), above.sum(axis=-1),
         np.argmin(block, axis=-1) / n, np.argmax(np.where(valid, block, -inf), axis=-1) / n,
         _longest_runs(below), _longest_runs(above), np.zeros((k, n_sig)),

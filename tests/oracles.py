@@ -25,7 +25,7 @@ node, on the booster's own split search and order filter.
 from __future__ import annotations
 
 from itertools import combinations
-from math import inf
+from math import inf, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -426,15 +426,14 @@ def searched_build_tree(X, g, h, rows, presorted, cfg):
 def _moments(x: np.ndarray) -> tuple[float, float]:
     # Population skewness and excess kurtosis; constants give exactly 0.
     d = x - x.mean()
-    m2 = float(np.mean(d * d))
+    sq = d * d
+    m2 = float(np.mean(sq))
     if m2 == 0.0:
         return 0.0, 0.0
-    try:
-        scale = m2**1.5
-    except OverflowError:
-        scale = float("inf")  # the row then fails as non-finite
-    skew = float(np.mean(d**3)) / scale
-    kurt = float(np.mean(d**4)) / (m2 * m2) - 3.0
+    # IEEE products and sqrt only; an overflow is inf or NaN, and the row
+    # then fails as non-finite.
+    skew = float(np.mean(sq * d)) / (m2 * sqrt(m2))
+    kurt = float(np.mean(sq * sq)) / (m2 * m2) - 3.0
     return skew, kurt
 
 

@@ -257,6 +257,30 @@ class TestSurface:
         assert not (out / "features_SYN.csv").exists()
         assert not (out / "report_ablate_prox-prox.csv").exists()
 
+    def test_empty_sensor_list_refused(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        (out / "features_SYN.csv").unlink()
+        assert run("featurize", "--participant", "SYN", "--sensors", "", "--out", out) == 1
+        assert capsys.readouterr().err == ("chewdet featurize: error: unknown signal '', expected "
+                                           "subset of ('prox', 'ambient', 'lfa', 'energy')\n")
+        assert not (out / "features_SYN.csv").exists()
+
+    def test_evaluate_refuses_labels_without_the_participants_chews(self, chain_dir, tmp_path,
+                                                                    capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        (out / "report_SYN.csv").unlink()
+        other = tmp_path / "other"
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", "B",
+                   "--out", other) == 0
+        capsys.readouterr()
+        labels = other / "labels_B.csv"
+        assert run("evaluate", "--participant", "SYN", "--labels", labels, "--out", out) == 1
+        assert capsys.readouterr().err == (f"chewdet evaluate: error: labels file {labels} "
+                                           "holds no chew of participant SYN\n")
+        assert not (out / "report_SYN.csv").exists()
+
     def test_derive_without_sensors_names_the_synth_artifact(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()

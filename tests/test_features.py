@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import naive_extract, naive_label_candidates
 from scipy import stats as sp_stats
 
+import chewdet
 from chewdet import features
 from chewdet.boosting import BoostConfig, TrainedModel, layout_fingerprint, train
 from chewdet.features import (
@@ -411,6 +416,56 @@ class TestBlockPath:
         trace.prox[80] = np.nan  # sample 40 of the candidate's cw window
         with pytest.raises(ValueError, match=r"^signal sample 80 is not finite \(nan\)$"):
             extract_table(trace, [cand(4.0, 4.2)], HOUR0, "P1")
+
+
+# Featurizes a fixed trace built from integer ratios (no numpy function
+# whose bits follow CPU dispatch) and prints the matrix's bytes as hex.
+DISPATCH_SCRIPT = """
+import numpy as np
+from chewdet.features import extract_table, local_hour
+from chewdet.periodic import CandidateWindow
+from chewdet.signals import DerivedTrace
+
+k = np.arange(1200)
+trace = DerivedTrace(
+    t=k / 20.0,
+    prox=100.0 + (k * 37 % 101 - 50) / 7.0,
+    ambient=500.0 + (k * 11 % 29) / 3.0,
+    lfa=90.0 + (k * 13 % 61 - 30) / 9.0,
+    energy=1.0 + (k * 7 % 17) / 13.0,
+)
+cands = [CandidateWindow(c1, c1 + 6.5, 0.5, 0.6, 0.2, 5) for c1 in (3.0, 11.25, 20.0, 31.5, 47.0)]
+print(extract_table(trace, cands, local_hour(0.0), "P1").X.tobytes().hex())
+"""
+
+
+def avx512_targets():
+    """numpy's AVX-512 dispatch targets that this host's CPU runs."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__
+            if (name == "X86_V4" or name.startswith("AVX512")) and __cpu_features__.get(name)]
+
+
+class TestHostIndependence:
+    def test_features_do_not_follow_avx512_dispatch(self):
+        # numpy picks a kernel per CPU at import; NPY_DISABLE_CPU_FEATURES
+        # turns targets off for one process.  Features use no operation
+        # whose bits follow the AVX-512 kernels, so the bytes agree.
+        targets = avx512_targets()
+        if not targets:
+            pytest.skip("numpy runs no AVX-512 kernel in this process")
+        src = str(Path(chewdet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        runs = [
+            subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT], env=run_env, check=True,
+                           capture_output=True, text=True).stdout
+            for run_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+        ]
+        assert runs[0] and runs[0] == runs[1]
 
 
 class TestLabeling:
