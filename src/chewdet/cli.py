@@ -49,7 +49,7 @@ from .evaluation import (
     write_report_csv,
     write_scores_csv,
 )
-from .features import read_feature_csv, write_feature_csv
+from .features import SIGNALS, read_feature_csv, write_feature_csv
 from .peaks import Peak, find_prominent_peaks
 from .periodic import (
     CANDIDATE_HEADER,
@@ -256,7 +256,7 @@ def cmd_featurize(args, cfg: PipelineConfig, rec: Recorder) -> None:
     chews = None
     if label_file.exists():
         chews = _chews(rec.read(label_file, "synth", read_label_csv), pid)
-    sensors = args.sensors.split(",") if args.sensors is not None else None
+    sensors = args.sensors.split(",") if args.sensors is not None else SIGNALS
     table = featurize(trace, cands, pid, chews, cfg, sensors)
     rec.write(f"features_{pid}.csv", write_feature_csv, table)
     print(f"{pid}: {len(table)} x {len(table.names)} feature matrix")

@@ -1,10 +1,11 @@
 """From positive candidates to predicted eating episodes.
 
 Positive candidate subsequences are first flattened into per-second scores
-(how many candidates cover each whole second), then clustered with a 1-D
-DBSCAN so isolated or sparse detections drop out as noise, and finally the
-surviving clusters are merged into episode intervals with the same gap
-rule used to derive ground-truth episodes.
+(how many candidates cover each whole second, by the ``covered_seconds`` rule
+that counts ground truth), then clustered with a 1-D DBSCAN so isolated or
+sparse detections drop out as noise, and finally the surviving clusters are
+merged into episode intervals with the same gap rule used to derive
+ground-truth episodes.
 
 The DBSCAN here exploits sorted 1-D input: neighborhoods are contiguous
 index windows, so core flags come from prefix sums and clusters from a
@@ -15,7 +16,6 @@ ascending order.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,15 +53,13 @@ class DbscanConfig:
 def score_seconds(positives: Sequence) -> list[SecondScore]:
     """Per-second overlap counts over all positive candidates, sorted.
 
-    A second counts when the closed interval [s, s+1) touches the candidate
-    span at all, so a candidate ending exactly on an integer still scores
-    that second.
+    A candidate scores the seconds ``covered_seconds`` gives it, the rule
+    that counts ground truth: those sharing positive measure with its span,
+    so a candidate ending exactly on a whole second does not score it.
     """
     counts: Counter[int] = Counter()
     for cand in positives:
-        if not cand.c2 > cand.c1:
-            raise ValueError(f"candidate needs c2 > c1, got [{cand.c1}, {cand.c2}]")
-        counts.update(range(math.floor(cand.c1), math.floor(cand.c2) + 1))
+        counts.update(covered_seconds(cand.c1, cand.c2))
     return [SecondScore(second=s, score=counts[s]) for s in sorted(counts)]
 
 
@@ -109,15 +107,11 @@ def cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int,
 def episodes_from_clusters(
     clusters: Sequence[Sequence[int]], delta: float, participant: str = ""
 ) -> list[LabeledInterval]:
-    """Clusters of seconds -> episode intervals, merging gaps <= delta."""
+    """Clusters of seconds -> episode intervals, merging gaps <= delta; spans must be disjoint."""
     spans = []
-    seen: set[int] = set()
     for members in clusters:
         if not members:
             raise ValueError("empty cluster")
-        if seen & set(members):
-            raise ValueError("clusters must be disjoint")
-        seen.update(members)
         spans.append((float(min(members)), float(max(members)) + 1.0))
     return episode_intervals(spans, delta, participant)
 

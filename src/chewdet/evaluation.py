@@ -187,7 +187,7 @@ def _macro(scores: Sequence[ParticipantScore]) -> tuple[Metrics, Metrics]:
 def session_candidates(
     session: Session,
     cfg: PipelineConfig,
-    signals: Sequence[str] | None = None,
+    signals: Sequence[str] = SIGNALS,
 ) -> tuple[list, FeatureTable]:
     """Run segmentation + feature extraction for one session."""
     trace = derive(session)
@@ -202,17 +202,17 @@ def featurize(
     participant: str,
     chews: Sequence[LabeledInterval] | None,
     cfg: PipelineConfig,
-    signals: Sequence[str] | None = None,
+    signals: Sequence[str] = SIGNALS,
 ) -> FeatureTable:
     """The feature table of one trace's candidates, labeled from ``chews``
-    (unlabeled, -1, when ``chews`` is None); ``signals`` defaults to all four."""
+    (unlabeled, -1, when ``chews`` is None), over a non-empty ``signals``."""
     return extract_table(
         trace,
         cands,
         local_hour(cfg.tz_offset_s),
         participant,
         chews=chews,
-        signals=tuple(signals) if signals else SIGNALS,
+        signals=tuple(signals),
         min_prominence=cfg.min_prominence,
         sample_rate_hz=cfg.sample_rate_hz,
         label_min_overlap=cfg.candidate_label_min_overlap,
@@ -289,7 +289,7 @@ _Prepared = tuple[Session, list, FeatureTable]
 
 
 def _prepare_all(
-    sessions: Sequence[Session], cfg: PipelineConfig, signals: Sequence[str] | None
+    sessions: Sequence[Session], cfg: PipelineConfig, signals: Sequence[str] = SIGNALS
 ) -> list[_Prepared]:
     return [(session, *session_candidates(session, cfg, signals)) for session in sessions]
 
@@ -305,12 +305,9 @@ def _evaluate_one(
     flags = [*flags] if model.trees else [*flags, "zero_trees"]
     if not cands:
         flags.append("no_candidates")
-        scores: list[SecondScore] = []
-        episodes: list[LabeledInterval] = []
-    else:
-        scores, episodes = predict_session(
-            model, cands, table, dbscan_cfg, cfg.threshold, cfg.delta
-        )
+    scores, episodes = predict_session(
+        model, cands, table, dbscan_cfg, cfg.threshold, cfg.delta
+    )
     return score_participant(scores, episodes, session, cfg, flags)
 
 
@@ -319,7 +316,7 @@ def losocv(
     boost_grid: Sequence[BoostConfig] | None = None,
     dbscan_grid: Sequence[DbscanConfig] | None = None,
     cfg: PipelineConfig = PipelineConfig(),
-    signals: Sequence[str] | None = None,
+    signals: Sequence[str] = SIGNALS,
 ) -> EvalReport:
     """Leave-one-subject-out evaluation with optional inner grid selection.
 

@@ -78,7 +78,9 @@ _EDGE_EPS = 1e-9
 
 
 def feature_layout(signals: Sequence[str] = SIGNALS) -> tuple[str, ...]:
-    """Canonical ordered feature names for a sensor subset."""
+    """Canonical ordered feature names for a non-empty sensor subset."""
+    if not signals:
+        raise ValueError("sensor subset must be non-empty")
     for s in signals:
         if s not in SIGNALS:
             raise ValueError(f"unknown signal {s!r}, expected subset of {SIGNALS}")

@@ -4,9 +4,11 @@ On-disk formats are two small CSVs: a 20 Hz sensor log
 (``t_ms,prox,ambient,qw,qx,qy,qz,ax,ay,az``) and a label file
 (``participant,kind,start_s,end_s``) with ``kind`` in ``{chew, episode}``.
 
-``check_increasing`` is the one time-order check, ``check_range`` the one
-range check for every numeric setting, and ``episode_intervals`` the one way
-spans become episodes, for ground truth and predictions alike.
+``check_increasing`` is the one time-order check and ``check_range`` the one
+range check for every numeric setting.  The interval rules live here too, for
+ground truth and predictions alike: ``covered_seconds`` maps an interval to
+whole seconds, ``disjoint_spans`` decides when spans are disjoint, and
+``episode_intervals`` merges spans into episodes.
 """
 
 from __future__ import annotations
@@ -230,28 +232,19 @@ def check_overlap_rule(threshold: float, base: str) -> None:
     check_range("overlap_threshold", threshold, "[0, 1]")
 
 
-def merge_intervals(
-    spans: Iterable[tuple[float, float]], delta: float
-) -> list[tuple[float, float]]:
-    """Merge spans separated by gaps <= delta; overlapping inputs are an error.  O(n log n)."""
+def episode_intervals(
+    spans: Iterable[tuple[float, float]], delta: float, participant: str
+) -> list[LabeledInterval]:
+    """``participant``'s EPISODE intervals: disjoint ``spans`` (touching ends
+    allowed) merged across gaps <= ``delta``.  O(n log n)."""
+    check_range("delta", delta, "(0, inf)")
     merged: list[list[float]] = []
     for start, end in disjoint_spans(spans, "intervals"):
         if merged and start - merged[-1][1] <= delta:
             merged[-1][1] = end
         else:
             merged.append([start, end])
-    return [(a, b) for a, b in merged]
-
-
-def episode_intervals(
-    spans: Iterable[tuple[float, float]], delta: float, participant: str
-) -> list[LabeledInterval]:
-    """``participant``'s EPISODE intervals: ``spans`` merged across gaps <= ``delta``."""
-    check_range("delta", delta, "(0, inf)")
-    return [
-        LabeledInterval(start=a, end=b, kind=IntervalKind.EPISODE, participant=participant)
-        for a, b in merge_intervals(spans, delta)
-    ]
+    return [LabeledInterval(a, b, IntervalKind.EPISODE, participant) for a, b in merged]
 
 
 def derive_episode_labels(
@@ -291,9 +284,8 @@ def inter_sequence_gap_cdf(
 
 
 def covered_seconds(start: float, end: float) -> range:
-    """Whole seconds sharing positive-measure overlap with [start, end]."""
+    """Whole seconds sharing positive-measure overlap with [start, end]: an
+    interval ending exactly on second s does not cover s."""
     if not end > start:
         raise ValueError(f"need end > start, got [{start}, {end}]")
-    lo = math.floor(start)
-    hi = max(math.ceil(end), lo + 1)
-    return range(lo, hi)
+    return range(math.floor(start), math.ceil(end))

@@ -13,6 +13,7 @@ from chewdet.episodes import (
     write_episode_csv,
 )
 from chewdet.periodic import CandidateWindow
+from chewdet.records import covered_seconds
 from oracles import loop_cluster, naive_dbscan_1d
 
 
@@ -36,9 +37,14 @@ class TestScoreSeconds:
     def test_partial_overlap_counts(self):
         out = score_seconds([cand(0.0, 10.0), cand(5.0, 15.0)])
         by_second = {s.second: s.score for s in out}
-        assert set(by_second) == set(range(0, 16))
-        assert all(by_second[s] == 2 for s in range(5, 11))
-        assert all(by_second[s] == 1 for s in list(range(0, 5)) + list(range(11, 16)))
+        assert set(by_second) == set(range(0, 15))
+        assert all(by_second[s] == 2 for s in range(5, 10))
+        assert all(by_second[s] == 1 for s in list(range(0, 5)) + list(range(10, 15)))
+
+    @pytest.mark.parametrize("c1, c2", [(5.0, 5.0), (6.0, 5.0)])
+    def test_empty_span_refused(self, c1, c2):
+        with pytest.raises(ValueError, match=rf"^need end > start, got \[{c1}, {c2}\]$"):
+            score_seconds([cand(1.0, 2.0), cand(c1, c2)])
 
     def test_total_mass_is_sum_of_coverages(self):
         rng = np.random.default_rng(1)
@@ -48,9 +54,7 @@ class TestScoreSeconds:
             cands.append(cand(c1, c1 + float(rng.uniform(0.5, 40))))
         out = score_seconds(cands)
         total = sum(s.score for s in out)
-        expected = sum(
-            int(np.floor(c.c2)) - int(np.floor(c.c1)) + 1 for c in cands
-        )
+        expected = sum(len(covered_seconds(c.c1, c.c2)) for c in cands)
         assert total == expected
 
     def test_empty_input(self):
@@ -170,7 +174,8 @@ class TestEpisodesFromClusters:
         assert [(e.start, e.end) for e in episodes] == [(100.0, 161.0), (400.0, 461.0)]
 
     def test_disjointness_enforced(self):
-        with pytest.raises(ValueError, match="disjoint"):
+        msg = r"^intervals overlap: \[1\.0, 4\.0\] and \[3\.0, 5\.0\]$"
+        with pytest.raises(ValueError, match=msg):
             episodes_from_clusters([(1, 2, 3), (3, 4)], delta=10.0)
 
     def test_output_sorted(self):

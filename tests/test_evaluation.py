@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 
 from chewdet import evaluation
 from chewdet.boosting import BoostConfig
+from chewdet.episodes import score_seconds
 from chewdet.evaluation import (
     ablate_sensors,
+    featurize,
     losocv,
     per_episode_metrics,
     per_second_metrics,
+    score_chews,
     session_candidates,
     train_fold,
     write_report_csv,
 )
 from chewdet.features import FeatureTable
-from chewdet.records import IntervalKind, LabeledInterval, Session
+from chewdet.periodic import CandidateWindow
+from chewdet.records import IntervalKind, LabeledInterval, Session, derive_episode_labels
+from chewdet.signals import derive
 from conftest import quick_config
 from oracles import naive_per_episode_metrics
 
@@ -49,6 +54,17 @@ class TestPerSecond:
     def test_perfect_agreement(self):
         m = per_second_metrics(set(range(100)), [chew(0, 100)])
         assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
+
+    def test_exact_agreement_scores_one(self):
+        # Positives whose union is the chews, one ending on a whole second:
+        # predicted seconds are counted by the rule that counts the truth.
+        chews = [chew(10.0, 20.0), chew(30.5, 41.25)]
+        spans = [(10.0, 15.5), (15.5, 20.0), (30.5, 41.25)]
+        positives = [CandidateWindow(c1, c2, 0.5, 0.6, 0.2, 5) for c1, c2 in spans]
+        cfg = quick_config()
+        episodes = derive_episode_labels(chews, cfg.delta)
+        score = score_chews("P1", score_seconds(positives), episodes, chews, cfg)
+        assert (score.second.f1, score.episode.f1) == (1.0, 1.0)
 
     def test_half_coverage(self):
         m = per_second_metrics(set(range(50)), [chew(0, 100)])
@@ -298,6 +314,22 @@ class TestPipeline:
         write_report_csv(tmp_path / "unflagged.csv", unflagged)
         assert (tmp_path / "flagged.csv").read_bytes() == (tmp_path / "unflagged.csv").read_bytes()
 
+    def test_participant_without_candidates_is_flagged(self, clean_sessions):
+        # A flat proximity trace has no peaks, so no candidates: its fold
+        # predicts nothing and the report says why.
+        source = clean_sessions[1]
+        flat = replace(
+            source,
+            participant="P3",
+            prox=np.full(len(source), 100.0),
+            labels=tuple(replace(iv, participant="P3") for iv in source.labels),
+        )
+        report = losocv([*clean_sessions, flat], cfg=quick_config())
+        assert [s.flags for s in report.scores] == [(), (), ("no_candidates",)]
+        held = report.scores[2]
+        assert (held.second.tp, held.second.fp, held.episode.tp, held.episode.fp) == (0, 0, 0, 0)
+        assert held.second.fn > 0 and held.second.f1 == held.episode.f1 == 0.0
+
     def test_report_rows_and_average(self, clean_sessions):
         report = losocv(clean_sessions, cfg=quick_config())
         rows = report.to_csv_rows()
@@ -317,6 +349,15 @@ class TestAblation:
     def test_empty_subset_rejected(self, clean_sessions):
         with pytest.raises(ValueError, match="non-empty"):
             ablate_sensors(clean_sessions, (), cfg=quick_config())
+
+    def test_featurize_refuses_empty_subset(self, clean_sessions):
+        trace = derive(clean_sessions[0])
+        with pytest.raises(ValueError, match="^sensor subset must be non-empty$"):
+            featurize(trace, [], "P1", None, quick_config(), signals=())
+
+    def test_session_candidates_refuses_empty_subset(self, clean_sessions):
+        with pytest.raises(ValueError, match="^sensor subset must be non-empty$"):
+            session_candidates(clean_sessions[0], quick_config(), signals=())
 
     def test_proximity_only_layout_shrinks(self, clean_sessions):
         cfg = quick_config()

@@ -9,6 +9,10 @@ from chewdet import peaks
 from chewdet.cli import _read_peaks_csv, _write_peaks_csv
 from chewdet.peaks import Peak, find_prominent_peaks, window_peak_counts
 
+# Peak finding must not compute inf - inf or other invalid values at the
+# walls between windows: any RuntimeWarning fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def peaks_of(values, min_prominence=4.5):
     values = np.asarray(values, dtype=float)

@@ -23,6 +23,11 @@ from chewdet.periodic import (
 )
 from oracles import brute_force_longest_periodic, naive_segment
 
+# Segment's screen must widen its windows from finite times only: an infinite
+# peak time must not compute inf - inf or spacing(inf), and any
+# RuntimeWarning fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def as_peaks(times):
     return [Peak(t=float(t), height=10.0, prominence=5.0) for t in times]

@@ -17,7 +17,6 @@ from chewdet.records import (
     episode_intervals,
     ingest_sensor_csv,
     inter_sequence_gap_cdf,
-    merge_intervals,
     overlap_range,
     read_label_csv,
     write_label_csv,
@@ -228,7 +227,7 @@ class TestSpans:
     def test_overlap_message_names_both_spans(self):
         msg = r"^intervals overlap: \[0\.0, 60\.0\] and \[30\.0, 90\.0\]$"
         with pytest.raises(ValueError, match=msg):
-            merge_intervals([(30, 90), (0, 60)], delta=10)
+            episode_intervals([(30, 90), (0, 60)], 10, "P1")
         with pytest.raises(ValueError, match=msg):
             inter_sequence_gap_cdf([chew(30, 90), chew(200, 210), chew(0, 60)])
 
@@ -339,4 +338,5 @@ class TestCoveredSeconds:
         assert list(covered_seconds(10.5, 11.0)) == [10]
 
     def test_merge_touching_intervals(self):
-        assert merge_intervals([(0, 10), (10, 20)], delta=0.0) == [(0, 20)]
+        episodes = episode_intervals([(10, 20), (0, 10), (20.5, 30)], 0.25, "P1")
+        assert [(e.start, e.end) for e in episodes] == [(0.0, 20.0), (20.5, 30.0)]
