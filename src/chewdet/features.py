@@ -28,16 +28,16 @@ CPU kernels that numpy dispatches.
 
 Cost: O(S * w * log w) time per candidate for S signals and windows of w
 samples.  Windows are sorted by length and gathered 64 at a time into
-(k, S, w) blocks padded to the longest, so extra memory is one block of 64
-windows at its longest and padding adds at most one block of work.  Peaks
-are counted only by peaks.window_peak_counts in one walled pass per signal
-and block: O(window samples) time, a non-finite sample named by its index.
+(k, S, w) blocks padded to the longest; padding adds at most one block of
+work.  Peaks are counted by peaks.window_peak_counts in one walled pass per
+signal over both windows of up to 64 x S candidates: O(window samples) time,
+a non-finite sample named by its index.  Extra memory is two blocks' worth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import inf
 from pathlib import Path
 from typing import Callable, Sequence
@@ -106,7 +106,7 @@ def local_hour(tz_offset_s: float = 0.0) -> Callable[[float], int]:
         return int(((t + tz_offset_s) % 86400.0) // 3600.0)
 
     return hour
-
+# Windows per padded block; a peak-count pass holds two blocks' worth.
 
 # Windows per padded block: a call's extra memory is one block.
 _BLOCK_WINDOWS = 64
@@ -125,10 +125,12 @@ def _moments(m2: np.ndarray, m3: np.ndarray, m4: np.ndarray) -> tuple[np.ndarray
 
 
 def _longest_runs(mask: np.ndarray) -> np.ndarray:
-    # Longest run of True along the last axis: each sample's distance to
-    # the last False at or before it, maximised.  Exact integer work.
-    at = np.arange(mask.shape[-1])
-    return (at - np.maximum.accumulate(np.where(mask, -1, at), axis=-1)).max(axis=-1)
+    # Longest run of True along the last axis.  Framed by False, a row's
+    # edges alternate run start and end, and flat index // (w + 1) is the row.
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False, axis=-1))
+    out = np.zeros(mask.shape[:-1], dtype=np.intp)
+    np.maximum.at(out.reshape(-1), edges[::2] // (mask.shape[-1] + 1), edges[1::2] - edges[::2])
+    return out
 
 
 def _quartiles(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -204,19 +206,16 @@ def _feature_rows(
     t = trace.t
     t0, t1 = float(t[0]), float(t[-1])
     start = np.searchsorted(t, np.array([max(c.c1 - WINDOW_PAD_S, t0) for c in candidates]) - _EDGE_EPS)
-    stops = [
-        np.searchsorted(t, np.array([min(end + WINDOW_PAD_S, t1) for end in ends]) + _EDGE_EPS, "right")
-        for ends in ([c.c2 for c in candidates], [c.c1 for c in candidates])
-    ]
-    empty = np.flatnonzero((stops[0] <= start) | (stops[1] <= start))
+    ends = np.array([(c.c2, c.c1) for c in candidates], float)  # CW, BW
+    stops = np.searchsorted(t, np.minimum(ends + WINDOW_PAD_S, t1) + _EDGE_EPS, "right")
+    empty = np.flatnonzero((stops <= start[:, None]).any(axis=1))
     n_rows = int(empty[0]) if empty.size else len(candidates)
 
     sig = [trace.signal(s) for s in signals]
-    n_windows = len(sig) * len(WINDOWS)
     per_window = np.zeros((n_rows, len(sig), len(WINDOWS), _PER_WINDOW))
     a, b = np.array(list(combinations(range(len(sig)), 2)), dtype=np.intp).reshape(-1, 2).T
     corr = np.zeros((n_rows, len(WINDOWS), a.size))
-    for w, stop in enumerate(stops):
+    for w, stop in enumerate(stops.T):
         lengths = stop[:n_rows] - start[:n_rows]
         order = np.argsort(lengths, kind="stable")
         for lo in range(0, n_rows, _BLOCK_WINDOWS):
@@ -227,31 +226,32 @@ def _feature_rows(
             block = np.where(pad[:, None], inf, np.stack([x[index] for x in sig], axis=1))
             per_window[chunk, :, w], corr[chunk, w] = _window_features(
                 block, lengths[chunk], sample_rate_hz, a, b)
-    rows = np.hstack([per_window.reshape(n_rows, n_windows * _PER_WINDOW),
+    rows = np.hstack([per_window.reshape(n_rows, len(sig) * len(WINDOWS) * _PER_WINDOW),
                       corr.reshape(n_rows, len(WINDOWS) * a.size), meta[:n_rows]])
 
     # Errors are raised in input order, so a failure names the first failing
-    # candidate as one-at-a-time work would.  Peaks are counted a block of
-    # windows at a time up to and including the first bad row: rows before it
-    # hold only finite samples, so a non-finite sample fails there first.  A
-    # window whose max - min (its first two columns) is below the threshold
-    # holds no peak and is passed as empty; a NaN spread is still counted.
+    # candidate as one-at-a-time work would.  Peaks are counted up to and
+    # including the first bad row, whose windows come last in their pass:
+    # rows before it hold only finite samples, so a non-finite sample fails
+    # there first.  A window whose max - min is below the threshold holds no
+    # peak and is passed as empty; a NaN spread is still counted.
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     counted = int(bad[0]) + 1 if bad.size else n_rows
-    peak_cols = np.arange(1, n_windows + 1) * _PER_WINDOW - 1  # n_peaks ends each window
-    for lo in range(0, counted, _BLOCK_WINDOWS):
-        chunk = slice(lo, min(lo + _BLOCK_WINDOWS, counted))
-        for col, (x, stop) in zip(peak_cols, product(sig, stops)):
-            spread = rows[chunk, col + 1 - _PER_WINDOW] - rows[chunk, col + 2 - _PER_WINDOW]
-            ends = np.where(spread < min_prominence, start[chunk], stop[chunk])
-            rows[chunk, col] = window_peak_counts(x, start[chunk], ends, min_prominence)
+    for lo in range(0, counted, _BLOCK_WINDOWS * len(sig)):
+        chunk = slice(lo, min(lo + _BLOCK_WINDOWS * len(sig), counted))
+        for s, x in enumerate(sig):
+            cols = (s * len(WINDOWS) + np.arange(len(WINDOWS))) * _PER_WINDOW  # each window's max
+            spread = rows[chunk, cols] - rows[chunk, cols + 1]
+            stop = np.where(spread < min_prominence, start[chunk, None], stops[chunk])
+            counts = window_peak_counts(x, start[chunk].repeat(len(WINDOWS)), stop.ravel(), min_prominence)
+            rows[chunk, cols + _PER_WINDOW - 1] = counts.reshape(stop.shape)  # n_peaks ends each window
     if bad.size:
         c = candidates[bad[0]]
         at = int(np.flatnonzero(~np.isfinite(rows[bad[0]]))[0])
         raise ValueError(f"candidate [{c.c1}, {c.c2}]: non-finite feature at index {at}")
     if empty.size:
         c = candidates[n_rows]
-        w = WINDOWS[0] if stops[0][n_rows] <= start[n_rows] else WINDOWS[1]
+        w = WINDOWS[0] if stops[n_rows, 0] <= start[n_rows] else WINDOWS[1]
         raise ValueError(
             f"candidate [{c.c1}, {c.c2}]: window {w} is empty after "
             f"clipping to the trace span [{t0}, {t1}]"

@@ -23,14 +23,14 @@ at most 8n comparisons) or under 32, when a round costs more than the
 stack work it saves; a monotone stack settles the rest in O(n).
 
 ``window_peak_counts`` counts the peaks of many windows of one signal in
-one such pass: the windows are laid end to end with an infinite wall
-between each pair, which stops every base search as a window's end does.
-It costs O(total window samples) time and extra memory; callers bound the
-memory by passing one block of windows at a time.
+one such pass, an infinite wall between each pair stopping every base search
+as a window's end does: O(total window samples) time and extra memory, plus
+some hundred numpy calls a pass, so callers pass many windows at once.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import inf
 from typing import NamedTuple
 
@@ -133,7 +133,8 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
     at, prom = _prominences(np.concatenate(([inf], sig, [inf])))
     sel = prom >= min_prominence
     peak_at = at[sel] - 1
-    return list(map(Peak, ts[peak_at].tolist(), sig[peak_at].tolist(), prom[sel].tolist()))
+    columns = zip(ts[peak_at].tolist(), sig[peak_at].tolist(), prom[sel].tolist())
+    return list(map(tuple.__new__, repeat(Peak), columns))
 
 
 def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarray:

@@ -75,8 +75,9 @@ class GapReport:
 class Session:
     """One recording: aligned sensor arrays plus ground-truth labels.
 
-    Immutable after construction; the backing arrays are marked read-only
-    so sessions can be shared freely across workers.
+    Immutable, its arrays read-only, so sessions can be shared freely.  An
+    input is copied unless it is a read-only float64 array that owns its data:
+    that one is kept, and re-enabling writes on it changes the session too.
     """
 
     participant: str
@@ -91,7 +92,10 @@ class Session:
     def __post_init__(self) -> None:
         arrays = {}
         for name, width in (("t", 1), ("prox", 1), ("ambient", 1), ("quat", 4), ("accel", 3)):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
+            arr = getattr(self, name)
+            kept = type(arr) is np.ndarray and arr.dtype == float and arr.flags.owndata
+            if not kept or arr.flags.writeable:
+                arr = np.array(arr, dtype=float)
             if width == 1 and arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
             if width > 1 and (arr.ndim != 2 or arr.shape[1] != width):
@@ -151,13 +155,8 @@ def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
     keep = np.abs(norm - 1.0) <= MAX_QUAT_NORM_ERROR
     quat = np.column_stack((qw, qx, qy, qz))[keep] / norm[keep, None]
     t = t[keep]
-    gap_count, max_gap = 0, 0.0
-    if len(t) > 1:
-        dt = np.diff(t)
-        gap_mask = dt > GAP_FACTOR / NOMINAL_RATE_HZ
-        gap_count = int(gap_mask.sum())
-        if gap_count:
-            max_gap = float(dt[gap_mask].max())
+    dt = np.diff(t)
+    gaps = dt[dt > GAP_FACTOR / NOMINAL_RATE_HZ]
     return Session(
         participant=participant,
         t=t,
@@ -165,7 +164,7 @@ def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
         ambient=ambient[keep],
         quat=quat,
         accel=np.column_stack((ax, ay, az))[keep],
-        gaps=GapReport(count=gap_count, max_gap_s=max_gap, rejected_rows=int((~keep).sum())),
+        gaps=GapReport(gaps.size, float(gaps.max(initial=0.0)), int((~keep).sum())),
     )
 
 

@@ -118,8 +118,7 @@ def _bump(center_idx: int, amp: float, out: np.ndarray) -> None:
 
 
 def _smooth_dip(t_rel: np.ndarray, center: float, depth: float, width: float, out: np.ndarray) -> None:
-    lo = np.searchsorted(t_rel, center - 4 * width)
-    hi = np.searchsorted(t_rel, center + 4 * width)
+    lo, hi = np.searchsorted(t_rel, [center - 4 * width, center + 4 * width])
     seg = t_rel[lo:hi]
     out[lo:hi] -= depth * np.exp(-0.5 * ((seg - center) / width) ** 2)
 
@@ -168,13 +167,10 @@ def generate(spec: ScenarioSpec) -> tuple[Session, list[LabeledInterval]]:
                 if idx >= n:
                     continue
                 amp = rng.uniform(2.0, 4.0) * amp_scale
-                is_bite = c % bite_every == 0
-                if is_bite:
+                if c % bite_every == 0:
                     amp *= 2.0
                     _smooth_dip(t_rel, ct, rng.uniform(150.0, 250.0), 0.4, ambient)
-                    spike = int(round(ct * fs))
-                    if spike < n:
-                        accel[spike, 2] += 0.8
+                    accel[idx, 2] += 0.8
                 _bump(idx, amp, prox)
             first = spec.start_epoch + chew_times[0]
             last = spec.start_epoch + min(chew_times[-1], spec.duration - 1.0 / fs)
@@ -216,10 +212,14 @@ def generate(spec: ScenarioSpec) -> tuple[Session, list[LabeledInterval]]:
     quat = np.zeros((n, 4))
     quat[:, 0] = np.cos(half)
     quat[:, 1] = np.sin(half)
-
+    # Read-only, so the Session keeps them uncopied; the rest dropped first.
+    t = spec.start_epoch + t_rel
+    del t_rel, lfa, half
+    for arr in (t, prox, ambient, quat, accel):
+        arr.setflags(write=False)
     session = Session(
         participant=spec.participant,
-        t=spec.start_epoch + t_rel,
+        t=t,
         prox=prox,
         ambient=ambient,
         quat=quat,

@@ -290,20 +290,32 @@ def overflowing_skewness():
     return trace, [cand(2.0, 6.0)], SIGNALS
 
 
-def chunks_crossed(bad):
+def chunks_crossed(bad, signals=SIGNALS):
     # 140 candidates in no length order, with 29 distinct chewing-window
     # lengths, so each window kind spans three length-sorted blocks of 64;
     # some windows are clipped at the trace start, some at its end, and one
     # at both.  With bad, the first candidate's band is infinite and its
     # chewing window sorts into the second block, while a NaN prox sample
     # lies only in windows of later candidates: the first candidate's error
-    # must win.
+    # must win.  On two signals, peaks are counted in passes of 128 rows.
     trace = make_trace(n=400, seed=14)  # spans 20 s
     cands = [cand(15.0, 15.9, p_min=np.inf if bad else 0.5), cand(0.5, 19.5)]
     cands += [cand(k * 13 % 390 / 20.0, k * 13 % 390 / 20.0 + k * 7 % 30 / 20.0) for k in range(138)]
     if bad:
         trace.prox[20] = np.nan
-    return trace, cands, SIGNALS
+    return trace, cands, signals
+
+
+def nan_in_second_pass():
+    # 140 candidates on two signals, so peaks are counted in passes of 128
+    # rows.  The windows of the first 130 end by 8.5 s, and a NaN ambient
+    # sample at 15 s lies only in windows of the last 10: the error must name
+    # that sample by its trace index from the second pass.
+    trace = make_trace(n=400, seed=16)
+    cands = [cand(2.0 + k % 40 / 10.0, 2.0 + k % 40 / 10.0 + k % 7 / 10.0) for k in range(130)]
+    cands += [cand(13.0 + k / 10.0, 13.5 + k / 10.0) for k in range(10)]
+    trace.ambient[300] = np.nan
+    return trace, cands, ("prox", "ambient")
 
 
 MIXED_ZEROS = [2.0, -0.0, 2.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, -0.0]
@@ -340,6 +352,9 @@ class TestBlockPath:
     @example(overflowing_skewness())
     @example(chunks_crossed(bad=False))
     @example(chunks_crossed(bad=True))
+    @example(chunks_crossed(bad=False, signals=("prox", "ambient")))
+    @example(chunks_crossed(bad=True, signals=("prox", "ambient")))
+    @example(nan_in_second_pass())
     def test_matches_per_window_oracle_bit_for_bit(self, case):
         trace, cands, signals = case
         try:
@@ -352,19 +367,43 @@ class TestBlockPath:
         table = extract_table(trace, cands, HOUR0, "P1", signals=signals)
         assert table.X.tobytes() == np.array(expected).tobytes()
 
-    def test_peaks_counted_in_one_pass_per_signal_and_window(self, monkeypatch):
-        calls = []
+    def test_peaks_counted_in_one_pass_per_signal(self, monkeypatch):
+        windows = []
         original = features.window_peak_counts
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(signal, starts, stops, min_prominence):
+            windows.append(len(starts))
+            return original(signal, starts, stops, min_prominence)
 
         monkeypatch.setattr(features, "window_peak_counts", counting)
         c_a, c_b = cand(10.0, 20.0), cand(30.0, 40.0)
         table = extract_table(make_trace(seed=11), [c_a, c_b, c_a, c_a], HOUR0, "P1")
-        assert len(calls) == len(SIGNALS) * 2  # one block: one pass per signal and window
+        assert windows == [4 * 2] * len(SIGNALS)  # one pass per signal, over both windows
         assert table.X[0].tobytes() == table.X[2].tobytes() == table.X[3].tobytes()
+        # A pass holds both windows of at most 64 x S rows: 140 rows on two
+        # signals take two passes per signal.
+        windows.clear()
+        trace, cands, signals = chunks_crossed(bad=False, signals=("prox", "ambient"))
+        extract_table(trace, cands, HOUR0, "P1", signals=signals)
+        assert windows == [128 * 2] * 2 + [12 * 2] * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 12), st.sampled_from(["mixed", "all True", "all False"]),
+           st.integers(0, 2**32 - 1))
+    @example(3, 1, "mixed", 0)
+    @example(2, 5, "all True", 0)
+    @example(2, 5, "all False", 0)
+    def test_longest_runs_match_per_row_loop(self, n_rows, width, kind, seed):
+        mask = np.random.default_rng(seed).random((n_rows, 2, width)) < 0.6
+        if kind != "mixed":
+            mask[:] = kind == "all True"
+        expected = np.zeros(mask.shape[:-1], dtype=int)
+        for i, s in np.ndindex(*expected.shape):
+            run = 0
+            for v in mask[i, s]:
+                run = run + 1 if v else 0
+                expected[i, s] = max(expected[i, s], run)
+        assert features._longest_runs(mask).tolist() == expected.tolist()
 
     # Samples with no overflow in between, so any RuntimeWarning means a
     # pad was read (inf - inf): it fails the test.

@@ -340,6 +340,8 @@ class TestPeakValue:
     def test_found_peaks_are_peaks_of_python_floats(self):
         found = peaks_of([0, 3, 1, 8, 1, 3, 0], min_prominence=1.0)
         assert found == [Peak(1.0, 3.0, 2.0), Peak(3.0, 8.0, 8.0), Peak(5.0, 3.0, 2.0)]
+        # A plain tuple compares equal to a Peak, so check the type too.
+        assert all(type(p) is Peak for p in found)
         assert all(type(v) is float for p in found for v in p)
 
     def test_csv_round_trip(self, tmp_path):

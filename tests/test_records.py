@@ -152,6 +152,37 @@ class TestSession:
         with pytest.raises(ValueError):
             session.prox[0] = 5.0
 
+    @staticmethod
+    def session_with(prox):
+        return Session(participant="P1", t=np.array([0.0, 0.05, 0.1]), prox=prox,
+                       ambient=np.zeros(3), quat=np.tile([1.0, 0, 0, 0], (3, 1)),
+                       accel=np.tile([0.0, 0, 1], (3, 1)))
+
+    def test_writable_input_copied(self):
+        prox = np.array([1.0, 2.0, 3.0])
+        session = self.session_with(prox)
+        prox[0] = 9.0
+        assert not np.shares_memory(session.prox, prox)
+        assert session.prox.tolist() == [1.0, 2.0, 3.0]
+        assert prox.flags.writeable
+
+    def test_read_only_owning_float_input_shared(self):
+        prox = np.array([1.0, 2.0, 3.0])
+        prox.setflags(write=False)
+        assert np.shares_memory(self.session_with(prox).prox, prox)
+
+    @pytest.mark.parametrize("prox", [
+        np.arange(6.0)[::2],  # a view: its base owns the data
+        np.array([1, 2, 3]),  # not float64
+        np.array([1.0, 2.0, 3.0], dtype=">f8"),  # not native byte order
+    ], ids=["view", "int", "big-endian"])
+    def test_read_only_input_copied_unless_owning_float64(self, prox):
+        prox.setflags(write=False)
+        session = self.session_with(prox)
+        assert not np.shares_memory(session.prox, prox)
+        assert session.prox.dtype == np.float64
+        assert session.prox.tolist() == prox.tolist()
+
 
 class TestEpisodeDerivation:
     def test_small_gap_merges(self):

@@ -57,6 +57,13 @@ class TestGenerate:
         assert np.array_equal(a.quat, b.quat)
         assert np.array_equal(a.accel, b.accel)
 
+    def test_session_arrays_read_only(self):
+        session, _ = generate(one_meal_spec(noise_accel=0.1))
+        for arr in (session.t, session.prox, session.ambient, session.quat, session.accel):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            session.accel[0, 2] = 0.0
+
     def test_different_seed_differs(self):
         a, _ = generate(one_meal_spec(noise_prox=1.0))
         b, _ = generate(one_meal_spec(noise_prox=1.0, seed=6))
