@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .boosting import BoostConfig, TrainedModel, classify_candidates, layout_fingerprint, load_model
-from .boosting import predict_proba, save_model, train
+from .boosting import predict_proba, rank_features, save_model, train
 from .config import PipelineConfig, read_config
 from .episodes import DbscanConfig, SecondScore, cluster, episodes_from_clusters, score_seconds
 from .evaluation import (
@@ -14,7 +14,7 @@ from .evaluation import (
     per_episode_metrics,
     per_second_metrics,
 )
-from .features import FeatureTable, extract, feature_layout, rank_features
+from .features import FeatureTable, extract, feature_layout
 from .peaks import Peak, find_prominent_peaks
 from .periodic import (
     PeriodicSubsequence,

@@ -100,12 +100,15 @@ class TrainedModel:
     base_score: float
     config: BoostConfig
     feature_names: tuple[str, ...]
-    fingerprint: str
     train_loss: tuple[float, ...] = ()
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @property
+    def fingerprint(self) -> str:
+        return layout_fingerprint(self.feature_names)
 
 
 def _sigmoid(raw: np.ndarray) -> np.ndarray:
@@ -292,7 +295,6 @@ def train(
         base_score=0.0,
         config=cfg,
         feature_names=names,
-        fingerprint=layout_fingerprint(names),
         train_loss=tuple(losses),
     )
 
@@ -346,6 +348,20 @@ def split_counts(model: TrainedModel) -> np.ndarray:
     """How many ensemble splits use each feature index."""
     used = [node.feature for tree in model.trees for node in tree if not node.is_leaf]
     return np.bincount(np.array(used, dtype=int), minlength=model.n_features)
+
+
+def rank_features(model: TrainedModel) -> list[tuple[str, int]]:
+    """Features ordered by how often the ensemble splits on them.
+
+    Split-usage count is the model's intrinsic importance measure; features
+    never used do not appear.  Ties keep layout order.
+    """
+    counts = split_counts(model)
+    return [
+        (model.feature_names[i], int(counts[i]))
+        for i in np.argsort(-counts, kind="stable")
+        if counts[i] > 0
+    ]
 
 
 # The model header's keys beyond BoostConfig's fields, as model_to_text writes them.
@@ -433,7 +449,6 @@ def model_from_text(text: str, source: str | Path = "model text") -> TrainedMode
         base_score=header["base_score"],
         config=config,
         feature_names=names,
-        fingerprint=header["layout_fingerprint"],
     )
 
 

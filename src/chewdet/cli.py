@@ -45,8 +45,8 @@ from .evaluation import (
     featurize,
     losocv,
     score_chews,
+    score_rows,
     train_fold,
-    write_report_csv,
     write_scores_csv,
 )
 from .features import SIGNALS, read_feature_csv, write_feature_csv
@@ -177,7 +177,7 @@ def _chews(labels: list[LabeledInterval], pid: str) -> list[LabeledInterval]:
     return [iv for iv in labels if iv.participant == pid and iv.kind is IntervalKind.CHEW]
 
 
-def _load_sessions(args, rec: Recorder) -> list[Session]:
+def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
     data_dir = Path(args.data)
     sensor_files = {p.stem[len("sensors_"):]: p for p in sorted(data_dir.glob("sensors_*.csv"))}
     if not sensor_files:
@@ -190,7 +190,7 @@ def _load_sessions(args, rec: Recorder) -> list[Session]:
     for label_file in sorted(data_dir.glob("labels*.csv")):
         labels.extend(rec.read(label_file, "synth", read_label_csv))
     return [
-        rec.read(path, "synth", ingest_sensor_csv, pid).with_labels(_chews(labels, pid))
+        rec.read(path, "synth", ingest_sensor_csv, pid, cfg.sample_rate_hz).with_labels(_chews(labels, pid))
         for pid, path in sensor_files.items()
         if pid in wanted
     ]
@@ -214,7 +214,7 @@ def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 
 def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    session = rec.read(Path(args.input), None, ingest_sensor_csv, args.participant)
+    session = rec.read(Path(args.input), None, ingest_sensor_csv, args.participant, cfg.sample_rate_hz)
     rec.write(f"ingested_{args.participant}.csv", write_sensor_csv, session)
     print(
         f"{args.participant}: {len(session)} frames, gaps={session.gaps.count} "
@@ -230,7 +230,7 @@ def cmd_derive(args, cfg: PipelineConfig, rec: Recorder) -> None:
         ingested = rec.out / f"ingested_{args.participant}.csv"
         if not src.exists() and ingested.exists():
             src = ingested
-    session = rec.read(src, producer, ingest_sensor_csv, args.participant)
+    session = rec.read(src, producer, ingest_sensor_csv, args.participant, cfg.sample_rate_hz)
     rec.write(f"derived_{args.participant}.csv", write_derived_csv, derive(session))
 
 
@@ -305,22 +305,22 @@ def cmd_evaluate(args, cfg: PipelineConfig, rec: Recorder) -> None:
     if not chews:
         raise StageError(f"labels file {label_file} holds no chew of participant {pid}")
     score = score_chews(pid, score_seconds(positives), episodes, chews, cfg)
-    for level, m in score.levels():
+    for _, level, m, _ in score_rows([score]):
         print(f"{pid} {level:<8} precision={m.precision:.3f} recall={m.recall:.3f} f1={m.f1:.3f}")
     rec.write(f"report_{pid}.csv", write_scores_csv, [score])
 
 
 def cmd_losocv(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    report = losocv(_load_sessions(args, rec), cfg=cfg)
-    rec.write("report.csv", write_report_csv, report)
+    report = losocv(_load_sessions(args, cfg, rec), cfg=cfg)
+    rec.write("report.csv", write_scores_csv, report.entries())
     rec.write("report.txt", _write_text, report.to_text() + "\n")
     print(report.to_text())
 
 
 def cmd_ablate(args, cfg: PipelineConfig, rec: Recorder) -> None:
     sensors = tuple(args.sensors.split(","))
-    report = ablate_sensors(_load_sessions(args, rec), sensors, cfg=cfg)
-    rec.write(f"report_ablate_{'-'.join(sensors)}.csv", write_report_csv, report)
+    report = ablate_sensors(_load_sessions(args, cfg, rec), sensors, cfg=cfg)
+    rec.write(f"report_ablate_{'-'.join(sensors)}.csv", write_scores_csv, report.entries())
     print(report.to_text())
 
 

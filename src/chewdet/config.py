@@ -14,42 +14,43 @@ from pathlib import Path
 
 from .boosting import BoostConfig
 from .episodes import DbscanConfig
+from .features import DEFAULT_MIN_PROMINENCE
 from .periodic import SweepConfig
-from .records import check_overlap_rule, check_range
+from .records import NOMINAL_RATE_HZ, check_overlap_rule, check_range
 from .tables import field_types, key_values, parse_fields, render_fields
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    sample_rate_hz: float = 20.0
+    sample_rate_hz: float = NOMINAL_RATE_HZ
     # peak detection
-    min_prominence: float = 4.5
+    min_prominence: float = DEFAULT_MIN_PROMINENCE
     # periodic sweep
-    sweep_min: float = 0.4
-    sweep_max: float = 1.5
-    epsilon: float = 0.2
+    sweep_min: float = SweepConfig.min
+    sweep_max: float = SweepConfig.max
+    epsilon: float = SweepConfig.epsilon
     min_len: int = 3
     # boosting
-    eta: float = 0.3
-    max_depth: int = 4
-    gamma: float = 0.0
-    min_child_weight: float = 1.0
-    subsample: float = 0.8
-    n_rounds: int = 200
-    reg_lambda: float = 1.0
-    pos_weight: float | None = None
+    eta: float = BoostConfig.eta
+    max_depth: int = BoostConfig.max_depth
+    gamma: float = BoostConfig.gamma
+    min_child_weight: float = BoostConfig.min_child_weight
+    subsample: float = BoostConfig.subsample
+    n_rounds: int = BoostConfig.n_rounds
+    reg_lambda: float = BoostConfig.reg_lambda
+    pos_weight: float | None = BoostConfig.pos_weight
     threshold: float = 0.5
     # clustering
-    dbscan_eps: float = 30.0
-    dbscan_min_pts: int = 15
-    use_score_weight: bool = True
+    dbscan_eps: float = DbscanConfig.eps
+    dbscan_min_pts: int = DbscanConfig.min_pts
+    use_score_weight: bool = DbscanConfig.use_score_weight
     # episodes + evaluation
     delta: float = 900.0
     episode_overlap_threshold: float = 0.5
     episode_overlap_base: str = "truth"
     candidate_label_min_overlap: float = 0.5
     tz_offset_s: float = 0.0
-    seed: int = 0
+    seed: int = BoostConfig.seed
 
     def __post_init__(self) -> None:
         # A bad field fails here, not in the first stage that needs it.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,8 +113,12 @@ class ParticipantScore:
     episode: Metrics
     flags: tuple[str, ...] = ()
 
-    def levels(self) -> tuple[tuple[str, Metrics], tuple[str, Metrics]]:
-        return (("second", self.second), ("episode", self.episode))
+
+def score_rows(scores: Iterable[ParticipantScore]) -> Iterator[tuple]:
+    """The rows of every report: (participant, level, metrics, flags), second level first."""
+    for s in scores:
+        yield s.participant, "second", s.second, s.flags
+        yield s.participant, "episode", s.episode, s.flags
 
 
 @dataclass(frozen=True)
@@ -127,56 +131,48 @@ class EvalReport:
     """
 
     scores: tuple[ParticipantScore, ...]
-    second_avg: Metrics
-    episode_avg: Metrics
     manifest: tuple[tuple[str, str], ...] = ()
 
     @property
-    def manifest_hash(self) -> str:
-        return manifest_hash(list(self.manifest))
+    def second_avg(self) -> Metrics:
+        return _macro([s.second for s in self.scores])
+
+    @property
+    def episode_avg(self) -> Metrics:
+        return _macro([s.episode for s in self.scores])
 
     def entries(self) -> list[ParticipantScore]:
         """The per-participant scores, then the AVERAGE row."""
         return [*self.scores, ParticipantScore("AVERAGE", self.second_avg, self.episode_avg)]
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [list(REPORT_HEADER)]
-        for entry in self.entries():
-            for level, m in entry.levels():
-                rows.append(
-                    [entry.participant, level, repr(m.precision), repr(m.recall), repr(m.f1)]
-                )
-        return rows
+        return [list(REPORT_HEADER)] + [
+            [pid, level, repr(m.precision), repr(m.recall), repr(m.f1)]
+            for pid, level, m, _ in score_rows(self.entries())
+        ]
 
     def to_text(self) -> str:
         lines = [f"{'participant':<14}{'level':<10}{'prec':>8}{'recall':>8}{'f1':>8}  flags"]
-        for entry in self.entries():
-            for level, m in entry.levels():
-                lines.append(
-                    f"{entry.participant:<14}{level:<10}"
-                    f"{m.precision:>8.3f}{m.recall:>8.3f}{m.f1:>8.3f}  "
-                    + ",".join(entry.flags)
-                )
+        lines += [
+            f"{pid:<14}{level:<10}{m.precision:>8.3f}{m.recall:>8.3f}{m.f1:>8.3f}  {','.join(flags)}"
+            for pid, level, m, flags in score_rows(self.entries())
+        ]
         if self.manifest:
-            lines.append(f"config hash: {self.manifest_hash}")
+            lines.append(f"config hash: {manifest_hash(list(self.manifest))}")
         return "\n".join(lines)
 
 
-def _macro(scores: Sequence[ParticipantScore]) -> tuple[Metrics, Metrics]:
-    def avg(level: str) -> Metrics:
-        ms = [getattr(s, level) for s in scores]
-        if not ms:
-            return Metrics(0.0, 0.0, 0.0)
-        return Metrics(
-            precision=float(np.mean([m.precision for m in ms])),
-            recall=float(np.mean([m.recall for m in ms])),
-            f1=float(np.mean([m.f1 for m in ms])),
-            tp=sum(m.tp for m in ms),
-            fp=sum(m.fp for m in ms),
-            fn=sum(m.fn for m in ms),
-        )
-
-    return avg("second"), avg("episode")
+def _macro(ms: Sequence[Metrics]) -> Metrics:
+    if not ms:
+        return Metrics(0.0, 0.0, 0.0)
+    return Metrics(
+        precision=float(np.mean([m.precision for m in ms])),
+        recall=float(np.mean([m.recall for m in ms])),
+        f1=float(np.mean([m.f1 for m in ms])),
+        tp=sum(m.tp for m in ms),
+        fp=sum(m.fp for m in ms),
+        fn=sum(m.fn for m in ms),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +301,8 @@ def _evaluate_one(
     flags = [*flags] if model.trees else [*flags, "zero_trees"]
     if not cands:
         flags.append("no_candidates")
+    if not session.chew_labels():
+        flags.append("no_truth")
     scores, episodes = predict_session(
         model, cands, table, dbscan_cfg, cfg.threshold, cfg.delta
     )
@@ -348,13 +346,7 @@ def losocv(
         boost_cfg, dbscan_cfg = chosen or grid[0]
         model = train_fold([table for _, _, table in train_items], boost_cfg)
         scores.append(_evaluate_one(model, held, dbscan_cfg, cfg, flags))
-    second_avg, episode_avg = _macro(scores)
-    return EvalReport(
-        scores=tuple(scores),
-        second_avg=second_avg,
-        episode_avg=episode_avg,
-        manifest=tuple(cfg.manifest_items()),
-    )
+    return EvalReport(scores=tuple(scores), manifest=tuple(cfg.manifest_items()))
 
 
 def _select_grid_point(
@@ -408,13 +400,5 @@ def ablate_sensors(
 
 def write_scores_csv(path: str | Path, scores: Sequence[ParticipantScore]) -> None:
     """The report table: one row per participant and metric level."""
-    rows = (
-        (s.participant, level, m.precision, m.recall, m.f1)
-        for s in scores
-        for level, m in s.levels()
-    )
+    rows = ((pid, level, m.precision, m.recall, m.f1) for pid, level, m, _ in score_rows(scores))
     write_table(path, REPORT_HEADER, REPORT_KINDS, transpose(rows, len(REPORT_KINDS)))
-
-
-def write_report_csv(path: str | Path, report: EvalReport) -> None:
-    write_scores_csv(path, report.entries())

@@ -44,14 +44,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boosting import TrainedModel, split_counts
 from .peaks import window_peak_counts
 from .periodic import CandidateWindow
-from .records import LabeledInterval, overlap_range
-from .signals import DerivedTrace
+from .records import NOMINAL_RATE_HZ, LabeledInterval, overlap_range
+from .signals import SIGNALS, DerivedTrace
 from .tables import read_table, write_table
 
-SIGNALS = ("prox", "ambient", "lfa", "energy")
 WINDOWS = ("cw", "bw")
 STAT_FEATURES = (
     "max", "min", "mean", "median", "variance", "rms",
@@ -106,9 +104,9 @@ def local_hour(tz_offset_s: float = 0.0) -> Callable[[float], int]:
         return int(((t + tz_offset_s) % 86400.0) // 3600.0)
 
     return hour
-# Windows per padded block; a peak-count pass holds two blocks' worth.
 
-# Windows per padded block: a call's extra memory is one block.
+
+# Windows per padded block; a peak-count pass holds two blocks' worth.
 _BLOCK_WINDOWS = 64
 _PER_WINDOW = len(STAT_FEATURES) + len(FREQ_HZ) + len(SPECTRUM_FEATURES) + len(TS_FEATURES)
 
@@ -266,7 +264,7 @@ def extract(
     *,
     signals: Sequence[str] = SIGNALS,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
-    sample_rate_hz: float = 20.0,
+    sample_rate_hz: float = NOMINAL_RATE_HZ,
 ) -> np.ndarray:
     """Feature vector for one candidate; layout given by feature_layout(signals).
 
@@ -344,7 +342,7 @@ def extract_table(
     *,
     signals: Sequence[str] = SIGNALS,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
-    sample_rate_hz: float = 20.0,
+    sample_rate_hz: float = NOMINAL_RATE_HZ,
     label_min_overlap: float = 0.5,
 ) -> FeatureTable:
     """Feature rows of candidates on one trace, each computed as given, in
@@ -367,21 +365,6 @@ def extract_table(
         participant=[participant] * n,
         label=label,
     )
-
-
-def rank_features(model: TrainedModel) -> list[tuple[str, int]]:
-    """Features ordered by how often the ensemble splits on them.
-
-    Split-usage count is the model's intrinsic importance measure; features
-    never used do not appear.  Ties keep layout order.
-    """
-    counts = split_counts(model)
-    ranked = [
-        (model.feature_names[i], int(counts[i]))
-        for i in np.argsort(-counts, kind="stable")
-        if counts[i] > 0
-    ]
-    return ranked
 
 
 def write_feature_csv(path: str | Path, table: FeatureTable) -> None:

@@ -1,6 +1,6 @@
 """Core records: sensor sessions, labeled intervals, and label derivation.
 
-On-disk formats are two small CSVs: a 20 Hz sensor log
+On-disk formats are two small CSVs: a sensor log at the configured rate
 (``t_ms,prox,ambient,qw,qx,qy,qz,ax,ay,az``) and a label file
 (``participant,kind,start_s,end_s``) with ``kind`` in ``{chew, episode}``.
 
@@ -33,7 +33,7 @@ GAP_CDF_HEADER = ("gap_s", "cum_frac")
 OVERLAP_BASES = ("truth", "pred", "min")
 
 NOMINAL_RATE_HZ = 20.0
-# A frame-to-frame step more than 1.5x the nominal period counts as a gap.
+# A frame-to-frame step more than 1.5x the configured sample period is a gap.
 GAP_FACTOR = 1.5
 # Rows whose quaternion norm strays further than this from 1 are dropped.
 MAX_QUAT_NORM_ERROR = 0.1
@@ -129,18 +129,21 @@ class Session:
         return replace(self, labels=tuple(labels))
 
 
-def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
+def ingest_sensor_csv(
+    path: str | Path, participant: str = "", sample_rate_hz: float = NOMINAL_RATE_HZ
+) -> Session:
     """Read a sensor CSV into a validated Session.
 
     Quaternions are normalized on ingest; rows whose quaternion norm is off
     by more than 0.1 are rejected and counted.  Sampling gaps (steps above
-    1.5x the nominal 20 Hz period) are reported, not filled.
+    1.5x the configured sample period) are reported, not filled.
 
     Raises:
         ValueError: on a bad header, a malformed or non-finite row (with its
             line number), or non-monotonic timestamps (naming the first
             offending pair).
     """
+    check_range("sample_rate_hz", sample_rate_hz, "(0, inf)")
     table = read_table(path, SENSOR_HEADER, SENSOR_KINDS)
     t, prox, ambient, qw, qx, qy, qz, ax, ay, az = table.columns
     back = np.flatnonzero(np.diff(t) <= 0)
@@ -156,7 +159,7 @@ def ingest_sensor_csv(path: str | Path, participant: str = "") -> Session:
     quat = np.column_stack((qw, qx, qy, qz))[keep] / norm[keep, None]
     t = t[keep]
     dt = np.diff(t)
-    gaps = dt[dt > GAP_FACTOR / NOMINAL_RATE_HZ]
+    gaps = dt[dt > GAP_FACTOR / sample_rate_hz]
     return Session(
         participant=participant,
         t=t,

@@ -20,6 +20,7 @@ from .tables import read_table, write_table
 
 DERIVED_HEADER = ("t_ms", "prox", "ambient", "lfa_deg", "energy_g2")
 DERIVED_KINDS = "mffff"
+SIGNALS = ("prox", "ambient", "lfa", "energy")
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class DerivedTrace:
 
     def __post_init__(self) -> None:
         n = self.t.shape[0]
-        for name in ("prox", "ambient", "lfa", "energy"):
+        for name in SIGNALS:
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must match the time base length {n}")
         check_increasing(self.t)
@@ -47,7 +48,7 @@ class DerivedTrace:
         return int(self.t.shape[0])
 
     def signal(self, name: str) -> np.ndarray:
-        if name not in ("prox", "ambient", "lfa", "energy"):
+        if name not in SIGNALS:
             raise KeyError(f"unknown signal {name!r}")
         return getattr(self, name)
 

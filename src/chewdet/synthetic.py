@@ -1,4 +1,4 @@
-"""Synthetic 20 Hz necklace traces with exactly known chewing activity.
+"""Synthetic necklace traces with exactly known chewing activity.
 
 The generator plants meals made of chewing sequences on the sample grid:
 proximity gets a small bump per chew and a taller one per bite, ambient
@@ -9,7 +9,7 @@ oscillation, flat proximity), talking (prominent but irregular proximity
 peaks with none of the other eating signatures), rest (nothing), and
 dark-room eating (ambient pinned near zero through a meal).
 
-Chew periods are snapped to the 50 ms grid so planted peak times are exact;
+Chew periods are snapped to the sample grid so planted peak times are exact;
 the returned labels are therefore a ground-truth oracle for every stage.
 Everything is driven by one seed: same spec, same bytes.
 """
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, Session, check_range, disjoint_spans
+from .records import NOMINAL_RATE_HZ, IntervalKind, LabeledInterval, Session, check_range, disjoint_spans
 from .tables import field_types, key_values, parse_fields
 
 CHEW_RATE_BAND_HZ = (0.94, 2.17)
@@ -86,7 +86,7 @@ class ScenarioSpec:
     seed: int = 0
     start_epoch: float = DEFAULT_START_EPOCH
     participant: str = "SYN"
-    sample_rate_hz: float = 20.0
+    sample_rate_hz: float = NOMINAL_RATE_HZ
 
     def __post_init__(self) -> None:
         for name, interval in (

@@ -422,8 +422,7 @@ class TestDeterminismAndStructure:
 class TestPrediction:
     def test_zero_tree_model_gives_half(self):
         model = TrainedModel(
-            trees=(), base_score=0.0, config=BoostConfig(), feature_names=("x",),
-            fingerprint="0" * 16,
+            trees=(), base_score=0.0, config=BoostConfig(), feature_names=("x",)
         )
         assert predict_proba(model, np.array([[3.0]]))[0] == 0.5
 
@@ -444,8 +443,7 @@ class TestPrediction:
 
     def test_threshold_boundary_is_positive(self):
         model = TrainedModel(
-            trees=(), base_score=0.0, config=BoostConfig(), feature_names=("x",),
-            fingerprint="0" * 16,
+            trees=(), base_score=0.0, config=BoostConfig(), feature_names=("x",)
         )
         cands = [CandidateWindow(0.0, 1.0, 0.4, 0.48, 0.2, 3)]
         judged = classify_candidates(model, cands, np.array([[9.9]]), threshold=0.5)

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from chewdet import cli
 from chewdet.boosting import BoostConfig, load_model, model_to_text, train
 from chewdet.cli import main
 from chewdet.config import file_digest, read_config
@@ -559,6 +560,34 @@ class TestStandaloneCommands:
         assert code == 0
         assert "gaps=0" in capsys.readouterr().out
         assert (out / "ingested_SYN.csv").exists()
+
+    def test_sensor_logs_are_read_at_the_configured_rate(self, tmp_path, capsys, monkeypatch):
+        # A gapless 10 Hz log steps 0.1 s, over 1.5x the 20 Hz default period,
+        # so each command that reads a sensor log must take the config's rate.
+        config = tmp_path / "config.txt"
+        config.write_text("sample_rate_hz = 10\nmin_child_weight = 0.5\n")
+        out = tmp_path / "run"
+        for pid in ("P", "Q"):
+            text = f"duration = 300\nparticipant = {pid}\nsample_rate_hz = 10\n"
+            text += "meal = start=60 sequences=2 rate=1.25 bite=5 seq_dur=25 gap=15\n"
+            text += "confounder = kind=talking start=200 duration=28\n"
+            assert run("synth", "--scenario", write_scenario(tmp_path, text), "--out", out) == 0
+        gaps = []
+        real = cli.ingest_sensor_csv
+
+        def counted(*args, **kwargs):
+            session = real(*args, **kwargs)
+            gaps.append(session.gaps.count)
+            return session
+
+        monkeypatch.setattr(cli, "ingest_sensor_csv", counted)
+        capsys.readouterr()
+        base = ["--config", config, "--out", out]
+        assert run("ingest", "--input", out / "sensors_P.csv", "--participant", "P", *base) == 0
+        assert capsys.readouterr().out.startswith("P: 3000 frames, gaps=0 (max 0.000 s)")
+        assert run("derive", "--participant", "P", *base) == 0
+        assert run("losocv", "--data", out, *base) == 0
+        assert gaps == [0, 0, 0, 0]
 
     def test_gap_cdf(self, tmp_path):
         scenario = write_scenario(tmp_path)

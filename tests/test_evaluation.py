@@ -10,6 +10,7 @@ from chewdet import evaluation
 from chewdet.boosting import BoostConfig
 from chewdet.episodes import score_seconds
 from chewdet.evaluation import (
+    Metrics,
     ablate_sensors,
     featurize,
     losocv,
@@ -18,13 +19,14 @@ from chewdet.evaluation import (
     score_chews,
     session_candidates,
     train_fold,
-    write_report_csv,
+    write_scores_csv,
 )
 from chewdet.features import FeatureTable
 from chewdet.periodic import CandidateWindow
 from chewdet.records import IntervalKind, LabeledInterval, Session, derive_episode_labels
 from chewdet.signals import derive
-from conftest import quick_config
+from chewdet.synthetic import generate
+from conftest import quick_config, two_meal_scenario
 from oracles import naive_per_episode_metrics
 
 
@@ -310,8 +312,8 @@ class TestPipeline:
         assert "zero_trees" in report.to_text()
         unflagged = replace(report, scores=tuple(replace(s, flags=()) for s in report.scores))
         assert report.to_csv_rows() == unflagged.to_csv_rows()
-        write_report_csv(tmp_path / "flagged.csv", report)
-        write_report_csv(tmp_path / "unflagged.csv", unflagged)
+        write_scores_csv(tmp_path / "flagged.csv", report.entries())
+        write_scores_csv(tmp_path / "unflagged.csv", unflagged.entries())
         assert (tmp_path / "flagged.csv").read_bytes() == (tmp_path / "unflagged.csv").read_bytes()
 
     def test_participant_without_candidates_is_flagged(self, clean_sessions):
@@ -329,6 +331,19 @@ class TestPipeline:
         held = report.scores[2]
         assert (held.second.tp, held.second.fp, held.episode.tp, held.episode.fp) == (0, 0, 0, 0)
         assert held.second.fn > 0 and held.second.f1 == held.episode.f1 == 0.0
+
+    def test_participant_without_chews_is_flagged(self, clean_sessions):
+        # A held-out day with no meals has no chew labels: it still scores
+        # 1.0 by the empty-side convention, and the report says why.
+        bare, labels = generate(replace(two_meal_scenario(seed=100, participant="P3"), meals=()))
+        assert labels == []
+        report = losocv([*clean_sessions, bare], cfg=quick_config())
+        assert [s.flags for s in report.scores] == [(), (), ("no_truth",)]
+        held = report.scores[2]
+        assert held.second == held.episode == Metrics(1.0, 1.0, 1.0, 0, 0, 0)
+        assert "no_truth" in report.to_text()
+        unflagged = replace(report, scores=tuple(replace(s, flags=()) for s in report.scores))
+        assert report.to_csv_rows() == unflagged.to_csv_rows()
 
     def test_report_rows_and_average(self, clean_sessions):
         report = losocv(clean_sessions, cfg=quick_config())

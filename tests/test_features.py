@@ -14,7 +14,7 @@ from scipy import stats as sp_stats
 
 import chewdet
 from chewdet import features
-from chewdet.boosting import BoostConfig, TrainedModel, layout_fingerprint, train
+from chewdet.boosting import BoostConfig, TrainedModel, layout_fingerprint, rank_features, train
 from chewdet.features import (
     FREQ_HZ,
     SIGNALS,
@@ -23,7 +23,6 @@ from chewdet.features import (
     feature_layout,
     label_candidates,
     local_hour,
-    rank_features,
     read_feature_csv,
     write_feature_csv,
 )
@@ -576,7 +575,6 @@ class TestRanking:
             base_score=0.0,
             config=BoostConfig(),
             feature_names=("a", "b"),
-            fingerprint=layout_fingerprint(("a", "b")),
         )
         assert rank_features(model) == []
 

@@ -68,6 +68,18 @@ class TestIngest:
         bad = ingest_sensor_csv(write(tmp_path, sensor_lines([0, 50, 130]), "b.csv"))
         assert bad.gaps.count == 1
 
+    def test_gap_threshold_follows_the_sample_rate(self, tmp_path):
+        # At 10 Hz the threshold is 150 ms: a 140 ms step is not a gap, 160 ms is.
+        path = write(tmp_path, sensor_lines([0, 100, 240, 400]))
+        assert ingest_sensor_csv(path, sample_rate_hz=10.0).gaps.count == 1
+        assert ingest_sensor_csv(path).gaps.count == 3
+
+    def test_sample_rate_must_be_positive(self, tmp_path):
+        path = write(tmp_path, sensor_lines([0, 50]))
+        for rate in (0.0, -20.0, float("nan")):
+            with pytest.raises(ValueError, match="^sample_rate_hz must be in"):
+                ingest_sensor_csv(path, sample_rate_hz=rate)
+
     def test_malformed_row_names_line(self, tmp_path):
         text = sensor_lines([0, 50]) + "not,a,row\n"
         with pytest.raises(ValueError, match="line 4"):
