@@ -36,6 +36,7 @@ from .tables import field_types, key_values, parse_fields, render_fields
 
 _RAW_CLIP = 500.0  # keeps exp() in range; sigmoid saturates long before this
 _PROB_EPS = 1e-15
+DEFAULT_THRESHOLD = 0.5  # classify_candidates: proba >= threshold is positive
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def classify_candidates(
     model: TrainedModel,
     candidates: Sequence,
     X,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
     feature_names: Sequence[str] | None = None,
 ) -> list[tuple[object, bool, float]]:
     """Threshold candidate probabilities; `proba >= threshold` is positive."""

@@ -213,25 +213,28 @@ def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
     print(f"wrote {len(session)} frames, {len(labels)} chew labels for {spec.participant}")
 
 
-def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    session = rec.read(Path(args.input), None, ingest_sensor_csv, args.participant, cfg.sample_rate_hz)
-    rec.write(f"ingested_{args.participant}.csv", write_sensor_csv, session)
+def _ingest(args, cfg: PipelineConfig, rec: Recorder) -> Session:
+    # A log sampled at another rate than the config's shows in the gap count.
+    src, producer = rec.out / f"sensors_{args.participant}.csv", "synth"
+    ingested = rec.out / f"ingested_{args.participant}.csv"
+    if args.input:
+        src, producer = Path(args.input), None
+    elif not src.exists() and ingested.exists():
+        src = ingested
+    session = rec.read(src, producer, ingest_sensor_csv, args.participant, cfg.sample_rate_hz)
     print(
         f"{args.participant}: {len(session)} frames, gaps={session.gaps.count} "
         f"(max {session.gaps.max_gap_s:.3f} s), rejected_rows={session.gaps.rejected_rows}"
     )
+    return session
+
+
+def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:
+    rec.write(f"ingested_{args.participant}.csv", write_sensor_csv, _ingest(args, cfg, rec))
 
 
 def cmd_derive(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    if args.input:
-        src, producer = Path(args.input), None
-    else:
-        src, producer = rec.out / f"sensors_{args.participant}.csv", "synth"
-        ingested = rec.out / f"ingested_{args.participant}.csv"
-        if not src.exists() and ingested.exists():
-            src = ingested
-    session = rec.read(src, producer, ingest_sensor_csv, args.participant, cfg.sample_rate_hz)
-    rec.write(f"derived_{args.participant}.csv", write_derived_csv, derive(session))
+    rec.write(f"derived_{args.participant}.csv", write_derived_csv, derive(_ingest(args, cfg, rec)))
 
 
 def cmd_peaks(args, cfg: PipelineConfig, rec: Recorder) -> None:

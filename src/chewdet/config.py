@@ -12,9 +12,9 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .boosting import BoostConfig
+from .boosting import DEFAULT_THRESHOLD, BoostConfig
 from .episodes import DbscanConfig
-from .features import DEFAULT_MIN_PROMINENCE
+from .features import DEFAULT_LABEL_MIN_OVERLAP, DEFAULT_MIN_PROMINENCE
 from .periodic import SweepConfig
 from .records import NOMINAL_RATE_HZ, check_overlap_rule, check_range
 from .tables import field_types, key_values, parse_fields, render_fields
@@ -39,7 +39,7 @@ class PipelineConfig:
     n_rounds: int = BoostConfig.n_rounds
     reg_lambda: float = BoostConfig.reg_lambda
     pos_weight: float | None = BoostConfig.pos_weight
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     # clustering
     dbscan_eps: float = DbscanConfig.eps
     dbscan_min_pts: int = DbscanConfig.min_pts
@@ -48,7 +48,7 @@ class PipelineConfig:
     delta: float = 900.0
     episode_overlap_threshold: float = 0.5
     episode_overlap_base: str = "truth"
-    candidate_label_min_overlap: float = 0.5
+    candidate_label_min_overlap: float = DEFAULT_LABEL_MIN_OVERLAP
     tz_offset_s: float = 0.0
     seed: int = BoostConfig.seed
 

@@ -81,8 +81,8 @@ def per_second_metrics(
 def per_episode_metrics(
     pred: Sequence[LabeledInterval],
     truth: Sequence[LabeledInterval],
-    overlap_threshold: float = 0.5,
-    base: str = "truth",
+    overlap_threshold: float = PipelineConfig.episode_overlap_threshold,
+    base: str = PipelineConfig.episode_overlap_base,
 ) -> Metrics:
     """Coarse scoring: a pair matches when its positive overlap reaches the
     threshold fraction of the base duration (ground-truth episode duration

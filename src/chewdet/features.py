@@ -30,8 +30,8 @@ Cost: O(S * w * log w) time per candidate for S signals and windows of w
 samples.  Windows are sorted by length and gathered 64 at a time into
 (k, S, w) blocks padded to the longest; padding adds at most one block of
 work.  Peaks are counted by peaks.window_peak_counts in one walled pass per
-signal over both windows of up to 64 x S candidates: O(window samples) time,
-a non-finite sample named by its index.  Extra memory is two blocks' worth.
+64 candidates over every signal: O(window samples) time, a non-finite sample
+named by its index in its signal.  Extra memory is two blocks' worth.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ FEATURE_TAIL_KINDS = "ffsi"
 
 WINDOW_PAD_S = 2.0
 DEFAULT_MIN_PROMINENCE = 4.5
+DEFAULT_LABEL_MIN_OVERLAP = 0.5
 # Guard band on window edges; absorbs sub-ns float wobble when a window
 # boundary lands exactly on a sample time.
 _EDGE_EPS = 1e-9
@@ -235,14 +236,14 @@ def _feature_rows(
     # peak and is passed as empty; a NaN spread is still counted.
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     counted = int(bad[0]) + 1 if bad.size else n_rows
-    for lo in range(0, counted, _BLOCK_WINDOWS * len(sig)):
-        chunk = slice(lo, min(lo + _BLOCK_WINDOWS * len(sig), counted))
-        for s, x in enumerate(sig):
-            cols = (s * len(WINDOWS) + np.arange(len(WINDOWS))) * _PER_WINDOW  # each window's max
-            spread = rows[chunk, cols] - rows[chunk, cols + 1]
-            stop = np.where(spread < min_prominence, start[chunk, None], stops[chunk])
-            counts = window_peak_counts(x, start[chunk].repeat(len(WINDOWS)), stop.ravel(), min_prominence)
-            rows[chunk, cols + _PER_WINDOW - 1] = counts.reshape(stop.shape)  # n_peaks ends each window
+    cols = np.arange(len(sig) * len(WINDOWS)) * _PER_WINDOW  # each window's max, by signal then window
+    for lo in range(0, counted, _BLOCK_WINDOWS):
+        chunk = slice(lo, min(lo + _BLOCK_WINDOWS, counted))
+        spread = rows[chunk, cols] - rows[chunk, cols + 1]
+        stop = np.where(spread < min_prominence, start[chunk, None], np.tile(stops[chunk], len(sig)))
+        of = np.arange(stop.size) % cols.size // len(WINDOWS)
+        counts = window_peak_counts(sig, start[chunk].repeat(cols.size), stop.ravel(), min_prominence, of)
+        rows[chunk, cols + _PER_WINDOW - 1] = counts.reshape(stop.shape)  # n_peaks ends each window
     if bad.size:
         c = candidates[bad[0]]
         at = int(np.flatnonzero(~np.isfinite(rows[bad[0]]))[0])
@@ -276,7 +277,7 @@ def extract(
 
 
 def label_candidates(
-    candidates: Sequence, chews: Sequence[LabeledInterval], min_overlap: float = 0.5
+    candidates: Sequence, chews: Sequence[LabeledInterval], min_overlap: float = DEFAULT_LABEL_MIN_OVERLAP
 ) -> np.ndarray:
     """Binary training labels: 1 when >= min_overlap of a candidate's span
     is covered by ground-truth chewing intervals.  Each candidate sums only
@@ -343,7 +344,7 @@ def extract_table(
     signals: Sequence[str] = SIGNALS,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
     sample_rate_hz: float = NOMINAL_RATE_HZ,
-    label_min_overlap: float = 0.5,
+    label_min_overlap: float = DEFAULT_LABEL_MIN_OVERLAP,
 ) -> FeatureTable:
     """Feature rows of candidates on one trace, each computed as given, in
     input order.  Errors are extract's, for the first failing candidate in

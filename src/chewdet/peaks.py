@@ -12,26 +12,29 @@ first and last samples are never peaks, nor is a plateau touching an
 end; the base search stops only at strictly higher terrain.
 
 Cost: O(n) time and O(n) extra memory for a trace of n samples, on any
-input (a drifting baseline included).  Runs of equal samples collapse to
-one value and only turning points enter the base search, since a sample
-on a monotone slope is never the lowest point between a maximum and
-higher terrain.  Whole-array rounds then peel each maximum below both
-neighbouring maxima: its bases are its two adjacent minima and no other
-search stops at it, so it is settled and dropped, its minima merged.
-Rounds stop once one settles under 1/8 of the maxima left (so they cost
-at most 8n comparisons) or under 32, when a round costs more than the
-stack work it saves; a monotone stack settles the rest in O(n).
+input.  Runs of equal samples collapse to one value and only turning
+points enter the base search, since a sample on a monotone slope is never
+the lowest point between a maximum and higher terrain.  Whole-array rounds
+then peel each maximum leaning on a strictly higher neighbouring maximum
+across a valley no lower than its other one: that search stops there, the
+other base is at most the other valley, so the prominence is the height
+less the higher valley, and a search that stopped at it goes on past no
+lower valley.  A run of peeled maxima merges its valleys to their minimum.
+Rounds stop once one settles under 1/8 of the maxima left (at most 8n
+comparisons) or under 32, when a round saves less than it costs; a
+monotone stack settles the rest in O(n).  A drifting baseline settles in
+one round; an expanding oscillation leans nowhere and goes to the stack.
 
-``window_peak_counts`` counts the peaks of many windows of one signal in
-one such pass, an infinite wall between each pair stopping every base search
-as a window's end does: O(total window samples) time and extra memory, plus
-some hundred numpy calls a pass, so callers pass many windows at once.
+``window_peak_counts`` counts the peaks of many windows, of one or more
+signals, in one such pass, an infinite wall between each pair stopping
+every base search as a window's end does: O(total window samples) time
+and extra memory, plus some hundred numpy calls a pass.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from math import inf
+from math import inf, nan
 from typing import NamedTuple
 
 import numpy as np
@@ -48,17 +51,12 @@ class Peak(NamedTuple):
 def _bases(highs: np.ndarray, valleys: np.ndarray) -> list[float]:
     # Per high, the lowest valley back to the nearest strictly higher high
     # (or the start); valleys[k] lies just before highs[k].  A stack entry
-    # carries the lowest valley since the entry below it; the infinite
-    # sentinel at the bottom is never popped by a finite high.  An infinite
-    # high is a wall between windows: no search crosses it, so the stack
-    # starts over there; its base is -inf, so its prominence is inf.
+    # carries the lowest valley since the entry below it; the NaN sentinel
+    # at the bottom is never popped (NaN <= h is false).  An infinite high,
+    # a wall between windows, pops all else: no later search crosses it.
     out: list[float] = []
-    stack_h, stack_low = [inf], [inf]
+    stack_h, stack_low = [nan], [inf]
     for h, low in zip(highs.tolist(), valleys.tolist()):
-        if h == inf:
-            stack_h, stack_low = [inf], [inf]
-            out.append(-inf)
-            continue
         while stack_h[-1] <= h:
             stack_h.pop()
             below = stack_low.pop()
@@ -86,11 +84,13 @@ def _prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     heights = walled[peak_at]
     prom, slot, h, v = np.empty(heights.size), np.arange(heights.size), heights, walled[at[0::2]]
     while h.size:
-        low = (h < np.append(inf, h[:-1])) & (h < np.append(h[1:], inf))
-        k = np.flatnonzero(low)
-        prom[slot[k]] = h[k] - np.maximum(v[k], v[k + 1])
-        v[k + 1] = np.minimum(v[k], v[k + 1])
-        h, slot, v = h[~low], slot[~low], v[np.append(~low, True)]
+        before, after = v[:-1], v[1:]
+        settled = (before <= after) & (h < np.append(h[1:], inf))
+        settled |= (after <= before) & (h < np.append(inf, h[:-1]))
+        k, kept = np.flatnonzero(settled), np.flatnonzero(~settled)
+        prom[slot[k]] = h[k] - np.maximum(before[k], after[k])
+        v = np.minimum.reduceat(v, np.append(0, kept + 1))
+        h, slot = h[kept], slot[kept]
         if 8 * k.size < h.size + k.size or k.size < 32:
             break
     prom[slot] = h - np.maximum(_bases(h, v), _bases(h[::-1], v[:0:-1])[::-1])
@@ -98,13 +98,12 @@ def _prominences(walled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return peak_at[real], prom[real]
 
 
-def _check_finite(values: np.ndarray, index: np.ndarray | None = None) -> None:
-    # index[k] is values[k]'s index in the signal, when not k itself.
-    finite = np.isfinite(values)
-    if not finite.all():
-        k = int(np.flatnonzero(~finite)[0])
-        bad = k if index is None else int(index[k])
-        raise ValueError(f"signal sample {bad} is not finite ({values[k]})")
+def _check_finite(values: np.ndarray, starts=(0,), cuts=(0,)) -> None:
+    # Window j of values, laid end to end, runs from cuts[j], at starts[j] in its signal.
+    if not np.isfinite(values).all():
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        j = np.searchsorted(cuts, k, "right") - 1
+        raise ValueError(f"signal sample {starts[j] + k - cuts[j]} is not finite ({values[k]})")
 
 
 def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
@@ -137,44 +136,40 @@ def find_prominent_peaks(signal, t, min_prominence: float) -> list[Peak]:
     return list(map(tuple.__new__, repeat(Peak), columns))
 
 
-def window_peak_counts(signal, starts, stops, min_prominence: float) -> np.ndarray:
+def window_peak_counts(signal, starts, stops, min_prominence: float, of=None) -> np.ndarray:
     """Peak count of each window ``signal[starts[i]:stops[i]]``.
 
     Entry i equals ``len(find_prominent_peaks(x, t, min_prominence))`` for
     that window's samples x and times t.  Windows may overlap or repeat.
-    One pass over the windows laid end to end: O(total window samples) time
-    and extra memory.
+    Given ``of``, ``signal`` is a sequence of signals of one length, and
+    window i reads ``signal[of[i]]``.  One pass over the windows laid end to
+    end, in input order: O(total window samples) time and extra memory.
 
     Raises:
-        ValueError: on mismatched or out-of-range bounds, a threshold
-            outside (0, inf), or a non-finite sample in a window (naming
-            the first one's index in ``signal``).
+        ValueError: on mismatched or out-of-range bounds or ``of``, a
+            threshold outside (0, inf), or a non-finite sample in a window
+            (naming the first one's index in its signal).
     """
-    sig = np.asarray(signal, dtype=float)
+    sigs = [np.asarray(x, dtype=float) for x in ([signal] if of is None else signal)]
     a, b = np.asarray(starts, dtype=np.intp), np.asarray(stops, dtype=np.intp)
-    if sig.ndim != 1 or a.shape != b.shape or a.ndim != 1:
+    which = np.zeros_like(a) if of is None else np.asarray(of, dtype=np.intp)
+    n = sigs[0].size if sigs else 0
+    if any(x.shape != (n,) for x in sigs) or not a.shape == b.shape == which.shape == (a.size,):
         raise ValueError(
-            f"need a 1-D signal and 1-D bounds of one shape, got {sig.shape}, {a.shape}, {b.shape}"
+            f"need 1-D signals of one length, and starts, stops and `of` of one 1-D shape, "
+            f"got {[x.shape for x in sigs]}, {a.shape}, {b.shape}, {which.shape}"
         )
-    if a.size and (a.min() < 0 or (b < a).any() or b.max() > sig.size):
-        raise ValueError(f"window bounds must satisfy 0 <= start <= stop <= {sig.size}")
+    if ((a < 0) | (b < a) | (b > n) | (which < 0) | (which >= len(sigs))).any():
+        raise ValueError(f"window bounds must satisfy 0 <= start <= stop <= {n}, and 0 <= `of` < {len(sigs)}")
     check_range("min_prominence", min_prominence, "(0, inf)")
     counts = np.zeros(a.size, dtype=np.intp)
     # An empty window holds no peak, and would put two walls side by side.
     keep = np.flatnonzero(b > a)
-    if not keep.size:
-        return counts
-    lengths = b[keep] - a[keep]
-    ends = np.cumsum(lengths)
-    # Window j's samples land after j + 1 walls: one in front, one after
-    # each earlier window.
-    offset = np.arange(ends[-1])
-    src = offset + np.repeat(a[keep] - (ends - lengths), lengths)
-    values = sig[src]
-    _check_finite(values, src)
-    walled = np.full(ends[-1] + keep.size + 1, inf)
-    walled[offset + np.repeat(np.arange(1, keep.size + 1), lengths)] = values
-    at, prom = _prominences(walled)
-    walls = np.concatenate(([0], ends + np.arange(1, keep.size + 1)))
-    counts[keep] = np.diff(np.searchsorted(at[prom >= min_prominence], walls))
+    windows = zip(*(v[keep].tolist() for v in (which, a, b)))
+    values = np.concatenate([np.empty(0), *(sigs[s][i:j] for s, i, j in windows)])
+    cuts = np.append(0, np.cumsum(b[keep] - a[keep]))
+    _check_finite(values, a[keep], cuts)
+    # A wall before each window and after the last: wall j lands at cuts[j] + j.
+    at, prom = _prominences(np.insert(values, cuts, inf))
+    counts[keep] = np.diff(np.searchsorted(at[prom >= min_prominence], cuts + np.arange(cuts.size)))
     return counts

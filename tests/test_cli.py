@@ -589,6 +589,26 @@ class TestStandaloneCommands:
         assert run("losocv", "--data", out, *base) == 0
         assert gaps == [0, 0, 0, 0]
 
+    def test_derive_reports_gaps_as_ingest_does(self, tmp_path, capsys):
+        # A gapless 10 Hz log read at the default 20 Hz has every frame step
+        # counted as a gap: derive prints the line ingest prints, and the
+        # derived CSV is the one a 10 Hz config derives.
+        out, other = tmp_path / "run", tmp_path / "other"
+        scenario = write_scenario(tmp_path, "duration = 300\nparticipant = P\nsample_rate_hz = 10\n")
+        assert run("synth", "--scenario", scenario, "--out", out) == 0
+        capsys.readouterr()
+        assert run("ingest", "--input", out / "sensors_P.csv", "--participant", "P", "--out", out) == 0
+        line = "P: 3000 frames, gaps=2999 (max 0.100 s), rejected_rows=0\n"
+        assert capsys.readouterr().out == line
+        assert run("derive", "--participant", "P", "--out", out) == 0
+        assert capsys.readouterr().out == line
+        config = tmp_path / "config.txt"
+        config.write_text("sample_rate_hz = 10\n")
+        assert run("derive", "--participant", "P", "--input", out / "sensors_P.csv",
+                   "--config", config, "--out", other) == 0
+        assert capsys.readouterr().out == "P: 3000 frames, gaps=0 (max 0.000 s), rejected_rows=0\n"
+        assert (other / "derived_P.csv").read_bytes() == (out / "derived_P.csv").read_bytes()
+
     def test_gap_cdf(self, tmp_path):
         scenario = write_scenario(tmp_path)
         out = tmp_path / "run"

@@ -1,14 +1,18 @@
 """``PipelineConfig``'s stage configs carry its mirrored fields: ``boost()``
 copies the booster's fields by name, ``dbscan()`` and ``sweep()`` map theirs."""
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
-from chewdet.boosting import BoostConfig
+from chewdet.boosting import BoostConfig, classify_candidates
 from chewdet.config import PipelineConfig
 from chewdet.episodes import DbscanConfig
+from chewdet.evaluation import per_episode_metrics
+from chewdet.features import extract_table, label_candidates
 from chewdet.periodic import SweepConfig
+from chewdet.records import ingest_sensor_csv
 
 
 def test_boost_copies_every_field():
@@ -57,3 +61,21 @@ def test_mirrored_field_reaches_its_stage_config(field, value, stage, name):
     stage_cfg = getattr(PipelineConfig(**{field: value}), stage)()
     assert getattr(stage_cfg, name) == value
     assert getattr(getattr(PipelineConfig(), stage)(), name) != value
+
+
+@pytest.mark.parametrize(
+    "field, function, parameter",
+    [
+        ("sample_rate_hz", ingest_sensor_csv, "sample_rate_hz"),
+        ("sample_rate_hz", extract_table, "sample_rate_hz"),
+        ("min_prominence", extract_table, "min_prominence"),
+        ("threshold", classify_candidates, "threshold"),
+        ("candidate_label_min_overlap", extract_table, "label_min_overlap"),
+        ("candidate_label_min_overlap", label_candidates, "min_overlap"),
+        ("episode_overlap_threshold", per_episode_metrics, "overlap_threshold"),
+        ("episode_overlap_base", per_episode_metrics, "base"),
+    ],
+)
+def test_default_is_the_library_default_it_mirrors(field, function, parameter):
+    default = inspect.signature(function).parameters[parameter].default
+    assert getattr(PipelineConfig(), field) == default

@@ -296,7 +296,7 @@ def chunks_crossed(bad, signals=SIGNALS):
     # at both.  With bad, the first candidate's band is infinite and its
     # chewing window sorts into the second block, while a NaN prox sample
     # lies only in windows of later candidates: the first candidate's error
-    # must win.  On two signals, peaks are counted in passes of 128 rows.
+    # must win.  Peaks are counted in passes of 64 rows.
     trace = make_trace(n=400, seed=14)  # spans 20 s
     cands = [cand(15.0, 15.9, p_min=np.inf if bad else 0.5), cand(0.5, 19.5)]
     cands += [cand(k * 13 % 390 / 20.0, k * 13 % 390 / 20.0 + k * 7 % 30 / 20.0) for k in range(138)]
@@ -306,15 +306,24 @@ def chunks_crossed(bad, signals=SIGNALS):
 
 
 def nan_in_second_pass():
-    # 140 candidates on two signals, so peaks are counted in passes of 128
-    # rows.  The windows of the first 130 end by 8.5 s, and a NaN ambient
-    # sample at 15 s lies only in windows of the last 10: the error must name
-    # that sample by its trace index from the second pass.
+    # 140 candidates, so peaks are counted in passes of 64 rows.  The windows
+    # of the first 130 end by 8.5 s, and a NaN ambient sample at 15 s lies
+    # only in windows of the last 10: the error must name that sample by its
+    # trace index from the third pass.
     trace = make_trace(n=400, seed=16)
     cands = [cand(2.0 + k % 40 / 10.0, 2.0 + k % 40 / 10.0 + k % 7 / 10.0) for k in range(130)]
     cands += [cand(13.0 + k / 10.0, 13.5 + k / 10.0) for k in range(10)]
     trace.ambient[300] = np.nan
     return trace, cands, ("prox", "ambient")
+
+
+def nan_in_last_signal():
+    # A NaN energy sample at 12.5 s lies in both windows of the last two
+    # candidates only: the error comes from the last signal of a peak-count
+    # pass that spans every signal, and names the sample by its trace index.
+    trace = make_trace(n=400, seed=17)
+    trace.energy[250] = np.nan
+    return trace, [cand(2.0, 3.0), cand(5.0, 6.0), cand(11.0, 12.5), cand(13.0, 14.0)], SIGNALS
 
 
 MIXED_ZEROS = [2.0, -0.0, 2.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, -0.0]
@@ -354,6 +363,7 @@ class TestBlockPath:
     @example(chunks_crossed(bad=False, signals=("prox", "ambient")))
     @example(chunks_crossed(bad=True, signals=("prox", "ambient")))
     @example(nan_in_second_pass())
+    @example(nan_in_last_signal())
     def test_matches_per_window_oracle_bit_for_bit(self, case):
         trace, cands, signals = case
         try:
@@ -366,25 +376,28 @@ class TestBlockPath:
         table = extract_table(trace, cands, HOUR0, "P1", signals=signals)
         assert table.X.tobytes() == np.array(expected).tobytes()
 
-    def test_peaks_counted_in_one_pass_per_signal(self, monkeypatch):
-        windows = []
+    def test_peaks_counted_in_one_pass_per_chunk(self, monkeypatch):
+        passes = []
         original = features.window_peak_counts
 
-        def counting(signal, starts, stops, min_prominence):
-            windows.append(len(starts))
-            return original(signal, starts, stops, min_prominence)
+        def counting(signal, starts, stops, min_prominence, of):
+            passes.append((len(starts), np.asarray(of).tolist()))
+            return original(signal, starts, stops, min_prominence, of)
+
+        def by_row(rows, n_sig):
+            # Windows ordered by row, then signal, then window.
+            return rows * n_sig * 2, [s for _ in range(rows) for s in range(n_sig) for _ in range(2)]
 
         monkeypatch.setattr(features, "window_peak_counts", counting)
         c_a, c_b = cand(10.0, 20.0), cand(30.0, 40.0)
         table = extract_table(make_trace(seed=11), [c_a, c_b, c_a, c_a], HOUR0, "P1")
-        assert windows == [4 * 2] * len(SIGNALS)  # one pass per signal, over both windows
+        assert passes == [by_row(4, len(SIGNALS))]  # one pass over every signal's two windows
         assert table.X[0].tobytes() == table.X[2].tobytes() == table.X[3].tobytes()
-        # A pass holds both windows of at most 64 x S rows: 140 rows on two
-        # signals take two passes per signal.
-        windows.clear()
+        # A pass holds every window of at most 64 rows: 140 rows take three.
+        passes.clear()
         trace, cands, signals = chunks_crossed(bad=False, signals=("prox", "ambient"))
         extract_table(trace, cands, HOUR0, "P1", signals=signals)
-        assert windows == [128 * 2] * 2 + [12 * 2] * 2
+        assert passes == [by_row(64, 2)] * 2 + [by_row(12, 2)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 12), st.sampled_from(["mixed", "all True", "all False"]),

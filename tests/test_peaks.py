@@ -193,6 +193,18 @@ class TestWindowCounts:
         with pytest.raises(ValueError, match="sample 3 is not finite"):
             window_peak_counts(x, [0, 2], [3, 6], 1.0)
 
+    def test_windows_of_several_signals(self):
+        # Window i reads signals[of[i]]; a non-finite sample is named by its
+        # index in its own signal, and `of` must index the signals.
+        x, y = np.array([0.0, 9.0, 1.0, 5.0, 0.0]), np.array([3.0, 0.0, 4.0, 0.0, np.nan])
+        assert window_peak_counts([x, y], [0, 0, 1], [5, 4, 5], 1.0, of=[0, 1, 0]).tolist() == [2, 1, 1]
+        with pytest.raises(ValueError, match="sample 4 is not finite"):
+            window_peak_counts([x, y], [0, 2], [5, 5], 1.0, of=[0, 1])
+        with pytest.raises(ValueError, match="bounds"):
+            window_peak_counts([x, y], [0], [5], 1.0, of=[2])
+        with pytest.raises(ValueError, match="one length"):
+            window_peak_counts([x, y[:4]], [0], [4], 1.0, of=[0])
+
     def test_bad_bounds_and_threshold_rejected(self):
         x = np.zeros(5)
         with pytest.raises(ValueError, match="bounds"):
@@ -214,17 +226,25 @@ def walled(*windows):
 @st.composite
 def walled_traces(draw):
     # 200 to 2,000 samples cut into 1 to 21 windows: Gaussian or integer
-    # random walks, or draws from a small integer alphabet, which tie
-    # neighbouring maxima and make plateaus.
+    # random walks; draws from a small integer alphabet, which tie
+    # neighbouring maxima and make plateaus; a rising or falling drift plus
+    # alternating or Gaussian noise, whose maxima lean on their neighbours;
+    # or an expanding oscillation, whose maxima lean on neither.
     n = draw(st.integers(200, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["walk", "integer walk", "alphabet"]))
+    kind = draw(st.sampled_from(["walk", "integer walk", "alphabet", "drift", "expanding"]))
+    i = np.arange(n)
     if kind == "walk":
         x = rng.normal(size=n).cumsum()
     elif kind == "integer walk":
         x = rng.integers(-2, 3, size=n).cumsum().astype(float)
-    else:
+    elif kind == "alphabet":
         x = rng.integers(0, draw(st.integers(2, 5)), size=n).astype(float)
+    elif kind == "drift":
+        noise = 5.0 * (i % 2) if draw(st.booleans()) else rng.normal(size=n)
+        x = draw(st.sampled_from([-0.5, 0.5])) * i + noise
+    else:
+        x = i * rng.uniform(0.5, 2.0) * (-1.0) ** i
     cuts = np.sort(rng.choice(np.arange(1, n), size=draw(st.integers(0, 20)), replace=False))
     return walled(*np.split(x, cuts))
 
@@ -259,25 +279,39 @@ class TestPeel:
 
     @pytest.mark.parametrize("step", [1, -1], ids=["rising", "falling"])
     def test_staircase_stops_peeling_after_one_round(self, monkeypatch, step):
-        # The drifting ramp, either way round: each round could settle only
-        # the lowest maximum, so the first settles 1 of 1,000 and the stack
-        # takes the other 999.
+        # The drifting ramp, either way round: each maximum is below its
+        # uphill neighbour, and its uphill valley is the higher one, so it
+        # leans on that neighbour.  The first round settles all 1,000, and
+        # the stack takes none.
         i = np.arange(2001)
         x = walled((0.5 * i + 5.0 * (i % 2))[::step])
         sizes = stack_sizes(monkeypatch)
         self.assert_matches_stack(x)
-        assert sizes == [999, 999]
+        assert sizes == [0, 0]
 
-    def test_rise_and_fall_settles_only_the_two_ends(self, monkeypatch):
+    def test_rise_and_fall_leaves_the_tied_summits(self, monkeypatch):
         # The ramp up, then mirrored: 1,000 maxima rise to two tied summits
-        # and fall again.  Only the lowest at either end is below both
-        # neighbours, so the stack takes the other 998.
+        # and fall again.  Every maximum but the summits leans uphill and
+        # goes in the first round.  Neither summit is below the other, and
+        # the valley between them is above their outer valleys, so the
+        # second round settles none and the stack takes the two.
         i = np.arange(1001)
         up = 0.5 * i + 5.0 * (i % 2)
         x = walled(np.concatenate((up, up[-2::-1])))
         sizes = stack_sizes(monkeypatch)
         self.assert_matches_stack(x)
-        assert sizes == [998, 998]
+        assert sizes == [2, 2]
+
+    def test_expanding_oscillation_goes_to_the_stack(self, monkeypatch):
+        # (-1)^i i: each maximum is above the one before it, and its valleys
+        # fall away on the side of the higher neighbour, so it leans on
+        # neither.  Only the first of the 1,999 maxima, which leans on the
+        # start, settles; the round stops and the stack takes 1,998 in O(n).
+        i = np.arange(4000)
+        x = walled(i * (-1.0) ** i)
+        sizes = stack_sizes(monkeypatch)
+        self.assert_matches_stack(x)
+        assert sizes == [1998, 1998]
 
     def test_equal_neighbouring_maxima_are_not_peeled(self, monkeypatch):
         # The two 5s tie: each one's search runs past the other to the ends,
