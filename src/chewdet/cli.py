@@ -177,6 +177,14 @@ def _chews(labels: list[LabeledInterval], pid: str) -> list[LabeledInterval]:
     return [iv for iv in labels if iv.participant == pid and iv.kind is IntervalKind.CHEW]
 
 
+def _read_log(rec: Recorder, path: Path, producer: str | None, pid: str, cfg: PipelineConfig) -> Session:
+    # A log sampled at another rate than the config's shows in the gap count.
+    session = rec.read(path, producer, ingest_sensor_csv, pid, cfg.sample_rate_hz)
+    g = session.gaps
+    print(f"{pid}: {len(session)} frames, gaps={g.count} (max {g.max_gap_s:.3f} s), rejected_rows={g.rejected_rows}")
+    return session
+
+
 def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
     data_dir = Path(args.data)
     sensor_files = {p.stem[len("sensors_"):]: p for p in sorted(data_dir.glob("sensors_*.csv"))}
@@ -190,7 +198,7 @@ def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
     for label_file in sorted(data_dir.glob("labels*.csv")):
         labels.extend(rec.read(label_file, "synth", read_label_csv))
     return [
-        rec.read(path, "synth", ingest_sensor_csv, pid, cfg.sample_rate_hz).with_labels(_chews(labels, pid))
+        _read_log(rec, path, "synth", pid, cfg).with_labels(_chews(labels, pid))
         for pid, path in sensor_files.items()
         if pid in wanted
     ]
@@ -214,19 +222,13 @@ def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 
 def _ingest(args, cfg: PipelineConfig, rec: Recorder) -> Session:
-    # A log sampled at another rate than the config's shows in the gap count.
     src, producer = rec.out / f"sensors_{args.participant}.csv", "synth"
     ingested = rec.out / f"ingested_{args.participant}.csv"
     if args.input:
         src, producer = Path(args.input), None
     elif not src.exists() and ingested.exists():
         src = ingested
-    session = rec.read(src, producer, ingest_sensor_csv, args.participant, cfg.sample_rate_hz)
-    print(
-        f"{args.participant}: {len(session)} frames, gaps={session.gaps.count} "
-        f"(max {session.gaps.max_gap_s:.3f} s), rejected_rows={session.gaps.rejected_rows}"
-    )
-    return session
+    return _read_log(rec, src, producer, args.participant, cfg)
 
 
 def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:

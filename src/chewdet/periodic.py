@@ -6,36 +6,38 @@ such subsequence is found by a left-to-right dynamic program:
 
     opt[i] = 1 + max(opt[j])  over j with p_min <= t[i] - t[j] <= p_max
 
-where opt[i] counts gaps of the best run ending at i.  Because the valid
-predecessor window slides monotonically with i, a max-deque keeps the
-whole pass linear in the number of events as long as the band width and
-event density are bounded.
+where opt[i] counts gaps of the best run ending at i.  Sweeping
+geometrically spaced bands over the physiological inter-chew range (0.4 s
+to 1.5 s by factors of 1 + epsilon) turns "find chewing of unknown rate"
+into a small family of banded problems.
 
-Sweeping geometrically spaced bands over the physiological inter-chew
-range (0.4 s to 1.5 s by factors of 1 + epsilon) turns "find chewing of
-unknown rate" into a small family of banded problems.
-
-``segment`` first screens the (fragment, band) pairs: an event ends a
-chain of k gaps only if its predecessor window holds an event that ends
-one of k - 1.  Per band, two ``searchsorted`` calls give every window,
-widened by a few ulps, and whole-array rounds keep an event only while its
-window holds one kept in the round before.  The pairs left after
-min(min_len, 8) - 1 rounds are a superset of those whose optimum reaches
-``min_len``; only they run the DP.  Cost: O(B n log n) for B bands and n
-peaks, plus the rounds' O(B n) each, plus the exact DP on the pairs that
-get through.  Where the optimum reaches ``min_len`` gaps, ``segment``
-returns one ``CandidateWindow`` per distinct (first, last) span of the
-tied optimal chains.  Each on-optimum event carries the set of chain
-starts that reach it, so this costs O(on-optimum events x distinct
-starts), never the chain count (2^k for k paired chews).  Only the
-reference searches ``longest_*_periodic`` enumerate every tied chain, as
-``PeriodicSubsequence``.
+One rule gives every predecessor window.  A widened ``searchsorted`` pair
+finds each event's union window over all bands; fl(t[i] - t[j]) falls as j
+rises, so each band's exact window [first, stop) is one run inside it,
+placed by counting the gaps above p_max and at or above p_min.  The screen,
+the DP and the reference enumerator all read these windows.  ``segment``
+screens the (fragment, band) pairs first: an event ends a chain of k gaps
+exactly when its window holds one that ends k - 1, so whole-array rounds
+keep an event only while its window holds one kept before, and the pairs
+left after min(min_len, 8) - 1 rounds are exactly those whose optimum
+reaches ``min_len`` (a superset above 8, where the DP decides).  The DP
+takes each event's optimum from its window and carries forward the set of
+chain starts that reach it: its own index for an empty window, a single
+tied predecessor's set (shared), or the union over the ties.  Where the
+optimum reaches ``min_len``, ``segment`` returns one ``CandidateWindow`` per
+distinct (first, last) span of the tied optimal chains, never enumerating
+the chains (2^k for k paired chews).  Cost for B bands, n peaks and K, the
+most peaks in any union window: O(n log n) for the search, O(B K n) for the
+windows with O(B n) extra memory, O(B n) per screen round, and per passed
+pair O(sum of window lengths) for the DP plus O(events x distinct starts)
+for the start sets.  Peaks of a 20 Hz trace are at least 2 samples apart,
+so K <= 12 for the default sweep.  Only the reference searches ``longest_*_periodic`` enumerate
+every tied chain, as ``PeriodicSubsequence``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -147,62 +149,51 @@ def _validate_times(t) -> np.ndarray:
     return ts
 
 
-def _optima(tl: list[float], p_min: float, p_max: float) -> list[int]:
-    # opt[i]: gaps of the longest chain ending at tl[i].  Sliding-window DP:
-    # dq holds candidate predecessors with non-increasing opt values; a
-    # predecessor enters once its gap reaches p_min and leaves once its gap
-    # passes p_max.
-    n = len(tl)
-    opt = [0] * n
-    dq: deque[int] = deque()
-    nxt = 0  # next index eligible to enter the window
-    for i in range(n):
-        ti = tl[i]
-        while nxt < i and ti - tl[nxt] >= p_min:
-            while dq and opt[dq[-1]] <= opt[nxt]:
-                dq.pop()
-            dq.append(nxt)
-            nxt += 1
-        while dq and ti - tl[dq[0]] > p_max:
-            dq.popleft()
-        if dq:
-            opt[i] = opt[dq[0]] + 1
-    return opt
+def _windows(times: np.ndarray, bands: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    # Every event's exact predecessor window [first, stop) per band, (B, n)
+    # each: the j with p_min <= t[i] - t[j] <= p_max.  One search finds the
+    # union window of all bands, widened by 4 ulps of the largest finite time
+    # or band edge, which exceed the rounding of t[i] - t[j] and of its
+    # bounds.  fl(t[i] - t[j]) falls as j rises, so each band's window is
+    # one run inside it, placed by counting the gaps past each edge.
+    scale = max(np.abs(times[np.isfinite(times)]).max(initial=0.0), bands[-1][1])
+    tol = 4 * np.spacing(scale)
+    lo = np.searchsorted(times, times - bands[-1][1] - tol, "left")
+    hi = np.searchsorted(times, times - bands[0][0] + tol, "right")
+    p_min, p_max = np.array(bands).T[:, :, None]
+    width = np.max(hi - lo, initial=0)  # the most events in a union window
+    over, reach = np.zeros((2, len(bands), times.size), dtype=np.min_scalar_type(width))
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite time has no predecessor
+        for k in range(width):
+            gap = np.where(lo + k < hi, times - times.take(lo + k, mode="clip"), np.nan)
+            over += gap > p_max
+            reach += gap >= p_min
+    return lo + over, lo + reach
 
 
-def _predecessors(tl: list[float], opt: list[int], i: int, p_min: float, p_max: float) -> list[int]:
-    # The events one gap before i on a longest chain ending at i.
-    out = []
-    for j in range(i - 1, -1, -1):
-        gap = tl[i] - tl[j]
-        if gap > p_max:
-            break
-        if opt[j] == opt[i] - 1 and gap >= p_min:
-            out.append(j)
-    return out
-
-
-def _longest_spans(
-    tl: list[float], p_min: float, p_max: float, min_len: int
-) -> tuple[int, set[tuple[float, float]]]:
-    # The optimum and the distinct (first, last) times of its tied chains,
-    # none when it is below min_len (>= 1).  On-optimum events are found
-    # level by level back from the optimal endpoints; each then carries the
-    # chain starts that reach it: its own, or the union of its predecessors'.
-    opt = _optima(tl, p_min, p_max)
-    best = max(opt)
-    if best < min_len:
-        return best, set()
-    ends = level = [i for i in range(len(tl)) if opt[i] == best]
-    preds: dict[int, list[int]] = {}
-    while level:
-        for i in level:
-            preds[i] = _predecessors(tl, opt, i, p_min, p_max)
-        level = {j for i in level for j in preds[i]}
-    starts: dict[int, set[int]] = {}
-    for i in sorted(preds):  # an event's predecessors come before it
-        starts[i] = set().union(*(starts[j] for j in preds[i])) or {i}
-    return best, {(tl[s], tl[e]) for e in ends for s in starts[e]}
+def _optima(first: list[int], stop: list[int]) -> tuple[list[int], list]:
+    # opt[i], the gaps of the longest chain ending at event i (1 + the best
+    # in its window, 0 for an empty one), and the first events of those
+    # chains: its own index, a single tied predecessor's starts (shared, not
+    # copied), or the union over the tied predecessors.
+    opt: list[int] = []
+    starts: list = []
+    for i, (f, s) in enumerate(zip(first, stop)):
+        if f == s:
+            opt.append(0)
+            starts.append((i,))
+        elif s - f == 1:
+            opt.append(opt[f] + 1)
+            starts.append(starts[f])
+        else:
+            window = opt[f:s]
+            best = max(window)
+            opt.append(best + 1)
+            if window.count(best) == 1:
+                starts.append(starts[f + window.index(best)])
+            else:
+                starts.append(set().union(*(starts[j] for j in range(f, s) if opt[j] == best)))
+    return opt, starts
 
 
 def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubsequence]:
@@ -214,8 +205,10 @@ def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubseque
     """
     if not 0 < p_min <= p_max < math.inf:
         raise ValueError(f"need 0 < p_min <= p_max < inf, got [{p_min}, {p_max}]")
-    tl = _validate_times(t).tolist()
-    opt = _optima(tl, p_min, p_max)
+    ts = _validate_times(t)
+    tl = ts.tolist()
+    first, stop = (w[0].tolist() for w in _windows(ts, [(p_min, p_max)]))
+    opt, _ = _optima(first, stop)
     best = max(opt, default=0)
     # Walk the backpointer DAG from every optimal endpoint (none when no gap
     # fits); each root-to-end path is one tied optimum.
@@ -227,7 +220,7 @@ def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubseque
             if opt[i] == 0:
                 chains.append(tuple(tl[k] for k in reversed(tail)))
                 continue
-            preds = _predecessors(tl, opt, i, p_min, p_max)
+            preds = [j for j in range(first[i], stop[i]) if opt[j] == opt[i] - 1]
             if len(preds) == 1:
                 tail.append(preds[0])
                 stack.append((preds[0], tail))
@@ -252,23 +245,20 @@ def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
     return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 
 
-def _screen(times: np.ndarray, bands: list[tuple[float, float]], bounds: np.ndarray, min_len: int):
-    # The (fragment, band) pairs, in that order, that may reach min_len gaps
-    # (module docstring).  4 ulps of the largest finite time or band edge
-    # exceed the rounding of t[i] - t[j] and of the window bounds.
-    scale = max(np.abs(times[np.isfinite(times)]).max(initial=0.0), bands[-1][1])
-    tol = 4 * np.spacing(scale)
-    frag = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    hit = np.zeros((bounds.size - 1, len(bands)), dtype=bool)
-    count = np.zeros(times.size + 1, dtype=np.intp)
-    for b, (p_min, p_max) in enumerate(bands):
-        first = np.searchsorted(times, times - p_max - tol, "left")
-        stop = np.searchsorted(times, times - p_min + tol, "right")
-        alive = stop > first
+def _screen(first: np.ndarray, stop: np.ndarray, bounds: np.ndarray, min_len: int):
+    # The (fragment, band) pairs, in that order, whose optimum reaches
+    # min(min_len, _SCREEN_ROUNDS) gaps.  Each round keeps an event only while
+    # its window holds one kept in the round before.  Bands go one at a time,
+    # so that a band's rows stay in cache through its rounds.
+    hit = np.zeros((bounds.size - 1, len(first)), dtype=bool)
+    count = np.zeros(first.shape[1] + 1, dtype=np.intp)
+    for b, (f, s) in enumerate(zip(first, stop)):
+        alive = s > f
         for _ in range(min(min_len, _SCREEN_ROUNDS) - 1):
             np.cumsum(alive, out=count[1:])
-            alive = count[stop] > count[first]
-        hit[frag[alive], b] = True
+            alive = count[s] > count[f]
+        np.cumsum(alive, out=count[1:])
+        hit[:, b] = np.diff(count[bounds]) > 0
     return zip(*np.nonzero(hit))
 
 
@@ -277,25 +267,31 @@ def segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[Candi
 
     The peak stream is split wherever consecutive peaks are more than
     cfg.max apart (no band gap can bridge such a break), and each fragment
-    is swept band by band, bar the pairs the screen rules out (see the
-    module docstring).  A band gives one candidate per distinct (c1, c2) of
-    its tied optimal chains when the optimum reaches ``min_len`` gaps; a
-    span found in several bands is kept once, in the lowest, with that
-    band's optimum as ``length``.  Output is ordered by start time, band,
-    then end time.
+    is swept band by band, bar the pairs the screen rules out; up to 8 gaps
+    the screen passes exactly the pairs whose optimum reaches ``min_len``.
+    A band gives one candidate per distinct (c1, c2) of its tied optimal
+    chains when the optimum reaches ``min_len`` gaps; a span found in
+    several bands is kept once, in the lowest, with that band's optimum as
+    ``length``.  Output is ordered by start time, band, then end time.  The
+    screen and the DP read the windows of one search, and the DP carries
+    chain starts forward; the module docstring states the cost.
     """
     check_range("min_len", min_len, "[1, inf)")
     times = _validate_times([p.t for p in peaks])
     bands = cfg.bands()
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(times) > cfg.max) + 1, [times.size]))
     tl = times.tolist()
+    first, stop = _windows(times, bands)
     # Fragments hold disjoint times, so one table dedupes spans across bands.
     found: dict[tuple[float, float], CandidateWindow] = {}
-    for f, b in _screen(times, bands, bounds, min_len):
-        p_min, p_max = bands[b]
-        best, spans = _longest_spans(tl[bounds[f] : bounds[f + 1]], p_min, p_max, min_len)
-        for c1, c2 in spans:
-            found.setdefault((c1, c2), CandidateWindow(c1, c2, p_min, p_max, cfg.epsilon, best))
+    for f, b in _screen(first, stop, bounds, min_len):
+        lo, hi = bounds[f : f + 2].tolist()
+        opt, starts = _optima((first[b, lo:hi] - lo).tolist(), (stop[b, lo:hi] - lo).tolist())
+        best = max(opt)
+        for end in [e for e, o in enumerate(opt) if o == best >= min_len]:
+            for s in starts[end]:
+                cand = CandidateWindow(tl[lo + s], tl[lo + end], *bands[b], cfg.epsilon, best)
+                found.setdefault((cand.c1, cand.c2), cand)
     return sorted(found.values(), key=lambda c: (c.c1, c.p_min, c.c2))
 
 

@@ -19,11 +19,16 @@ to the same results bit for bit; the episode oracle reports its counts
 through evaluation._prf, the precision/recall arithmetic both share.
 stack_prominences and searched_build_tree are kept the same way: the
 earlier prominence stack, and the earlier tree builder that searches every
-node, on the booster's own split search and order filter.
+node, on the booster's own split search and order filter.  So are
+set_per_second_metrics, the per-second scorer that builds a set of every
+truth second, and walked_segment, the segmenter whose screen searches each
+band's widened windows and whose DP keeps a max-deque, then walks back
+from each optimum to join the chain starts level by level.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from math import inf, sqrt
 from typing import Callable, Sequence
@@ -41,8 +46,9 @@ from chewdet.features import (
     WINDOWS,
 )
 from chewdet.peaks import Peak, find_prominent_peaks
-from chewdet.records import LabeledInterval
+from chewdet.records import LabeledInterval, covered_seconds
 from chewdet.periodic import (
+    CandidateWindow,
     PeriodicSubsequence,
     SweepConfig,
     _validate_times,
@@ -121,6 +127,111 @@ def naive_segment(
     out = [s for s in found.values() if s.length >= min_len]
     out.sort(key=lambda s: (s.c1, s.p_min, s.timestamps))
     return out
+
+
+def deque_optima(tl: list[float], p_min: float, p_max: float) -> list[int]:
+    # opt[i]: gaps of the longest chain ending at tl[i].  Sliding-window DP:
+    # dq holds candidate predecessors with non-increasing opt values; a
+    # predecessor enters once its gap reaches p_min and leaves once its gap
+    # passes p_max.
+    n = len(tl)
+    opt = [0] * n
+    dq: deque[int] = deque()
+    nxt = 0  # next index eligible to enter the window
+    for i in range(n):
+        ti = tl[i]
+        while nxt < i and ti - tl[nxt] >= p_min:
+            while dq and opt[dq[-1]] <= opt[nxt]:
+                dq.pop()
+            dq.append(nxt)
+            nxt += 1
+        while dq and ti - tl[dq[0]] > p_max:
+            dq.popleft()
+        if dq:
+            opt[i] = opt[dq[0]] + 1
+    return opt
+
+
+def scanned_predecessors(tl: list[float], opt: list[int], i: int, p_min: float, p_max: float) -> list[int]:
+    # The events one gap before i on a longest chain ending at i.
+    out = []
+    for j in range(i - 1, -1, -1):
+        gap = tl[i] - tl[j]
+        if gap > p_max:
+            break
+        if opt[j] == opt[i] - 1 and gap >= p_min:
+            out.append(j)
+    return out
+
+
+def walked_longest_spans(
+    tl: list[float], p_min: float, p_max: float, min_len: int
+) -> tuple[int, set[tuple[float, float]]]:
+    # The optimum and the distinct (first, last) times of its tied chains,
+    # none when it is below min_len (>= 1).  On-optimum events are found
+    # level by level back from the optimal endpoints; each then carries the
+    # chain starts that reach it: its own, or the union of its predecessors'.
+    opt = deque_optima(tl, p_min, p_max)
+    best = max(opt)
+    if best < min_len:
+        return best, set()
+    ends = level = [i for i in range(len(tl)) if opt[i] == best]
+    preds: dict[int, list[int]] = {}
+    while level:
+        for i in level:
+            preds[i] = scanned_predecessors(tl, opt, i, p_min, p_max)
+        level = {j for i in level for j in preds[i]}
+    starts: dict[int, set[int]] = {}
+    for i in sorted(preds):  # an event's predecessors come before it
+        starts[i] = set().union(*(starts[j] for j in preds[i])) or {i}
+    return best, {(tl[s], tl[e]) for e in ends for s in starts[e]}
+
+
+def searched_screen(times: np.ndarray, bands: list[tuple[float, float]], bounds: np.ndarray, min_len: int):
+    # The (fragment, band) pairs, in that order, that may reach min_len gaps:
+    # per band, two searches give every window, widened by 4 ulps of the
+    # largest finite time or band edge, and min(min_len, 8) - 1 whole-array
+    # rounds keep an event only while its window holds one kept before.
+    scale = max(np.abs(times[np.isfinite(times)]).max(initial=0.0), bands[-1][1])
+    tol = 4 * np.spacing(scale)
+    frag = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    hit = np.zeros((bounds.size - 1, len(bands)), dtype=bool)
+    count = np.zeros(times.size + 1, dtype=np.intp)
+    for b, (p_min, p_max) in enumerate(bands):
+        first = np.searchsorted(times, times - p_max - tol, "left")
+        stop = np.searchsorted(times, times - p_min + tol, "right")
+        alive = stop > first
+        for _ in range(min(min_len, 8) - 1):
+            np.cumsum(alive, out=count[1:])
+            alive = count[stop] > count[first]
+        hit[frag[alive], b] = True
+    return zip(*np.nonzero(hit))
+
+
+def walked_segment(peaks: Sequence[Peak], cfg: SweepConfig, min_len: int) -> list[CandidateWindow]:
+    """chewdet.periodic.segment as the searched screen and the walked-back
+    spans gave it: the same candidates by an independent window rule."""
+    times = _validate_times([p.t for p in peaks])
+    bands = cfg.bands()
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(times) > cfg.max) + 1, [times.size]))
+    tl = times.tolist()
+    found: dict[tuple[float, float], CandidateWindow] = {}
+    for f, b in searched_screen(times, bands, bounds, min_len):
+        p_min, p_max = bands[b]
+        best, spans = walked_longest_spans(tl[bounds[f] : bounds[f + 1]], p_min, p_max, min_len)
+        for c1, c2 in spans:
+            found.setdefault((c1, c2), CandidateWindow(c1, c2, p_min, p_max, cfg.epsilon, best))
+    return sorted(found.values(), key=lambda c: (c.c1, c.p_min, c.c2))
+
+
+def set_per_second_metrics(pred_seconds, truth_intervals: Sequence[LabeledInterval]) -> Metrics:
+    """chewdet.evaluation.per_second_metrics on sets of every whole second."""
+    pred = set(int(s) for s in pred_seconds)
+    truth: set[int] = set()
+    for iv in truth_intervals:
+        truth.update(covered_seconds(iv.start, iv.end))
+    tp = len(pred & truth)
+    return _prf(tp, len(pred), tp, len(truth))
 
 
 def naive_dbscan_1d(

@@ -589,6 +589,22 @@ class TestStandaloneCommands:
         assert run("losocv", "--data", out, *base) == 0
         assert gaps == [0, 0, 0, 0]
 
+    def test_losocv_reports_each_logs_gaps(self, tmp_path, capsys):
+        # Two gapless 10 Hz logs read at the default 20 Hz rate: losocv prints
+        # the line ingest prints, once per participant.
+        config = tmp_path / "config.txt"
+        config.write_text("min_child_weight = 0.5\n")
+        out = tmp_path / "run"
+        for pid in ("P", "Q"):
+            text = f"duration = 300\nparticipant = {pid}\nsample_rate_hz = 10\n"
+            text += "meal = start=60 sequences=2 rate=1.25 bite=5 seq_dur=25 gap=15\n"
+            text += "confounder = kind=talking start=200 duration=28\n"
+            assert run("synth", "--scenario", write_scenario(tmp_path, text), "--out", out) == 0
+        capsys.readouterr()
+        assert run("losocv", "--data", out, "--config", config, "--out", out) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "gaps=" in line]
+        assert lines == [f"{pid}: 3000 frames, gaps=2999 (max 0.100 s), rejected_rows=0" for pid in "PQ"]
+
     def test_derive_reports_gaps_as_ingest_does(self, tmp_path, capsys):
         # A gapless 10 Hz log read at the default 20 Hz has every frame step
         # counted as a gap: derive prints the line ingest prints, and the

@@ -10,7 +10,9 @@ from chewdet import evaluation
 from chewdet.boosting import BoostConfig
 from chewdet.episodes import score_seconds
 from chewdet.evaluation import (
+    EvalReport,
     Metrics,
+    ParticipantScore,
     ablate_sensors,
     featurize,
     losocv,
@@ -27,7 +29,7 @@ from chewdet.records import IntervalKind, LabeledInterval, Session, derive_episo
 from chewdet.signals import derive
 from chewdet.synthetic import generate
 from conftest import quick_config, two_meal_scenario
-from oracles import naive_per_episode_metrics
+from oracles import naive_per_episode_metrics, set_per_second_metrics
 
 
 def episode(start, end, participant="P1"):
@@ -50,6 +52,12 @@ def _chain(parts):
 _gaps = st.integers(0, 8).map(lambda k: k / 2) | st.floats(0.0, 5.0)
 _lengths = st.integers(1, 12).map(lambda k: k / 2) | st.floats(0.01, 8.0)
 _episodes = st.lists(st.tuples(_gaps, _lengths), max_size=8).map(_chain)
+# Chews on a quarter-second grid nest, touch and fall inside one second;
+# some starts and lengths are any float.
+_quarters = st.integers(-8, 80).map(lambda k: k / 4) | st.floats(-2.0, 20.0)
+_chews = st.lists(
+    st.tuples(_quarters, st.integers(1, 40).map(lambda k: k / 4) | st.floats(0.01, 10.0)), max_size=8
+).map(lambda spans: [chew(a, a + d) for a, d in spans if a + d > a])
 
 
 class TestPerSecond:
@@ -88,6 +96,19 @@ class TestPerSecond:
     def test_empty_truth_with_predictions(self):
         m = per_second_metrics({1, 2}, [])
         assert (m.precision, m.recall) == (0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(-4, 24)), _chews)
+    def test_matches_set_oracle(self, pred, chews):
+        assert per_second_metrics(pred, chews) == set_per_second_metrics(pred, chews)
+
+    def test_label_length_costs_nothing(self):
+        # A 1e8 s chew spans 1e8 seconds, which a set of truth seconds would
+        # hold one by one; the merged ranges hold one.
+        start = time.perf_counter()
+        m = per_second_metrics(range(100), [chew(0, 50), chew(10, 1e8), chew(2e8, 2e8 + 0.5)])
+        assert time.perf_counter() - start < 1.0
+        assert (m.tp, m.fp, m.fn) == (100, 0, 1e8 + 1 - 100)
 
     def test_translation_invariance(self):
         pred = set(range(10, 60))
@@ -343,6 +364,16 @@ class TestPipeline:
         assert held.second == held.episode == Metrics(1.0, 1.0, 1.0, 0, 0, 0)
         assert "no_truth" in report.to_text()
         unflagged = replace(report, scores=tuple(replace(s, flags=()) for s in report.scores))
+        assert report.to_csv_rows() == unflagged.to_csv_rows()
+
+    def test_average_rows_count_flagged_participants(self):
+        m = Metrics(1.0, 1.0, 1.0)
+        flags = [(), ("no_truth",), (), ("zero_trees", "no_candidates")]
+        report = EvalReport(tuple(ParticipantScore(f"P{i}", m, m, f) for i, f in enumerate(flags)))
+        average = [line for line in report.to_text().splitlines() if line.startswith("AVERAGE")]
+        assert len(average) == 2 and all(line.endswith("  flagged 2/4") for line in average)
+        unflagged = EvalReport(tuple(replace(s, flags=()) for s in report.scores))
+        assert unflagged.to_text().splitlines()[-1].endswith("  flagged 0/4")
         assert report.to_csv_rows() == unflagged.to_csv_rows()
 
     def test_report_rows_and_average(self, clean_sessions):

@@ -13,18 +13,18 @@ from chewdet.periodic import (
     CandidateWindow,
     PeriodicSubsequence,
     SweepConfig,
-    _optima,
     _screen,
+    _windows,
     longest_abs_periodic,
     longest_rel_periodic,
     read_candidate_csv,
     segment,
     write_candidate_csv,
 )
-from oracles import brute_force_longest_periodic, naive_segment
+from oracles import brute_force_longest_periodic, deque_optima, naive_segment, walked_segment
 
-# Segment's screen must widen its windows from finite times only: an infinite
-# peak time must not compute inf - inf or spacing(inf), and any
+# Segment's windows must widen from finite times only and leave inf - inf
+# unreported: an infinite peak time must not compute spacing(inf), and any
 # RuntimeWarning fails a test here.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -281,6 +281,18 @@ class TestSegmentOracle:
             spans.values(), key=lambda c: (c.c1, c.p_min, c.c2)
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(peak_streams())
+    @example((as_peaks(np.round(np.sort(np.r_[np.arange(12) * 1.3, np.arange(12) * 1.3 + 0.1]), 6)), SweepConfig(), 3))
+    @example((as_peaks([0.017637893958872174, 0.4176378939588722]), SweepConfig(), 1))  # gap rounds onto p_min
+    @example((as_peaks([-0.06236210604112782, 0.4176378939588722]), SweepConfig(), 1))  # gap rounds onto p_max
+    @example((as_peaks([-math.inf, 0.0, 1.0, 2.0, 3.0, 4.0, math.inf]), SweepConfig(), 3))
+    def test_matches_walked_segment(self, case):
+        # Paired chews tie 2^12 chains on 4 spans, which the full sweep
+        # cannot enumerate; the walked-back segmenter finds their spans by
+        # another window rule, per-band searches and a deque.
+        assert segment(*case) == walked_segment(*case)
+
     def test_paired_chews_give_spans_not_chains(self):
         # 40 chews 1.3 s apart, each seen as two peaks 0.1 s apart: every
         # gap (1.2, 1.3, 1.4 s) fits one band, so 2^40 tied chains share 4
@@ -304,17 +316,33 @@ def fragments(times, cfg):
 
 class TestScreen:
     @settings(max_examples=300, deadline=None)
-    @given(peak_streams())
-    def test_passes_every_pair_that_reaches_min_len(self, case):
-        peaks, cfg, min_len = case
+    @given(peak_streams(), st.integers(1, 12))
+    def test_passes_every_pair_that_reaches_min_len(self, case, min_len):
+        # Exactly those pairs up to the round cap of 8 gaps; above it, a
+        # superset that the DP decides.
+        peaks, cfg = case[:2]
         times = np.array([p.t for p in peaks])
         bounds = fragments(times, cfg)
-        passed = {(int(f), int(b)) for f, b in _screen(times, cfg.bands(), bounds, min_len)}
-        for f in range(len(bounds) - 1):
-            tl = times[bounds[f] : bounds[f + 1]].tolist()
-            for b, (p_min, p_max) in enumerate(cfg.bands()):
-                if max(_optima(tl, p_min, p_max)) >= min_len:
-                    assert (f, b) in passed
+        passed = {(int(f), int(b)) for f, b in _screen(*_windows(times, cfg.bands()), bounds, min_len)}
+        reach = {
+            (f, b)
+            for f in range(len(bounds) - 1)
+            for b, band in enumerate(cfg.bands())
+            if max(deque_optima(times[bounds[f] : bounds[f + 1]].tolist(), *band)) >= min_len
+        }
+        assert passed == reach if min_len <= 8 else passed >= reach
+
+    @settings(max_examples=300, deadline=None)
+    @given(peak_streams())
+    @example((as_peaks([-math.inf, 0.0, 0.4, 0.9, math.inf]), SweepConfig(), 1))
+    def test_windows_match_a_brute_force_scan(self, case):
+        peaks, cfg = case[:2]
+        times = np.array([p.t for p in peaks])
+        first, stop = _windows(times, cfg.bands())
+        for b, (p_min, p_max) in enumerate(cfg.bands()):
+            for i, t in enumerate(times.tolist()):
+                scan = [j for j, u in enumerate(times.tolist()) if p_min <= t - u <= p_max]
+                assert scan == list(range(first[b, i], stop[b, i]))
 
     @settings(max_examples=100, deadline=None)
     @given(peak_streams())
@@ -322,17 +350,20 @@ class TestScreen:
         peaks, cfg, min_len = case
         times = np.array([p.t for p in peaks])
         bounds = fragments(times, cfg)
-        bands = cfg.bands()
-        passed = [(times[bounds[f]], bands[b]) for f, b in _screen(times, bands, bounds, min_len)]
+        first, stop = _windows(times, cfg.bands())
+        passed = [
+            ((first[b, lo:hi] - lo).tolist(), (stop[b, lo:hi] - lo).tolist())
+            for lo, hi, b in ((bounds[f], bounds[f + 1], b) for f, b in _screen(first, stop, bounds, min_len))
+        ]
         calls = []
 
-        def recording(tl, p_min, p_max, min_len):
-            calls.append((tl[0], (p_min, p_max)))
-            return longest_spans(tl, p_min, p_max, min_len)
+        def recording(first, stop):
+            calls.append((first, stop))
+            return optima(first, stop)
 
-        longest_spans = periodic._longest_spans
+        optima = periodic._optima
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(periodic, "_longest_spans", recording)
+            mp.setattr(periodic, "_optima", recording)
             segment(peaks, cfg, min_len)
         assert calls == passed
 
@@ -408,7 +439,28 @@ class TestLinearScaling:
             return time.perf_counter() - start
 
         times = np.cumsum(np.resize(stride, 2000))
-        assert len(list(_screen(times, cfg.bands(), np.array([0, 2000]), 3))) == len(cfg.bands())
+        assert len(list(_screen(*_windows(times, cfg.bands()), np.array([0, 2000]), 3))) == len(cfg.bands())
+        timed(2000)  # warm-up
+        small = min(timed(2000) for _ in range(3))
+        large = min(timed(20000) for _ in range(3))
+        assert large / small < 25
+
+    def test_segment_is_roughly_linear_on_a_dense_stream(self):
+        # A peak every 0.1 s, the closest prominent peaks of a 20 Hz trace:
+        # 12 peaks lie in each union window [t - 1.5, t - 0.4], every band
+        # passes the screen, and each window is O(1), so the cost stays linear.
+        cfg = SweepConfig()
+
+        def timed(n):
+            peaks = as_peaks(np.arange(n) / 10)
+            start = time.perf_counter()
+            segment(peaks, cfg, 3)
+            return time.perf_counter() - start
+
+        times = np.arange(2000) / 10
+        first, stop = _windows(times, cfg.bands())
+        assert (stop[0] - first[-1]).max() == 12  # from the top band's first to the bottom band's stop
+        assert len(list(_screen(first, stop, np.array([0, 2000]), 3))) == len(cfg.bands())
         timed(2000)  # warm-up
         small = min(timed(2000) for _ in range(3))
         large = min(timed(20000) for _ in range(3))
