@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .boosting import BoostConfig, TrainedModel, classify_candidates, layout_fingerprint, load_model
 from .boosting import predict_proba, rank_features, save_model, train
 from .config import PipelineConfig, read_config
-from .episodes import DbscanConfig, SecondScore, cluster, episodes_from_clusters, score_seconds
+from .episodes import DbscanConfig, cluster, episodes_from_clusters, score_seconds
 from .evaluation import (
     EvalReport,
     Metrics,
@@ -51,7 +51,6 @@ __all__ = [
     "PeriodicSubsequence",
     "PipelineConfig",
     "ScenarioSpec",
-    "SecondScore",
     "Session",
     "SweepConfig",
     "TrainedModel",

@@ -309,9 +309,11 @@ def cmd_evaluate(args, cfg: PipelineConfig, rec: Recorder) -> None:
     chews = _chews(rec.read(label_file, None if args.labels else "synth", read_label_csv), pid)
     if not chews:
         raise StageError(f"labels file {label_file} holds no chew of participant {pid}")
-    score = score_chews(pid, score_seconds(positives), episodes, chews, cfg)
+    flags = () if judged else ("no_candidates",)
+    score = score_chews(pid, score_seconds(positives), episodes, chews, cfg, flags)
     for _, level, m, _ in score_rows([score]):
-        print(f"{pid} {level:<8} precision={m.precision:.3f} recall={m.recall:.3f} f1={m.f1:.3f}")
+        line = f"{pid} {level:<8} precision={m.precision:.3f} recall={m.recall:.3f} f1={m.f1:.3f}"
+        print(f"{line}  {','.join(flags)}".rstrip())
     rec.write(f"report_{pid}.csv", write_scores_csv, [score])
 
 
@@ -398,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         rec.out.mkdir(parents=True, exist_ok=True)
         args.func(args, cfg, rec)
         _append_manifest(rec, args.command, cfg)
-    except (ValueError, StageError, OSError) as exc:
-        print(f"chewdet {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, StageError, OSError, MemoryError, OverflowError) as exc:
+        print(f"chewdet {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

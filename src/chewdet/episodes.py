@@ -1,22 +1,23 @@
 """From positive candidates to predicted eating episodes.
 
-Positive candidate subsequences are first flattened into per-second scores
-(how many candidates cover each whole second, by the ``covered_seconds`` rule
-that counts ground truth), then clustered with a 1-D DBSCAN so isolated or
-sparse detections drop out as noise, and finally the surviving clusters are
-merged into episode intervals with the same gap rule used to derive
-ground-truth episodes.
+Positive candidate subsequences are first flattened into scored seconds, an
+``(S, 2)`` int64 array of ``(second, count)`` rows sorted by second: count
+(>= 1) candidates cover that whole second by the ``covered_seconds`` rule
+that counts ground truth.  An endpoint sweep builds it (+1 at each covered
+range's start, -1 at its stop, one sort and a running sum) in O(C log C + S)
+for C candidates and S scored seconds.  A 1-D DBSCAN then drops isolated or
+sparse detections as noise, and the surviving clusters are merged into
+episode intervals with the gap rule that derives ground-truth episodes.
 
 The DBSCAN here exploits sorted 1-D input: neighborhoods are contiguous
 index windows, so core flags come from prefix sums and clusters from a
-single left-to-right pass.  Border points reachable from two clusters join
-the leftmost one, matching a textbook implementation that scans points in
-ascending order.
+single left-to-right pass, O(S log S) in the scored seconds.  Border points
+reachable from two clusters join the leftmost one, matching a textbook
+implementation that scans points in ascending order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,18 +26,6 @@ import numpy as np
 
 from .records import IntervalKind, LabeledInterval, check_range, covered_seconds, episode_intervals
 from .tables import read_table, transpose, write_table
-
-
-@dataclass(frozen=True)
-class SecondScore:
-    """One scored second: how many positive candidates cover it."""
-
-    second: int
-    score: int
-
-    def __post_init__(self) -> None:
-        if self.score < 1:
-            raise ValueError(f"scores are counts >= 1, got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -50,37 +39,40 @@ class DbscanConfig:
         check_range("min_pts", self.min_pts, "[1, inf)")
 
 
-def score_seconds(positives: Sequence) -> list[SecondScore]:
-    """Per-second overlap counts over all positive candidates, sorted.
+def score_seconds(positives: Sequence) -> np.ndarray:
+    """The scored seconds of the positive candidates, by the endpoint sweep.
 
     A candidate scores the seconds ``covered_seconds`` gives it, the rule
     that counts ground truth: those sharing positive measure with its span,
     so a candidate ending exactly on a whole second does not score it.
     """
-    counts: Counter[int] = Counter()
-    for cand in positives:
-        counts.update(covered_seconds(cand.c1, cand.c2))
-    return [SecondScore(second=s, score=counts[s]) for s in sorted(counts)]
+    ranges = [covered_seconds(c.c1, c.c2) for c in positives]
+    edges = np.array([r.start for r in ranges] + [r.stop for r in ranges], dtype=np.int64)
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    counts = np.cumsum(np.repeat([1, -1], len(ranges))[order])[:-1]
+    # counts[i] covers [edges[i], edges[i + 1]); the runs counted at least once expand to seconds.
+    lengths = np.where(counts > 0, np.diff(edges), 0)
+    seconds = np.repeat(edges[:-1] + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+    return np.column_stack([seconds, np.repeat(counts, lengths)])
 
 
-def cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int, ...]]:
-    """DBSCAN over scored seconds; returns clusters as sorted second tuples.
+def cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, ...]]:
+    """DBSCAN over scored seconds, the ``(second, count)`` rows of
+    ``score_seconds``; returns clusters as sorted second tuples.
 
-    With ``use_score_weight`` set, a neighbor contributes its score to the
+    With ``use_score_weight`` set, a neighbor contributes its count to the
     neighborhood mass instead of counting once; the point itself is part of
     its own neighborhood either way.  Noise points are dropped.  Array work
-    only: O(n log n) in the scored seconds.
+    only: O(S log S) in the scored seconds.
     """
-    if not scores:
-        return []
-    pts = np.array([s.second for s in scores], dtype=float)
-    if not np.all(np.diff(pts) > 0):
+    seconds, counts = scores.T
+    if not np.all(np.diff(seconds) > 0):
         raise ValueError("scores must be sorted by second with no duplicates")
-    weights = (
-        np.array([s.score for s in scores], dtype=float)
-        if cfg.use_score_weight
-        else np.ones(len(scores))
-    )
+    if not np.all(counts >= 1):
+        raise ValueError(f"scores are counts >= 1, got {counts.min()}")
+    pts = seconds.astype(float)
+    weights = counts.astype(float) if cfg.use_score_weight else np.ones(pts.size)
     lo = np.searchsorted(pts, pts - cfg.eps, side="left")
     hi = np.searchsorted(pts, pts + cfg.eps, side="right")
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
@@ -101,7 +93,7 @@ def cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int,
     members = np.flatnonzero(label >= 0)
     order = members[np.argsort(label[members], kind="stable")]
     bounds = np.cumsum(np.bincount(label[members]))[:-1]
-    return [tuple(c.tolist()) for c in np.split(pts[order].astype(int), bounds)]
+    return [tuple(c.tolist()) for c in np.split(seconds[order], bounds)]
 
 
 def episodes_from_clusters(
@@ -118,7 +110,7 @@ def episodes_from_clusters(
 
 def detect_episodes(
     positives: Sequence, dbscan_cfg: DbscanConfig, delta: float, participant: str = ""
-) -> tuple[list[SecondScore], list[LabeledInterval]]:
+) -> tuple[np.ndarray, list[LabeledInterval]]:
     """Positive candidates -> scored seconds and merged predicted episodes."""
     scores = score_seconds(positives)
     return scores, episodes_from_clusters(cluster(scores, dbscan_cfg), delta, participant)
@@ -131,13 +123,15 @@ EPISODE_KINDS = "sffii"
 def write_episode_csv(
     path: str | Path,
     episodes: Sequence[LabeledInterval],
-    scores: Sequence[SecondScore],
+    scores: np.ndarray,
 ) -> None:
-    by_second = {s.second: s.score for s in scores}
-    rows = []
-    for ep in episodes:
-        covered = [by_second[s] for s in covered_seconds(ep.start, ep.end) if s in by_second]
-        rows.append((ep.participant, ep.start, ep.end, len(covered), max(covered, default=0)))
+    """One row per episode: the scored seconds it covers and their highest count."""
+    seconds, counts = scores.T
+    covered = [covered_seconds(ep.start, ep.end) for ep in episodes]
+    firsts = np.searchsorted(seconds, [r.start for r in covered])
+    stops = np.searchsorted(seconds, [r.stop for r in covered])
+    rows = [(ep.participant, ep.start, ep.end, int(hi - lo), int(counts[lo:hi].max(initial=0)))
+            for ep, lo, hi in zip(episodes, firsts, stops)]
     write_table(path, EPISODE_HEADER, EPISODE_KINDS, transpose(rows, len(EPISODE_KINDS)))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boosting import BoostConfig, TrainedModel, classify_candidates, train
 from .config import PipelineConfig, manifest_hash
-from .episodes import DbscanConfig, SecondScore, detect_episodes
+from .episodes import DbscanConfig, detect_episodes
 from .features import SIGNALS, FeatureTable, extract_table, local_hour
 from .peaks import find_prominent_peaks
 from .periodic import segment
@@ -74,7 +74,10 @@ def per_second_metrics(
     seconds are merged into disjoint ranges once, and the distinct predicted
     seconds are counted inside them by one search: O((P + T) log T) for P
     predicted seconds and T labels, however many seconds the labels span."""
-    pred = np.unique(np.fromiter(pred_seconds, dtype=np.int64))
+    if not isinstance(pred_seconds, np.ndarray):
+        pred_seconds = np.fromiter(pred_seconds, dtype=np.int64)
+    pred = np.sort(pred_seconds)
+    pred = pred[np.diff(pred, prepend=pred[:1] - 1) != 0]  # repeats dropped, the first kept
     floor = int(np.iinfo(np.int64).min)  # an empty range before every second
     starts, stops = [floor], [floor]
     for r in sorted((covered_seconds(iv.start, iv.end) for iv in truth_intervals), key=attrgetter("start")):
@@ -232,7 +235,7 @@ def predict_session(
     dbscan_cfg: DbscanConfig,
     threshold: float,
     delta: float,
-) -> tuple[list[SecondScore], list[LabeledInterval]]:
+) -> tuple[np.ndarray, list[LabeledInterval]]:
     """Classifier output -> scored seconds and merged predicted episodes."""
     judged = classify_candidates(model, cands, table.X, threshold, table.names)
     positives = [c for c, positive, _ in judged if positive]
@@ -241,7 +244,7 @@ def predict_session(
 
 
 def score_participant(
-    scores: Sequence[SecondScore],
+    scores: np.ndarray,
     episodes: Sequence[LabeledInterval],
     session: Session,
     cfg: PipelineConfig,
@@ -252,7 +255,7 @@ def score_participant(
 
 def score_chews(
     participant: str,
-    scores: Sequence[SecondScore],
+    scores: np.ndarray,
     episodes: Sequence[LabeledInterval],
     chews: Sequence[LabeledInterval],
     cfg: PipelineConfig,
@@ -260,7 +263,7 @@ def score_chews(
 ) -> ParticipantScore:
     """Both metric levels of one participant's predictions against its chews."""
     truth_episodes = derive_episode_labels(chews, cfg.delta) if chews else []
-    second = per_second_metrics([s.second for s in scores], chews)
+    second = per_second_metrics(scores[:, 0], chews)
     episode = per_episode_metrics(
         list(episodes),
         truth_episodes,

@@ -21,14 +21,15 @@ stack_prominences and searched_build_tree are kept the same way: the
 earlier prominence stack, and the earlier tree builder that searches every
 node, on the booster's own split search and order filter.  So are
 set_per_second_metrics, the per-second scorer that builds a set of every
-truth second, and walked_segment, the segmenter whose screen searches each
-band's widened windows and whose DP keeps a max-deque, then walks back
-from each optimum to join the chain starts level by level.
+truth second, counter_score_seconds, the scorer that counts every covered
+second in a Counter, and walked_segment, the segmenter whose screen
+searches each band's widened windows and whose DP keeps a max-deque, then
+walks back from each optimum to join the chain starts level by level.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from math import inf, sqrt
 from typing import Callable, Sequence
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from chewdet.boosting import TreeNode, _best_split, _keep
-from chewdet.episodes import DbscanConfig, SecondScore
+from chewdet.episodes import DbscanConfig
 from chewdet.evaluation import Metrics, _prf
 from chewdet.features import (
     DEFAULT_MIN_PROMINENCE,
@@ -285,16 +286,20 @@ def naive_dbscan_1d(
     return [tuple(sorted(members)) for _, members in sorted(clusters.items())]
 
 
-def loop_cluster(scores: Sequence[SecondScore], cfg: DbscanConfig) -> list[tuple[int, ...]]:
+def counter_score_seconds(positives: Sequence) -> list[tuple[int, int]]:
+    """episodes.score_seconds as sorted (second, count) pairs, one Counter entry per covered second."""
+    counts: Counter[int] = Counter()
+    for cand in positives:
+        counts.update(covered_seconds(cand.c1, cand.c2))
+    return sorted(counts.items())
+
+
+def loop_cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, ...]]:
     """episodes.cluster with one Python step per border point and per member."""
-    if not scores:
+    if len(scores) == 0:
         return []
-    pts = np.array([s.second for s in scores], dtype=float)
-    weights = (
-        np.array([s.score for s in scores], dtype=float)
-        if cfg.use_score_weight
-        else np.ones(len(scores))
-    )
+    pts = scores[:, 0].astype(float)
+    weights = scores[:, 1].astype(float) if cfg.use_score_weight else np.ones(len(scores))
     lo = np.searchsorted(pts, pts - cfg.eps, side="left")
     hi = np.searchsorted(pts, pts + cfg.eps, side="right")
     prefix = np.concatenate([[0.0], np.cumsum(weights)])

@@ -20,7 +20,7 @@ from chewdet.boosting import (
     train,
 )
 from chewdet.config import PipelineConfig
-from chewdet.episodes import DbscanConfig, SecondScore, cluster
+from chewdet.episodes import DbscanConfig, cluster
 from chewdet.evaluation import (
     ablate_sensors,
     losocv,
@@ -262,7 +262,7 @@ def test_criterion_07_dbscan_oracle():
             use_weight = bool(rng.integers(0, 2))
             eps = float(rng.integers(1, 25))
             min_pts = int(rng.integers(1, 10))
-            scores = [SecondScore(int(s), int(w)) for s, w in zip(seconds, weights)]
+            scores = np.column_stack([seconds, weights])
             ours = cluster(scores, DbscanConfig(eps=eps, min_pts=min_pts,
                                                 use_score_weight=use_weight))
             ref = naive_dbscan_1d(

@@ -1,5 +1,11 @@
 import csv
+import os
+import resource
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +288,24 @@ class TestSurface:
                                            "holds no chew of participant SYN\n")
         assert not (out / "report_SYN.csv").exists()
 
+    def test_evaluate_flags_a_predictions_file_without_rows(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        assert run("evaluate", "--participant", "SYN", "--out", out) == 0
+        assert all(line == line.rstrip() for line in capsys.readouterr().out.splitlines())
+        cli._write_predictions_csv(out / "predictions_SYN.csv", [])
+        assert run("episodes", "--participant", "SYN", "--out", out) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--participant", "SYN", "--out", out) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "SYN second   precision=0.000 recall=0.000 f1=0.000  no_candidates",
+            "SYN episode  precision=0.000 recall=0.000 f1=0.000  no_candidates",
+        ]
+        assert (out / "report_SYN.csv").read_bytes() == (
+            b"participant,level,precision,recall,f1\r\n"
+            b"SYN,second,0.0,0.0,0.0\r\nSYN,episode,0.0,0.0,0.0\r\n"
+        )
+
     def test_derive_without_sensors_names_the_synth_artifact(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
@@ -374,6 +398,25 @@ class TestErrors:
         assert "column energy_g2 is not finite: inf" in err
         assert "Traceback" not in err
         assert not list(out.glob("derived_*"))
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB for an array"),
+    ])
+    def test_memory_error_is_one_error_line(self, chain_dir, tmp_path, capsys, monkeypatch,
+                                            exc, message):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        manifest = (out / "manifest.txt").read_bytes()
+
+        def exhausted(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        assert run("synth", "--scenario", write_scenario(tmp_path), "--out", out) == 1
+        assert capsys.readouterr().err == f"chewdet synth: error: {message}\n"
+        assert not list(out.glob("*.tmp"))
+        assert (out / "manifest.txt").read_bytes() == manifest
 
     def test_losocv_names_requested_participants_without_data(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -483,6 +526,59 @@ def toy_model_lines():
     X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     cfg = BoostConfig(max_depth=1, min_child_weight=0.0, subsample=1.0, n_rounds=2)
     return model_to_text(train(X, np.array([0, 0, 1, 1]), cfg)).splitlines()
+
+
+def stretch_last_positive(path, seconds):
+    """Rewrite the predictions file at path with its last positive row lasting seconds."""
+    judged = cli._read_predictions_csv(path)
+    last = max(i for i, (_, positive, _) in enumerate(judged) if positive)
+    cand, positive, proba = judged[last]
+    judged[last] = (replace(cand, c2=cand.c1 + seconds), positive, proba)
+    cli._write_predictions_csv(path, judged)
+
+
+def run_capped(*argv):
+    """One command in a child process that caps its own address space at 1 GiB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "chewdet.cli", *map(str, argv)], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=20)
+
+
+class TestLongSpans:
+    def test_prediction_lasting_1e7_s(self, chain_dir, tmp_path):
+        # Scoring costs O(C log C + S), so evaluate scores 1e7 seconds at once;
+        # episodes' DBSCAN holds each of them and may run out of memory, but
+        # then with one error line.
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        stretch_last_positive(out / "predictions_SYN.csv", 1e7)
+        evaluate = run_capped("evaluate", "--participant", "SYN", "--out", out)
+        assert evaluate.returncode == 0, evaluate.stderr
+        assert "Traceback" not in evaluate.stderr
+        episodes = run_capped("episodes", "--participant", "SYN", "--out", out)
+        assert "Traceback" not in episodes.stderr
+        assert episodes.returncode == 0 or (
+            episodes.returncode == 1
+            and episodes.stderr.startswith("chewdet episodes: error: ")
+            and episodes.stderr.count("\n") == 1
+        ), episodes.stderr
+        assert not list(out.glob("*.tmp"))
+
+    def test_prediction_past_int64_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        judged = cli._read_predictions_csv(out / "predictions_SYN.csv")
+        cand, positive, proba = judged[-1]
+        judged[-1] = (replace(cand, c1=1e19, c2=1.5e19), True, proba)
+        cli._write_predictions_csv(out / "predictions_SYN.csv", judged)
+        capsys.readouterr()
+        assert run("evaluate", "--participant", "SYN", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chewdet evaluate: error: ") and err.count("\n") == 1
 
 
 class TestBrokenModel:

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chewdet.episodes import (
+    EPISODE_HEADER,
+    EPISODE_KINDS,
     DbscanConfig,
-    SecondScore,
     cluster,
     episodes_from_clusters,
     read_episode_csv,
@@ -13,8 +16,9 @@ from chewdet.episodes import (
     write_episode_csv,
 )
 from chewdet.periodic import CandidateWindow
-from chewdet.records import covered_seconds
-from oracles import loop_cluster, naive_dbscan_1d
+from chewdet.records import IntervalKind, LabeledInterval, covered_seconds
+from chewdet.tables import read_table
+from oracles import counter_score_seconds, loop_cluster, naive_dbscan_1d
 
 
 def cand(c1, c2):
@@ -22,21 +26,27 @@ def cand(c1, c2):
 
 
 def scores_from(pairs):
-    return [SecondScore(second=s, score=v) for s, v in pairs]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+# Endpoints on whole seconds, on quarter seconds and anywhere, negative ones
+# included; a small range makes nested, touching and repeated spans common.
+endpoints = st.integers(-12, 12).map(float) | st.integers(-48, 48).map(lambda q: q / 4) | st.floats(-12, 12)
+spans = st.tuples(endpoints, endpoints).filter(lambda ab: ab[0] != ab[1]).map(sorted)
 
 
 class TestScoreSeconds:
     def test_single_candidate_coverage(self):
         out = score_seconds([cand(10.2, 13.8)])
-        assert [(s.second, s.score) for s in out] == [(10, 1), (11, 1), (12, 1), (13, 1)]
+        assert out.tolist() == [[10, 1], [11, 1], [12, 1], [13, 1]]
 
     def test_duplicate_candidates_double_score(self):
         out = score_seconds([cand(10.2, 13.8), cand(10.2, 13.8)])
-        assert [(s.second, s.score) for s in out] == [(10, 2), (11, 2), (12, 2), (13, 2)]
+        assert out.tolist() == [[10, 2], [11, 2], [12, 2], [13, 2]]
 
     def test_partial_overlap_counts(self):
         out = score_seconds([cand(0.0, 10.0), cand(5.0, 15.0)])
-        by_second = {s.second: s.score for s in out}
+        by_second = dict(out.tolist())
         assert set(by_second) == set(range(0, 15))
         assert all(by_second[s] == 2 for s in range(5, 10))
         assert all(by_second[s] == 1 for s in list(range(0, 5)) + list(range(10, 15)))
@@ -53,12 +63,30 @@ class TestScoreSeconds:
             c1 = float(rng.uniform(0, 500))
             cands.append(cand(c1, c1 + float(rng.uniform(0.5, 40))))
         out = score_seconds(cands)
-        total = sum(s.score for s in out)
+        total = out[:, 1].sum()
         expected = sum(len(covered_seconds(c.c1, c.c2)) for c in cands)
         assert total == expected
 
     def test_empty_input(self):
-        assert score_seconds([]) == []
+        out = score_seconds([])
+        assert out.shape == (0, 2) and out.dtype == np.int64
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(spans, max_size=12))
+    @example([])
+    @example([(0.0, 10.0), (2.0, 3.0), (2.0, 3.0), (3.0, 5.5)])  # nested, repeated, touching
+    @example([(0.1, 0.2), (-1.75, -1.25), (-3.0, -2.0), (-2.0, -1.0)])  # sub-second, negative
+    def test_matches_counter_reference(self, pairs):
+        cands = [cand(c1, c2) for c1, c2 in pairs]
+        out = score_seconds(cands)
+        assert out.dtype == np.int64 and out.shape == (len(out), 2)
+        assert [tuple(row) for row in out.tolist()] == counter_score_seconds(cands)
+
+    def test_long_candidate_scores_at_once(self):
+        start = time.perf_counter()
+        out = score_seconds([cand(0.5, 1e7)])
+        assert time.perf_counter() - start < 1.0
+        assert out.shape == (10**7, 2) and out[-1].tolist() == [10**7 - 1, 1]
 
 
 class TestCluster:
@@ -85,9 +113,13 @@ class TestCluster:
         assert cluster(scores_from([(50, 2)]), cfg) == []
 
     def test_unsorted_scores_rejected(self):
-        scores = [SecondScore(5, 1), SecondScore(3, 1)]
+        scores = scores_from([(5, 1), (3, 1)])
         with pytest.raises(ValueError, match="sorted"):
             cluster(scores, DbscanConfig(eps=5, min_pts=2))
+
+    def test_counts_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^scores are counts >= 1, got 0$"):
+            cluster(scores_from([(3, 1), (5, 0)]), DbscanConfig(eps=5, min_pts=2))
 
     def test_matches_naive_reference_on_random_inputs(self):
         rng = np.random.default_rng(2)
@@ -102,8 +134,8 @@ class TestCluster:
             cfg = DbscanConfig(eps=eps, min_pts=min_pts, use_score_weight=use_weight)
             ours = cluster(scores, cfg)
             ref = naive_dbscan_1d(
-                [s.second for s in scores],
-                [s.score if use_weight else 1 for s in scores],
+                scores[:, 0],
+                scores[:, 1] if use_weight else np.ones(len(scores)),
                 eps,
                 min_pts,
             )
@@ -126,7 +158,7 @@ class TestCluster:
         seconds = np.unique(rng.integers(0, 500, size=120))
         scores = scores_from([(int(s), int(v)) for s, v in zip(seconds, rng.integers(1, 5, len(seconds)))])
         out = cluster(scores, DbscanConfig(eps=10, min_pts=4))
-        scored = {s.second for s in scores}
+        scored = set(scores[:, 0].tolist())
         for members in out:
             assert set(members) <= scored
 
@@ -197,3 +229,17 @@ class TestEpisodeCsv:
         assert [(e.start, e.end) for e in back] == [(e.start, e.end) for e in episodes]
         header = path.read_text().splitlines()[0]
         assert header == "participant,start_s,end_s,n_seconds,peak_score"
+
+    def test_counts_match_per_second_lookup(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "episodes.csv"
+        for _ in range(50):
+            scores = score_seconds([cand(a, a + d) for a, d in rng.uniform([-20, 0.1], [20, 15], (6, 2))])
+            episodes = [LabeledInterval(a, a + d, IntervalKind.EPISODE, "P")
+                        for a, d in rng.uniform([-25, 0.1], [25, 20], (3, 2))]
+            write_episode_csv(path, episodes, scores)
+            rows = read_table(path, EPISODE_HEADER, EPISODE_KINDS).rows()
+            by_second = dict(scores.tolist())
+            for ep, (_, _, _, n_seconds, peak_score) in zip(episodes, rows):
+                covered = [by_second[s] for s in covered_seconds(ep.start, ep.end) if s in by_second]
+                assert (n_seconds, peak_score) == (len(covered), max(covered, default=0))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chewdet.cli import _read_peaks_csv, _read_predictions_csv, _write_peaks_csv, _write_predictions_csv
-from chewdet.episodes import SecondScore, read_episode_csv, write_episode_csv
+from chewdet.episodes import read_episode_csv, score_seconds, write_episode_csv
 from chewdet.evaluation import REPORT_HEADER, REPORT_KINDS, Metrics, ParticipantScore, write_scores_csv
 from chewdet.features import FeatureTable, read_feature_csv, write_feature_csv
 from chewdet.peaks import Peak
@@ -171,7 +171,7 @@ class TestRoundTrip:
     @given(st.lists(st.builds(lambda ab, p: LabeledInterval(ab[0], ab[1], IntervalKind.EPISODE, p),
                               ordered_pair(spans), ids), max_size=4))
     def test_episodes(self, episodes):
-        scores = [SecondScore(second=s, score=3) for s in range(-5, 5)]
+        scores = np.array([(s, 3) for s in range(-5, 5)])
         back = roundtrip(
             lambda path, eps: write_episode_csv(path, eps, scores), read_episode_csv, episodes
         )
@@ -241,7 +241,7 @@ EMPTY_WRITERS = {
     "features": lambda path: write_feature_csv(path, FeatureTable(
         names=("f0", "f1"), X=np.empty((0, 2)), c1=np.empty(0), c2=np.empty(0), participant=[],
         label=np.empty(0, dtype=int))),
-    "episodes": lambda path: write_episode_csv(path, [], []),
+    "episodes": lambda path: write_episode_csv(path, [], score_seconds([])),
     "report": lambda path: write_scores_csv(path, []),
     "cdf": lambda path: write_table(path, GAP_CDF_HEADER, "ff", transpose([], 2)),
 }
