@@ -158,10 +158,14 @@ def _write_predictions_csv(path: str, judged) -> None:
     write_table(path, PREDICTION_HEADER, PREDICTION_KINDS, transpose(rows, len(PREDICTION_KINDS)))
 
 
+def _judged(*row) -> tuple[CandidateWindow, bool, float]:
+    if row[7] not in (0, 1):
+        raise ValueError(f"positive must be 0 or 1, got {row[7]}")
+    return CandidateWindow(*row[:6]), row[7] == 1, row[6]
+
+
 def _read_predictions_csv(path: Path) -> list[tuple[CandidateWindow, bool, float]]:
-    return read_table(path, PREDICTION_HEADER, PREDICTION_KINDS).rows(
-        lambda *row: (CandidateWindow(*row[:6]), bool(row[7]), row[6])
-    )
+    return read_table(path, PREDICTION_HEADER, PREDICTION_KINDS).rows(_judged)
 
 
 def _warn_if_constant(model, path: Path) -> None:

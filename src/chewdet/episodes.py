@@ -9,11 +9,13 @@ for C candidates and S scored seconds.  A 1-D DBSCAN then drops isolated or
 sparse detections as noise, and the surviving clusters are merged into
 episode intervals with the gap rule that derives ground-truth episodes.
 
-The DBSCAN here exploits sorted 1-D input: neighborhoods are contiguous
-index windows, so core flags come from prefix sums and clusters from a
-single left-to-right pass, O(S log S) in the scored seconds.  Border points
-reachable from two clusters join the leftmost one, matching a textbook
-implementation that scans points in ascending order.
+The DBSCAN here exploits sorted 1-D whole seconds: neighborhoods are
+contiguous index windows, so core flags come from prefix sums, and a
+cluster is the span of its spine (a run of cores within floor(eps) of each
+other) widened by floor(eps), handed on as its ``(first, last)`` scored
+second: O(S log S) time with a few S-sized arrays.  Border points reachable
+from two clusters join the leftmost one, matching a textbook implementation
+that scans points in ascending order.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ def score_seconds(positives: Sequence) -> np.ndarray:
     so a candidate ending exactly on a whole second does not score it.
     """
     ranges = [covered_seconds(c.c1, c.c2) for c in positives]
+    for c, r in zip(positives, ranges):
+        if not -(2**63) <= r.start < r.stop < 2**63:
+            raise ValueError(f"candidate [{c.c1}, {c.c2}] covers seconds outside int64")
     edges = np.array([r.start for r in ranges] + [r.stop for r in ranges], dtype=np.int64)
     order = np.argsort(edges, kind="stable")
     edges = edges[order]
@@ -57,14 +62,18 @@ def score_seconds(positives: Sequence) -> np.ndarray:
     return np.column_stack([seconds, np.repeat(counts, lengths)])
 
 
-def cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, ...]]:
+def cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, int]]:
     """DBSCAN over scored seconds, the ``(second, count)`` rows of
-    ``score_seconds``; returns clusters as sorted second tuples.
+    ``score_seconds``; returns each cluster as its ``(first, last)`` scored
+    second, in ascending order.
 
     With ``use_score_weight`` set, a neighbor contributes its count to the
     neighborhood mass instead of counting once; the point itself is part of
-    its own neighborhood either way.  Noise points are dropped.  Array work
-    only: O(S log S) in the scored seconds.
+    its own neighborhood either way.  Seconds are whole, so they are within
+    eps exactly when within floor(eps).  A cluster is the span of its spine
+    (a run of cores within floor(eps) of each other) widened by floor(eps),
+    less what the previous cluster reaches.  Noise points are dropped.
+    O(S log S) in the scored seconds, with a few S-sized arrays.
     """
     seconds, counts = scores.T
     if not np.all(np.diff(seconds) > 0):
@@ -72,40 +81,25 @@ def cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, ...]]:
     if not np.all(counts >= 1):
         raise ValueError(f"scores are counts >= 1, got {counts.min()}")
     pts = seconds.astype(float)
-    weights = counts.astype(float) if cfg.use_score_weight else np.ones(pts.size)
-    lo = np.searchsorted(pts, pts - cfg.eps, side="left")
-    hi = np.searchsorted(pts, pts + cfg.eps, side="right")
-    prefix = np.concatenate([[0.0], np.cumsum(weights)])
-    mass = prefix[hi] - prefix[lo]
-    core = mass >= cfg.min_pts
-
-    core_idx = np.flatnonzero(core)
-    if core_idx.size == 0:
-        return []
-    # Chains of cores within eps of each other form the cluster spines; a
-    # border point joins the spine of the leftmost core within eps, if any.
-    core_pos = pts[core_idx]
-    spine = np.concatenate([[0], np.cumsum(np.diff(core_pos) > cfg.eps)])
-    k = np.searchsorted(core_pos, pts - cfg.eps, side="left")
-    near = np.append(core_pos, np.inf)[k] - pts <= cfg.eps
-    label = np.where(near, np.append(spine, -1)[k], -1)
-    label[core_idx] = spine
-    members = np.flatnonzero(label >= 0)
-    order = members[np.argsort(label[members], kind="stable")]
-    bounds = np.cumsum(np.bincount(label[members]))[:-1]
-    return [tuple(c.tolist()) for c in np.split(seconds[order], bounds)]
+    e = np.floor(cfg.eps)
+    lo = np.searchsorted(pts, pts - e, side="left")
+    hi = np.searchsorted(pts, pts + e, side="right")
+    prefix = np.concatenate([[0], np.cumsum(counts if cfg.use_score_weight else np.ones_like(counts))])
+    cores = pts[prefix[hi] - prefix[lo] >= cfg.min_pts]
+    firsts = cores[np.diff(cores, prepend=-np.inf) > e]
+    lasts = cores[np.diff(cores, append=np.inf) > e]
+    # A border point joins the leftmost cluster: one within e of the previous spine is not ours.
+    starts = np.maximum(firsts - e, np.append(-np.inf, lasts[:-1] + e + 1))
+    first = np.searchsorted(pts, starts, side="left")
+    last = np.searchsorted(pts, lasts + e, side="right") - 1
+    return list(zip(seconds[first].tolist(), seconds[last].tolist()))
 
 
 def episodes_from_clusters(
-    clusters: Sequence[Sequence[int]], delta: float, participant: str = ""
+    clusters: Sequence[tuple[int, int]], delta: float, participant: str = ""
 ) -> list[LabeledInterval]:
-    """Clusters of seconds -> episode intervals, merging gaps <= delta; spans must be disjoint."""
-    spans = []
-    for members in clusters:
-        if not members:
-            raise ValueError("empty cluster")
-        spans.append((float(min(members)), float(max(members)) + 1.0))
-    return episode_intervals(spans, delta, participant)
+    """``(first, last)`` clusters -> episode intervals, merging gaps <= delta; spans must be disjoint."""
+    return episode_intervals(((first, last + 1.0) for first, last in clusters), delta, participant)
 
 
 def detect_episodes(

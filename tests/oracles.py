@@ -295,19 +295,21 @@ def counter_score_seconds(positives: Sequence) -> list[tuple[int, int]]:
 
 
 def loop_cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, ...]]:
-    """episodes.cluster with one Python step per border point and per member."""
+    """episodes.cluster's members, with one Python step per border point and
+    per member; seconds are whole, so eps counts as floor(eps)."""
     if len(scores) == 0:
         return []
     pts = scores[:, 0].astype(float)
+    eps = np.floor(cfg.eps)
     weights = scores[:, 1].astype(float) if cfg.use_score_weight else np.ones(len(scores))
-    lo = np.searchsorted(pts, pts - cfg.eps, side="left")
-    hi = np.searchsorted(pts, pts + cfg.eps, side="right")
+    lo = np.searchsorted(pts, pts - eps, side="left")
+    hi = np.searchsorted(pts, pts + eps, side="right")
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
     core = prefix[hi] - prefix[lo] >= cfg.min_pts
     core_idx = np.flatnonzero(core)
     if core_idx.size == 0:
         return []
-    breaks = np.flatnonzero(np.diff(pts[core_idx]) > cfg.eps)
+    breaks = np.flatnonzero(np.diff(pts[core_idx]) > eps)
     spines = np.split(core_idx, breaks + 1)
     assignment = np.full(len(scores), -1, dtype=int)
     for label, spine in enumerate(spines):
@@ -315,8 +317,8 @@ def loop_cluster(scores: np.ndarray, cfg: DbscanConfig) -> list[tuple[int, ...]]
     core_pos = pts[core_idx]
     for i in np.flatnonzero(~core):
         # Border point: joins the leftmost core within eps, if any.
-        k = int(np.searchsorted(core_pos, pts[i] - cfg.eps, side="left"))
-        if k < core_idx.size and core_pos[k] - pts[i] <= cfg.eps:
+        k = int(np.searchsorted(core_pos, pts[i] - eps, side="left"))
+        if k < core_idx.size and core_pos[k] - pts[i] <= eps:
             assignment[i] = assignment[core_idx[k]]
     clusters: dict[int, list[int]] = {}
     for i, label in enumerate(assignment):

@@ -363,6 +363,21 @@ class TestErrors:
         assert code == 1
         assert "predictions_SYN.csv: line 2: malformed row" in err
 
+    @pytest.mark.parametrize("positive", [-1, 2])
+    def test_predictions_positive_other_than_0_or_1_names_line(self, tmp_path, capsys, positive):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "predictions_SYN.csv").write_text(
+            "c1_s,c2_s,p_min,p_max,epsilon,length,probability,positive\n"
+            "10.0,20.0,0.5,0.8,0.1,12,0.9,1\n"
+            f"30.0,40.0,0.5,0.8,0.1,12,0.1,{positive}\n"
+        )
+        code = run("episodes", "--participant", "SYN", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"predictions_SYN.csv: line 3: positive must be 0 or 1, got {positive}" in err
+        assert not (out / "episodes_SYN.csv").exists()
+
     def test_featurize_refuses_derived_rows_out_of_time_order(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, "duration = 240\nparticipant = SYN\n"
                                   "meal = start=60 sequences=2 rate=1.5 bite=5 seq_dur=25 gap=15\n")
@@ -550,9 +565,8 @@ def run_capped(*argv):
 
 class TestLongSpans:
     def test_prediction_lasting_1e7_s(self, chain_dir, tmp_path):
-        # Scoring costs O(C log C + S), so evaluate scores 1e7 seconds at once;
-        # episodes' DBSCAN holds each of them and may run out of memory, but
-        # then with one error line.
+        # Scoring costs O(C log C + S) and DBSCAN hands on (first, last) spans,
+        # so evaluate and episodes both take 1e7 seconds at once.
         out = tmp_path / "run"
         shutil.copytree(chain_dir, out)
         stretch_last_positive(out / "predictions_SYN.csv", 1e7)
@@ -560,12 +574,8 @@ class TestLongSpans:
         assert evaluate.returncode == 0, evaluate.stderr
         assert "Traceback" not in evaluate.stderr
         episodes = run_capped("episodes", "--participant", "SYN", "--out", out)
+        assert episodes.returncode == 0, episodes.stderr
         assert "Traceback" not in episodes.stderr
-        assert episodes.returncode == 0 or (
-            episodes.returncode == 1
-            and episodes.stderr.startswith("chewdet episodes: error: ")
-            and episodes.stderr.count("\n") == 1
-        ), episodes.stderr
         assert not list(out.glob("*.tmp"))
 
     def test_prediction_past_int64_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
@@ -579,6 +589,7 @@ class TestLongSpans:
         assert run("evaluate", "--participant", "SYN", "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("chewdet evaluate: error: ") and err.count("\n") == 1
+        assert "candidate [1e+19, 1.5e+19] covers seconds outside int64" in err
 
 
 class TestBrokenModel:

@@ -29,10 +29,23 @@ def scores_from(pairs):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def spans_of(clusters):
+    """Member tuples, sorted, as (first, last) pairs of Python ints."""
+    return [(int(c[0]), int(c[-1])) for c in clusters]
+
+
+def members_of(scores, spans):
+    """The scored seconds inside each (first, last) span."""
+    seconds = scores[:, 0]
+    return [tuple(seconds[(seconds >= a) & (seconds <= b)].tolist()) for a, b in spans]
+
+
 # Endpoints on whole seconds, on quarter seconds and anywhere, negative ones
 # included; a small range makes nested, touching and repeated spans common.
 endpoints = st.integers(-12, 12).map(float) | st.integers(-48, 48).map(lambda q: q / 4) | st.floats(-12, 12)
 spans = st.tuples(endpoints, endpoints).filter(lambda ab: ab[0] != ab[1]).map(sorted)
+# Whole eps values, to be taken as they are, one ulp either side or 1e-12 below.
+whole_eps = st.integers(1, 12).map(float)
 
 
 class TestScoreSeconds:
@@ -97,8 +110,7 @@ class TestCluster:
     def test_dense_run_is_one_cluster(self):
         scores = scores_from([(s, 1) for s in range(60)])
         out = cluster(scores, DbscanConfig(eps=5, min_pts=3, use_score_weight=False))
-        assert len(out) == 1
-        assert out[0] == tuple(range(60))
+        assert out == [(0, 59)]
 
     def test_two_runs_far_apart_are_two_clusters(self):
         scores = scores_from(
@@ -109,7 +121,7 @@ class TestCluster:
 
     def test_score_weighting_can_make_lone_second_core(self):
         cfg = DbscanConfig(eps=5, min_pts=3, use_score_weight=True)
-        assert cluster(scores_from([(50, 3)]), cfg) == [(50,)]
+        assert cluster(scores_from([(50, 3)]), cfg) == [(50, 50)]
         assert cluster(scores_from([(50, 2)]), cfg) == []
 
     def test_unsorted_scores_rejected(self):
@@ -139,7 +151,7 @@ class TestCluster:
                 eps,
                 min_pts,
             )
-            assert sorted(ours) == sorted(tuple(int(v) for v in c) for c in ref)
+            assert sorted(ours) == sorted(spans_of(ref))
 
     def test_point_order_cannot_matter(self):
         # The implementation takes sorted input by contract; the reference
@@ -151,7 +163,7 @@ class TestCluster:
         ours = sorted(cluster(scores, cfg))
         perm = rng.permutation(len(seconds))
         ref = naive_dbscan_1d(seconds[perm], np.ones(len(seconds)), 8, 3)
-        assert ours == sorted(tuple(int(v) for v in c) for c in ref)
+        assert ours == sorted(spans_of(ref))
 
     def test_every_clustered_second_was_scored(self):
         rng = np.random.default_rng(4)
@@ -159,8 +171,8 @@ class TestCluster:
         scores = scores_from([(int(s), int(v)) for s, v in zip(seconds, rng.integers(1, 5, len(seconds)))])
         out = cluster(scores, DbscanConfig(eps=10, min_pts=4))
         scored = set(scores[:, 0].tolist())
-        for members in out:
-            assert set(members) <= scored
+        for first, last in out:
+            assert {first, last} <= scored
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -178,8 +190,28 @@ class TestCluster:
         scores = scores_from(sorted(pairs))
         cfg = DbscanConfig(eps=eps, min_pts=min_pts, use_score_weight=use_score_weight)
         out = cluster(scores, cfg)
-        assert out == loop_cluster(scores, cfg)
-        assert all(type(s) is int for members in out for s in members)
+        assert out == spans_of(loop_cluster(scores, cfg))
+        assert all(type(s) is int for span in out for s in span)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        base=st.sampled_from([0, 1_580_000_000, 2**50]) | st.integers(-(2**50), 2**50),
+        pairs=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 5)),
+                       unique_by=lambda p: p[0], max_size=40),
+        eps=whole_eps | whole_eps.map(lambda k: float(np.nextafter(k, 0.0)))
+        | whole_eps.map(lambda k: float(np.nextafter(k, 13.0))) | whole_eps.map(lambda k: k - 1e-12)
+        | st.floats(0.01, 20.0),
+        min_pts=st.integers(1, 12),
+        use_score_weight=st.booleans(),
+    )
+    @example(0, [(0, 1), (3, 1), (6, 1)], float(np.nextafter(3.0, 0.0)), 2, False)
+    @example(1_580_000_000, [(0, 1), (3, 1), (6, 1)], 3.0 - 1e-12, 2, False)
+    def test_span_members_match_naive_reference(self, base, pairs, eps, min_pts, use_score_weight):
+        scores = scores_from(sorted((base + s, c) for s, c in pairs))
+        cfg = DbscanConfig(eps=eps, min_pts=min_pts, use_score_weight=use_score_weight)
+        weights = scores[:, 1] if use_score_weight else np.ones(len(scores))
+        ref = naive_dbscan_1d(scores[:, 0], weights, eps, min_pts)
+        assert members_of(scores, cluster(scores, cfg)) == [tuple(int(v) for v in c) for c in ref]
 
     def test_raising_min_pts_never_adds_seconds(self):
         rng = np.random.default_rng(5)
@@ -188,7 +220,7 @@ class TestCluster:
         previous = None
         for min_pts in (1, 2, 4, 8, 16):
             cfg = DbscanConfig(eps=12, min_pts=min_pts, use_score_weight=False)
-            covered = {s for members in cluster(scores, cfg) for s in members}
+            covered = {s for members in members_of(scores, cluster(scores, cfg)) for s in members}
             if previous is not None:
                 assert covered <= previous
             previous = covered
@@ -196,22 +228,22 @@ class TestCluster:
 
 class TestEpisodesFromClusters:
     def test_nearby_clusters_merge(self):
-        clusters = [tuple(range(100, 161)), tuple(range(400, 461))]
+        clusters = [(100, 160), (400, 460)]
         episodes = episodes_from_clusters(clusters, delta=900.0)
         assert [(e.start, e.end) for e in episodes] == [(100.0, 461.0)]
 
     def test_small_delta_keeps_separate(self):
-        clusters = [tuple(range(100, 161)), tuple(range(400, 461))]
+        clusters = [(100, 160), (400, 460)]
         episodes = episodes_from_clusters(clusters, delta=100.0)
         assert [(e.start, e.end) for e in episodes] == [(100.0, 161.0), (400.0, 461.0)]
 
     def test_disjointness_enforced(self):
         msg = r"^intervals overlap: \[1\.0, 4\.0\] and \[3\.0, 5\.0\]$"
         with pytest.raises(ValueError, match=msg):
-            episodes_from_clusters([(1, 2, 3), (3, 4)], delta=10.0)
+            episodes_from_clusters([(1, 3), (3, 4)], delta=10.0)
 
     def test_output_sorted(self):
-        clusters = [tuple(range(500, 520)), tuple(range(0, 20))]
+        clusters = [(500, 519), (0, 19)]
         episodes = episodes_from_clusters(clusters, delta=10.0)
         starts = [e.start for e in episodes]
         assert starts == sorted(starts)
