@@ -14,7 +14,8 @@ previous one inside a single output directory, so a full run is::
     chewdet evaluate --participant SYN --out run/
 
 Commands are wired from one table, ``COMMANDS``: a row gives a command's
-name, help, body and own flags, added after the five common flags.
+name, help, body and own flags, added after the two common flags,
+``--config`` and ``--out``; every setting comes from the config file.
 A command body does no file plumbing of its own: it reads every input,
 the ``--config`` file included, through its ``Recorder``'s ``read``, which
 fails with "run `chewdet <producer>` first" when an artifact is missing,
@@ -139,12 +140,6 @@ def _append_manifest(rec: Recorder, command: str, cfg: PipelineConfig) -> None:
     _atomic(manifest, _write_text, existing + block)
 
 
-def _load_config(args, rec: Recorder) -> PipelineConfig:
-    cfg = rec.read(Path(args.config), None, read_config) if args.config else PipelineConfig()
-    overrides = {name: getattr(args, name) for name in ("seed", "threshold", "delta")}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
     write_table(path, PEAK_HEADER, PEAK_KINDS, transpose(pks, len(PEAK_KINDS)))
 
@@ -189,12 +184,20 @@ def _read_log(rec: Recorder, path: Path, producer: str | None, pid: str, cfg: Pi
     return session
 
 
+def _participants(args) -> list[str]:
+    pids = args.participants.split(",")
+    repeated = sorted({pid for pid in pids if pids.count(pid) > 1})
+    if repeated:
+        raise StageError(f"--participants names {repeated} more than once")
+    return pids
+
+
 def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
     data_dir = Path(args.data)
     sensor_files = {p.stem[len("sensors_"):]: p for p in sorted(data_dir.glob("sensors_*.csv"))}
     if not sensor_files:
         raise StageError(f"no sensors_*.csv files in {data_dir}; run `chewdet synth` first")
-    wanted = args.participants.split(",") if args.participants else list(sensor_files)
+    wanted = _participants(args) if args.participants else list(sensor_files)
     missing = [pid for pid in wanted if pid not in sensor_files]
     if missing:
         raise StageError(f"no sensors_<id>.csv in {data_dir} for participants {missing}")
@@ -217,8 +220,6 @@ def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
     spec = rec.read(Path(args.scenario), None, read_scenario)
     if args.participant:
         spec = replace(spec, participant=args.participant)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     session, labels = generate(spec)
     rec.write(f"sensors_{spec.participant}.csv", write_sensor_csv, session)
     rec.write(f"labels_{spec.participant}.csv", write_label_csv, labels)
@@ -226,13 +227,9 @@ def cmd_synth(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 
 def _ingest(args, cfg: PipelineConfig, rec: Recorder) -> Session:
-    src, producer = rec.out / f"sensors_{args.participant}.csv", "synth"
-    ingested = rec.out / f"ingested_{args.participant}.csv"
     if args.input:
-        src, producer = Path(args.input), None
-    elif not src.exists() and ingested.exists():
-        src = ingested
-    return _read_log(rec, src, producer, args.participant, cfg)
+        return _read_log(rec, Path(args.input), None, args.participant, cfg)
+    return _read_log(rec, rec.out / f"sensors_{args.participant}.csv", "synth", args.participant, cfg)
 
 
 def cmd_ingest(args, cfg: PipelineConfig, rec: Recorder) -> None:
@@ -272,10 +269,7 @@ def cmd_featurize(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 
 def cmd_train(args, cfg: PipelineConfig, rec: Recorder) -> None:
-    pids = args.participants.split(",")
-    repeated = sorted({pid for pid in pids if pids.count(pid) > 1})
-    if repeated:
-        raise StageError(f"--participants names {repeated} more than once")
+    pids = _participants(args)
     tables = [
         rec.read(rec.out / f"features_{pid}.csv", "featurize", read_feature_csv) for pid in pids
     ]
@@ -386,9 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
         for flag, required, *text in options:
             p.add_argument(flag, required=required, help=text[0] if text else None)
         p.set_defaults(func=body)
@@ -400,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         rec = Recorder(Path(args.out))
-        cfg = _load_config(args, rec)
+        cfg = rec.read(Path(args.config), None, read_config) if args.config else PipelineConfig()
         rec.out.mkdir(parents=True, exist_ok=True)
         args.func(args, cfg, rec)
         _append_manifest(rec, args.command, cfg)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .peaks import window_peak_counts
 from .periodic import CandidateWindow
-from .records import NOMINAL_RATE_HZ, LabeledInterval, overlap_range
+from .records import NOMINAL_RATE_HZ, LabeledInterval, disjoint_spans, overlap_range
 from .signals import SIGNALS, DerivedTrace
 from .tables import read_table, write_table
 
@@ -280,11 +280,11 @@ def label_candidates(
     candidates: Sequence, chews: Sequence[LabeledInterval], min_overlap: float = DEFAULT_LABEL_MIN_OVERLAP
 ) -> np.ndarray:
     """Binary training labels: 1 when >= min_overlap of a candidate's span
-    is covered by ground-truth chewing intervals.  Each candidate sums only
-    the chews in its overlap range: O((candidates + chews) log chews), plus
-    the chews that a long chew keeps in range when chews nest."""
+    is covered by ground-truth chewing intervals, which must not overlap.
+    Each candidate sums only the chews in its overlap range:
+    O((candidates + chews) log chews)."""
     labels = np.zeros(len(candidates), dtype=int)
-    spans = sorted((iv.start, iv.end) for iv in chews)
+    spans = disjoint_spans(((iv.start, iv.end) for iv in chews), "chew labels")
     first, last = overlap_range(spans, [c.c1 for c in candidates], [c.c2 for c in candidates])
     for k, cand in enumerate(candidates):
         covered = 0.0

@@ -13,11 +13,17 @@ import pytest
 from chewdet import cli
 from chewdet.boosting import BoostConfig, load_model, model_to_text, train
 from chewdet.cli import main
-from chewdet.config import file_digest, read_config
+from chewdet.config import PipelineConfig, file_digest, read_config
 from chewdet.episodes import write_episode_csv
 from chewdet.evaluation import predict_session, session_candidates
 from chewdet.features import FeatureTable, write_feature_csv
-from chewdet.records import ingest_sensor_csv, read_label_csv
+from chewdet.records import (
+    IntervalKind,
+    LabeledInterval,
+    ingest_sensor_csv,
+    read_label_csv,
+    write_label_csv,
+)
 
 SCENARIO = """
 duration = 1500
@@ -162,6 +168,16 @@ class TestLineage:
                 path = full_chain / name if (full_chain / name).exists() else tmp_path / name
                 assert digest == file_digest(path), (entry["command"], name)
             assert any(k.startswith("output.") for k in entry), entry["command"]
+
+    def test_each_manifest_entry_records_the_config_file(self, full_chain, tmp_path):
+        expected = dict(read_config(tmp_path / "config.txt").manifest_items())
+        for entry in manifest_entries(full_chain):
+            config = {k: v for k, v in entry.items() if k.startswith("config.")}
+            assert config == expected, entry["command"]
+        other = tmp_path / "other"
+        assert run("gap-cdf", "--labels", full_chain / "labels_SYN.csv", "--out", other) == 0
+        config = {k: v for k, v in manifest_entries(other)[0].items() if k.startswith("config.")}
+        assert config == dict(PipelineConfig().manifest_items())
 
     def test_cli_artifacts_equal_the_in_memory_pipeline(self, full_chain, tmp_path):
         cfg = read_config(tmp_path / "config.txt")
@@ -315,15 +331,55 @@ class TestSurface:
         assert err == (f"chewdet derive: error: missing artifact {out / 'sensors_SYN.csv'}; "
                        "run `chewdet synth` first\n")
 
-    def test_derive_falls_back_to_the_ingested_log(self, chain_dir, tmp_path):
+    def test_derive_reads_an_ingested_log_only_when_named(self, chain_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(chain_dir, out)
         (out / "sensors_SYN.csv").rename(out / "ingested_SYN.csv")
         derived = (out / "derived_SYN.csv").read_bytes()
         (out / "derived_SYN.csv").unlink()
-        assert run("derive", "--participant", "SYN", "--out", out) == 0
+        assert run("derive", "--participant", "SYN", "--out", out) == 1
+        assert capsys.readouterr().err == (f"chewdet derive: error: missing artifact "
+                                           f"{out / 'sensors_SYN.csv'}; run `chewdet synth` first\n")
+        assert not (out / "derived_SYN.csv").exists()
+        assert run("derive", "--participant", "SYN", "--input", out / "ingested_SYN.csv",
+                   "--out", out) == 0
         assert (out / "derived_SYN.csv").read_bytes() == derived
         assert "input.ingested_SYN.csv" in manifest_entries(out)[-1]
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threshold", "--delta"], ids=lambda f: f[2:])
+    @pytest.mark.parametrize("row", cli.COMMANDS, ids=lambda row: row[0])
+    def test_settings_come_only_from_the_config(self, row, flag, capsys):
+        required = [arg for name, needed, *_ in row[3] if needed for arg in (name, "x")]
+        with pytest.raises(SystemExit) as info:
+            main([row[0], *required, flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_featurize_refuses_overlapping_chews(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        (out / "features_SYN.csv").unlink()
+        write_label_csv(out / "labels_SYN.csv", [
+            LabeledInterval(150.0, 160.0, IntervalKind.CHEW, "SYN"),
+            LabeledInterval(155.0, 165.0, IntervalKind.CHEW, "SYN"),
+        ])
+        assert run("featurize", "--participant", "SYN", "--out", out) == 1
+        assert capsys.readouterr().err == ("chewdet featurize: error: chew labels overlap: "
+                                           "[150.0, 160.0] and [155.0, 165.0]\n")
+        assert not (out / "features_SYN.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [("losocv", []), ("ablate", ["--sensors", "prox"])])
+    def test_repeated_participant_refused(self, tmp_path, capsys, command, extra):
+        data = tmp_path / "data"
+        for pid in ("P", "Q"):
+            assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", pid,
+                       "--out", data) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(command, "--data", data, "--participants", "P,P,Q", *extra, "--out", out) == 1
+        assert capsys.readouterr().err == (f"chewdet {command}: error: --participants names "
+                                           "['P'] more than once\n")
+        assert not list(out.glob("report*"))
 
 
 class TestErrors:
@@ -634,12 +690,12 @@ class TestBrokenModel:
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
-        scenario = write_scenario(tmp_path)
+        scenario = write_scenario(tmp_path, "seed = 7\n" + SCENARIO)
         config = write_config(tmp_path)
         digests = []
         for name in ("a", "b"):
             out = tmp_path / name
-            base = ["--config", config, "--out", out, "--seed", 7]
+            base = ["--config", config, "--out", out]
             assert run("synth", "--scenario", scenario, *base) == 0
             for command in ("derive", "peaks", "segment", "featurize"):
                 assert run(command, "--participant", "SYN", *base) == 0
@@ -789,19 +845,21 @@ class TestStandaloneCommands:
         assert "it is constant" in capsys.readouterr().err
         assert (out / "predictions_SYN.csv").exists()
 
-    def test_nan_threshold_flag_refused(self, full_chain, capsys):
+    def test_nan_threshold_refused(self, full_chain, tmp_path, capsys):
         predictions = (full_chain / "predictions_SYN.csv").read_bytes()
-        code = run("predict", "--participant", "SYN", "--out", full_chain, "--threshold", "nan")
-        err = capsys.readouterr().err
+        config = tmp_path / "nan_threshold.txt"
+        config.write_text("threshold = nan\n")
+        code = run("predict", "--participant", "SYN", "--config", config, "--out", full_chain)
         assert code == 1
-        assert "chewdet predict: error: threshold must be in [0, inf], got nan" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (f"chewdet predict: error: {config}: "
+                                           "threshold must be in [0, inf], got nan\n")
         assert (full_chain / "predictions_SYN.csv").read_bytes() == predictions
 
-    def test_threshold_flag_overrides_config(self, full_chain, tmp_path):
+    def test_threshold_from_config(self, full_chain, tmp_path):
         # threshold 1.01: nothing is positive, so zero episodes come out.
-        assert run("predict", "--participant", "SYN", "--out", full_chain,
-                   "--threshold", "1.01") == 0
+        config = tmp_path / "high_threshold.txt"
+        config.write_text("threshold = 1.01\n")
+        assert run("predict", "--participant", "SYN", "--config", config, "--out", full_chain) == 0
         assert run("episodes", "--participant", "SYN", "--out", full_chain) == 0
         rows = (full_chain / "episodes_SYN.csv").read_text().splitlines()
         assert len(rows) == 1  # header only

@@ -538,15 +538,24 @@ class TestLabeling:
         cands=st.lists(st.tuples(_ends, _lengths | st.just(0.0)), max_size=10),
         min_overlap=st.sampled_from([0.0, 0.25, 0.5, 1.0, None]),
     )
-    # Summed in reverse start order, these overlaps come out one ulp low.
+    # Nested and overlapping chews: refused, as evaluate refuses them.
     @example([(0.81, 1.14), (2.87, 0.11), (2.35, 1.66), (2.66, 1.51)], [(0.0, 3.0)], None)
     def test_matches_all_pairs_oracle(self, chews, cands, min_overlap):
-        # Overlapping, nested and touching chews, zero-length candidates and
-        # empty sides all occur; min_overlap None sets the threshold to the
-        # first candidate's exact coverage, so a sum in another order that
-        # lands one ulp low flips its label.
+        # Overlapping and nested chews are refused, naming the first such pair
+        # in start order.  Touching chews, zero-length candidates and empty
+        # sides all occur; min_overlap None sets the threshold to the first
+        # candidate's exact coverage, so a sum in another order that lands one
+        # ulp low flips its label.
         ivs = [LabeledInterval(a, a + d, IntervalKind.CHEW, "P1") for a, d in chews]
         cs = [cand(a, a + d) for a, d in cands]
+        ordered = sorted((iv.start, iv.end) for iv in ivs)
+        clash = next(((p, q) for p, q in zip(ordered, ordered[1:]) if q[0] < p[1]), None)
+        if clash is not None:
+            (a0, a1), (b0, b1) = clash
+            with pytest.raises(ValueError) as info:
+                label_candidates(cs, ivs, 0.5)
+            assert str(info.value) == f"chew labels overlap: [{a0}, {a1}] and [{b0}, {b1}]"
+            return
         if min_overlap is None:
             c = cs[0] if cs else cand(0.0, 1.0)
             covered = 0.0
@@ -555,6 +564,22 @@ class TestLabeling:
             min_overlap = covered / (c.c2 - c.c1) if c.c2 > c.c1 else 0.5
         expected = naive_label_candidates(cs, ivs, min_overlap)
         assert label_candidates(cs, ivs, min_overlap).tolist() == expected.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(_ends, _lengths), max_size=10),
+        cands=st.lists(st.tuples(_ends, _lengths | st.just(0.0)), max_size=10),
+        min_overlap=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    )
+    def test_disjoint_chews_match_all_pairs_oracle(self, steps, cands, min_overlap):
+        # Each chew starts a gap (0 included, so chews touch) after the last one ends.
+        ivs, end = [], 0.0
+        for gap, d in steps:
+            ivs.append(LabeledInterval(end + gap / 4, end + gap / 4 + d, IntervalKind.CHEW, "P1"))
+            end = ivs[-1].end
+        cs = [cand(a, a + d) for a, d in cands]
+        expected = naive_label_candidates(cs, ivs, min_overlap)
+        assert label_candidates(cs, ivs[::-1], min_overlap).tolist() == expected.tolist()
 
     def test_day_scale_is_not_quadratic(self):
         # 20,000 x 20,000 would take minutes comparing every pair.
