@@ -165,11 +165,8 @@ def _read_predictions_csv(path: Path) -> list[tuple[CandidateWindow, bool, float
 
 def _warn_if_constant(model, path: Path) -> None:
     if not model.trees:
-        print(
-            f"chewdet: warning: model {path} has no trees; it is constant and gives "
-            "every candidate the same probability",
-            file=sys.stderr,
-        )
+        print(f"chewdet: warning: model {path} has no trees; it is constant and gives "
+              "every candidate the same probability", file=sys.stderr)
 
 
 def _chews(labels: list[LabeledInterval], pid: str) -> list[LabeledInterval]:
@@ -186,6 +183,8 @@ def _read_log(rec: Recorder, path: Path, producer: str | None, pid: str, cfg: Pi
 
 def _participants(args) -> list[str]:
     pids = args.participants.split(",")
+    if "" in pids:
+        raise StageError(f"--participants {args.participants!r} names an empty participant")
     repeated = sorted({pid for pid in pids if pids.count(pid) > 1})
     if repeated:
         raise StageError(f"--participants names {repeated} more than once")
@@ -197,13 +196,11 @@ def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
     sensor_files = {p.stem[len("sensors_"):]: p for p in sorted(data_dir.glob("sensors_*.csv"))}
     if not sensor_files:
         raise StageError(f"no sensors_*.csv files in {data_dir}; run `chewdet synth` first")
-    wanted = _participants(args) if args.participants else list(sensor_files)
+    wanted = _participants(args) if args.participants is not None else list(sensor_files)
     missing = [pid for pid in wanted if pid not in sensor_files]
     if missing:
         raise StageError(f"no sensors_<id>.csv in {data_dir} for participants {missing}")
-    labels: list[LabeledInterval] = []
-    for label_file in sorted(data_dir.glob("labels*.csv")):
-        labels.extend(rec.read(label_file, "synth", read_label_csv))
+    labels = [iv for f in sorted(data_dir.glob("labels*.csv")) for iv in rec.read(f, "synth", read_label_csv)]
     return [
         _read_log(rec, path, "synth", pid, cfg).with_labels(_chews(labels, pid))
         for pid, path in sensor_files.items()
@@ -270,9 +267,7 @@ def cmd_featurize(args, cfg: PipelineConfig, rec: Recorder) -> None:
 
 def cmd_train(args, cfg: PipelineConfig, rec: Recorder) -> None:
     pids = _participants(args)
-    tables = [
-        rec.read(rec.out / f"features_{pid}.csv", "featurize", read_feature_csv) for pid in pids
-    ]
+    tables = [rec.read(rec.out / f"features_{pid}.csv", "featurize", read_feature_csv) for pid in pids]
     model = train_fold(tables, cfg.boost())
     rec.write("model.txt", save_model, model)
     _warn_if_constant(model, rec.out / "model.txt")

@@ -26,17 +26,18 @@ and d**4 as sq*d and sq*sq (sq = d*d) and m2**1.5 as m2*sqrt(m2): correctly
 rounded IEEE operations, whose bits, unlike numpy's power, do not follow the
 CPU kernels that numpy dispatches.
 
-Cost: O(S * w * log w) time per candidate for S signals and windows of w
-samples.  Windows are sorted by length and gathered 64 at a time into
-(k, S, w) blocks padded to the longest; padding adds at most one block of
-work.  Peaks are counted by peaks.window_peak_counts in one walled pass per
-64 candidates over every signal: O(window samples) time, a non-finite sample
-named by its index in its signal.  Extra memory is two blocks' worth.
+Cost: O(S * w * log w) time per candidate for S signals and w-sample windows.
+Both windows of every candidate go, in one length order, 64 at a time into
+(k, S, w) blocks padded to the longest, at most one block more work, and
+each length's spectrum bins are found once per process.  Peaks: one walled
+peaks.window_peak_counts pass per 64 candidates over every signal, naming a
+non-finite sample by its index, in O(window samples).  Extra memory: two blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import inf
 from pathlib import Path
@@ -152,17 +153,21 @@ def _quartiles(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.moveaxis(q, -1, 0)
 
 
+@lru_cache(maxsize=4096)
+def _spectrum_bins(n: int, sample_rate_hz: float) -> np.ndarray:
+    return np.argmin(np.abs(np.fft.rfftfreq(n, 1.0 / sample_rate_hz) - np.array(FREQ_HZ)[:, None]), 1)
+
+
 def _length_stats(x: np.ndarray, sample_rate_hz: float, a, b) -> tuple[np.ndarray, ...]:
-    # What of a C-contiguous (k, S, n) block has bits that depend on n: mean,
-    # the means of sq = d*d, x*x, sq*d, sq*sq and d[:, a]*d[:, b], max, min and
-    # the spectrum amplitudes (all 0 at n = 1, where d is 0 for finite samples).
+    # What of a C-contiguous (k, S, n) block has bits that depend on n: mean, the
+    # means of sq = d*d, x*x, sq*d, sq*sq and d[:, a]*d[:, b] (ndarray.mean's sum / n),
+    # max, min and the spectrum amplitudes (all 0 at n = 1: d is 0 for finite samples).
     n = x.shape[-1]
-    mean = x.mean(axis=-1)
+    mean = np.add.reduce(x, -1) / n
     d = x - mean[..., None]
     sq = d * d
-    means = np.concatenate([sq, x * x, sq * d, sq * sq, d[:, a] * d[:, b]], axis=1).mean(axis=-1)
-    bins = np.argmin(np.abs(np.fft.rfftfreq(n, 1.0 / sample_rate_hz) - np.array(FREQ_HZ)[:, None]), 1)
-    amps = np.take(np.abs(np.fft.rfft(d, axis=-1)), bins, axis=-1) * (2.0 / n)
+    means = np.add.reduce(np.concatenate([sq, x * x, sq * d, sq * sq, d[:, a] * d[:, b]], 1), -1) / n
+    amps = np.take(np.abs(np.fft.rfft(d, axis=-1)), _spectrum_bins(n, sample_rate_hz), axis=-1) * (2.0 / n)
     return mean, means, x.max(axis=-1), x.min(axis=-1), amps
 
 
@@ -214,17 +219,19 @@ def _feature_rows(
     per_window = np.zeros((n_rows, len(sig), len(WINDOWS), _PER_WINDOW))
     a, b = np.array(list(combinations(range(len(sig)), 2)), dtype=np.intp).reshape(-1, 2).T
     corr = np.zeros((n_rows, len(WINDOWS), a.size))
-    for w, stop in enumerate(stops.T):
-        lengths = stop[:n_rows] - start[:n_rows]
-        order = np.argsort(lengths, kind="stable")
-        for lo in range(0, n_rows, _BLOCK_WINDOWS):
-            chunk = order[lo:lo + _BLOCK_WINDOWS]
-            at = np.arange(lengths[chunk[-1]])
-            pad = at >= lengths[chunk, None]
-            index = np.where(pad, 0, start[chunk, None] + at)
-            block = np.where(pad[:, None], inf, np.stack([x[index] for x in sig], axis=1))
-            per_window[chunk, :, w], corr[chunk, w] = _window_features(
-                block, lengths[chunk], sample_rate_hz, a, b)
+    # Every window, flattened by (row, window), in one stable length order.  The
+    # longest block runs first, so the one the loop leaves held is the shortest.
+    first = start[:n_rows].repeat(len(WINDOWS))
+    lengths = stops[:n_rows].ravel() - first
+    order = np.argsort(lengths, kind="stable")
+    for lo in reversed(range(0, order.size, _BLOCK_WINDOWS)):
+        chunk = order[lo:lo + _BLOCK_WINDOWS]
+        at = np.arange(lengths[chunk[-1]])
+        pad = at >= lengths[chunk, None]
+        index = np.where(pad, 0, first[chunk, None] + at)
+        block = np.where(pad[:, None], inf, np.stack([x[index] for x in sig], axis=1))
+        row, w = np.divmod(chunk, len(WINDOWS))
+        per_window[row, :, w], corr[row, w] = _window_features(block, lengths[chunk], sample_rate_hz, a, b)
     rows = np.hstack([per_window.reshape(n_rows, len(sig) * len(WINDOWS) * _PER_WINDOW),
                       corr.reshape(n_rows, len(WINDOWS) * a.size), meta[:n_rows]])
 
@@ -354,10 +361,8 @@ def extract_table(
     X = np.zeros((0, len(names)))
     if n:
         X = _feature_rows(trace, candidates, clock, signals, min_prominence, sample_rate_hz)
-    if chews is None:
-        label = np.full(n, -1, dtype=int)
-    else:
-        label = label_candidates(candidates, chews, label_min_overlap)
+    label = (np.full(n, -1, dtype=int) if chews is None
+             else label_candidates(candidates, chews, label_min_overlap))
     return FeatureTable(
         names=names,
         X=X,

@@ -381,6 +381,20 @@ class TestSurface:
                                            "['P'] more than once\n")
         assert not list(out.glob("report*"))
 
+    @pytest.mark.parametrize("command, extra", [("losocv", []), ("ablate", ["--sensors", "prox"])])
+    @pytest.mark.parametrize("participants", ["", "P,,Q"])
+    def test_empty_participant_refused(self, tmp_path, capsys, command, extra, participants):
+        data = tmp_path / "data"
+        for pid in ("P", "Q"):
+            assert run("synth", "--scenario", write_scenario(tmp_path), "--participant", pid,
+                       "--out", data) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(command, "--data", data, "--participants", participants, *extra, "--out", out) == 1
+        assert capsys.readouterr().err == (f"chewdet {command}: error: --participants "
+                                           f"{participants!r} names an empty participant\n")
+        assert not list(out.glob("report*"))
+
 
 class TestErrors:
     def test_missing_upstream_artifact_names_prior_command(self, tmp_path, capsys):
@@ -569,6 +583,10 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "chewdet train: error: --participants names ['SYN'] more than once" in err
+
+    def test_train_rejects_an_empty_participant(self, full_chain, capsys):
+        assert run("train", "--participants", "", "--out", full_chain) == 1
+        assert capsys.readouterr().err == "chewdet train: error: --participants '' names an empty participant\n"
 
     def test_train_names_a_zero_hessian_node(self, tmp_path, capsys):
         # The config drops L2 damping and p saturates to exactly 1.0 on a

@@ -326,6 +326,22 @@ def nan_in_last_signal():
     return trace, [cand(2.0, 3.0), cand(5.0, 6.0), cand(11.0, 12.5), cand(13.0, 14.0)], SIGNALS
 
 
+def bite_and_chew_windows_of_one_length():
+    # The trace ends at 4.95 s, so both windows of the second candidate clip
+    # to [2.0, 4.95] s, 60 samples, as many as the first candidate's chewing
+    # window: one block holds a length group that mixes both window kinds.
+    trace = make_trace(n=100, seed=18)
+    return trace, [cand(0.5, 0.95), cand(4.0, 4.5), cand(2.5, 2.6)], SIGNALS
+
+
+def length_group_across_blocks():
+    # 40 candidates whose bite windows and first 30 chewing windows all hold
+    # 81 samples: the 70 windows of that length straddle the boundary between
+    # the first two blocks of 64.
+    trace = make_trace(n=400, seed=19)
+    return trace, [cand(3.0 + k / 4, 3.0 + k / 4 + (0.0 if k < 30 else 0.5)) for k in range(40)], SIGNALS
+
+
 MIXED_ZEROS = [2.0, -0.0, 2.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, -0.0]
 
 
@@ -364,6 +380,8 @@ class TestBlockPath:
     @example(chunks_crossed(bad=True, signals=("prox", "ambient")))
     @example(nan_in_second_pass())
     @example(nan_in_last_signal())
+    @example(bite_and_chew_windows_of_one_length())
+    @example(length_group_across_blocks())
     def test_matches_per_window_oracle_bit_for_bit(self, case):
         trace, cands, signals = case
         try:
@@ -375,6 +393,28 @@ class TestBlockPath:
             return
         table = extract_table(trace, cands, HOUR0, "P1", signals=signals)
         assert table.X.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(feature_cases(), st.data())
+    def test_rows_follow_candidates_through_permutation_and_repetition(self, case, data):
+        # Up to 80 rows, so a row's windows share blocks with different
+        # windows, and up to three blocks, from one run to the next.
+        trace, cands, signals = case
+        picks = data.draw(st.lists(st.integers(0, len(cands) - 1), min_size=1, max_size=80))
+        try:
+            table = extract_table(trace, cands, HOUR0, "P1", signals=signals)
+        except ValueError:
+            return
+        moved = extract_table(trace, [cands[k] for k in picks], HOUR0, "P1", signals=signals)
+        assert moved.X.tobytes() == table.X[picks].tobytes()
+
+    @pytest.mark.parametrize("k, n_sig", [(1, 1), (5, 3), (64, 22)])
+    def test_add_reduce_over_n_is_ndarray_mean(self, k, n_sig):
+        # _length_stats takes its means as np.add.reduce(x, -1) / n.
+        rng = np.random.default_rng(k)
+        for n in [*range(1, 301), 4097]:
+            x = rng.normal(size=(k, n_sig, n)) * 10.0 ** rng.integers(-8, 9, size=(k, n_sig, 1))
+            assert (np.add.reduce(x, -1) / n).tobytes() == x.mean(-1).tobytes()
 
     def test_peaks_counted_in_one_pass_per_chunk(self, monkeypatch):
         passes = []
@@ -437,7 +477,8 @@ class TestBlockPath:
 
     def test_no_percentile_and_one_reduction_per_length_and_block(self, monkeypatch):
         # 130 candidates on the sample grid with 20 distinct chewing-window
-        # lengths (gap + 81 samples) and one bite-window length (81).
+        # lengths (gap + 81 samples) and one bite-window length (81): 260
+        # windows in one length order, in blocks of 64, longest first.
         gaps = [k * 7 % 20 for k in range(130)]
         cands = [cand(3.0 + k % 50 / 2, 3.0 + k % 50 / 2 + g / 20.0) for k, g in enumerate(gaps)]
         blocks, lengths = [], []
@@ -458,10 +499,10 @@ class TestBlockPath:
         monkeypatch.setattr(features, "_length_stats", count_length)
         monkeypatch.setattr(np, "percentile", refuse)
         extract_table(make_trace(seed=15), cands, HOUR0, "P1")
-        cw = sorted(g + 81 for g in gaps)
-        expected = [n for lo in range(0, 130, 64) for n in sorted(set(cw[lo:lo + 64]))] + [81] * 3
-        assert sorted(lengths) == sorted(expected)
-        assert sorted(blocks) == sorted([64, 64, 2] * 2)
+        windows = sorted(n for g in gaps for n in (g + 81, 81))
+        starts = range(256, -1, -64)
+        assert lengths == [n for lo in starts for n in sorted(set(windows[lo:lo + 64]))]
+        assert blocks == [4, 64, 64, 64, 64]
 
     def test_nan_sample_named_by_its_trace_index(self):
         trace = make_trace(n=100, seed=12)
