@@ -3,9 +3,9 @@
 Positive candidate subsequences are first flattened into scored seconds, an
 ``(S, 2)`` int64 array of ``(second, count)`` rows sorted by second: count
 (>= 1) candidates cover that whole second by the ``covered_seconds`` rule
-that counts ground truth.  An endpoint sweep builds it (+1 at each covered
-range's start, -1 at its stop, one sort and a running sum) in O(C log C + S)
-for C candidates and S scored seconds.  A 1-D DBSCAN then drops isolated or
+that counts ground truth.  It is the runs of ``records.covered_runs``, the
+endpoint sweep that also counts the truth, expanded: O(C log C + S) for C
+candidates and S scored seconds.  A 1-D DBSCAN then drops isolated or
 sparse detections as noise, and the surviving clusters are merged into
 episode intervals with the gap rule that derives ground-truth episodes.
 
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import IntervalKind, LabeledInterval, check_range, covered_seconds, episode_intervals
+from .records import IntervalKind, LabeledInterval, check_range, covered_runs, covered_seconds, episode_intervals
 from .tables import read_table, transpose, write_table
 
 
@@ -42,23 +42,15 @@ class DbscanConfig:
 
 
 def score_seconds(positives: Sequence) -> np.ndarray:
-    """The scored seconds of the positive candidates, by the endpoint sweep.
+    """The scored seconds of the positive candidates: ``covered_runs`` expanded.
 
     A candidate scores the seconds ``covered_seconds`` gives it, the rule
     that counts ground truth: those sharing positive measure with its span,
     so a candidate ending exactly on a whole second does not score it.
     """
-    ranges = [covered_seconds(c.c1, c.c2) for c in positives]
-    for c, r in zip(positives, ranges):
-        if not -(2**63) <= r.start < r.stop < 2**63:
-            raise ValueError(f"candidate [{c.c1}, {c.c2}] covers seconds outside int64")
-    edges = np.array([r.start for r in ranges] + [r.stop for r in ranges], dtype=np.int64)
-    order = np.argsort(edges, kind="stable")
-    edges = edges[order]
-    counts = np.cumsum(np.repeat([1, -1], len(ranges))[order])[:-1]
-    # counts[i] covers [edges[i], edges[i + 1]); the runs counted at least once expand to seconds.
-    lengths = np.where(counts > 0, np.diff(edges), 0)
-    seconds = np.repeat(edges[:-1] + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+    starts, stops, counts = covered_runs(((c.c1, c.c2) for c in positives), "candidate")
+    lengths = stops - starts
+    seconds = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
     return np.column_stack([seconds, np.repeat(counts, lengths)])
 
 

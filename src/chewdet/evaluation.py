@@ -15,7 +15,6 @@ prediction and truth agree at that granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -31,10 +30,10 @@ from .records import (
     LabeledInterval,
     Session,
     check_overlap_rule,
-    covered_seconds,
+    covered_runs,
     derive_episode_labels,
     disjoint_spans,
-    overlap_range,
+    overlap_pairs,
 )
 from .signals import DerivedTrace, derive
 from .tables import transpose, write_table
@@ -70,24 +69,16 @@ def _prf(n_matched_pred: int, n_pred: int, n_matched_truth: int, n_truth: int) -
 def per_second_metrics(
     pred_seconds: Iterable[int], truth_intervals: Sequence[LabeledInterval]
 ) -> Metrics:
-    """Fine-grained scoring over whole seconds.  The truth's covered
-    seconds are merged into disjoint ranges once, and the distinct predicted
-    seconds are counted inside them by one search: O((P + T) log T) for P
-    predicted seconds and T labels, however many seconds the labels span."""
+    """Fine-grained scoring over whole seconds.  The distinct predicted seconds
+    inside the truth's ``covered_runs`` are counted by two searches: O(P log P
+    + T log T) for P predicted seconds and T labels, however long the labels."""
     if not isinstance(pred_seconds, np.ndarray):
         pred_seconds = np.fromiter(pred_seconds, dtype=np.int64)
     pred = np.sort(pred_seconds)
     pred = pred[np.diff(pred, prepend=pred[:1] - 1) != 0]  # repeats dropped, the first kept
-    floor = int(np.iinfo(np.int64).min)  # an empty range before every second
-    starts, stops = [floor], [floor]
-    for r in sorted((covered_seconds(iv.start, iv.end) for iv in truth_intervals), key=attrgetter("start")):
-        if r.start <= stops[-1]:
-            stops[-1] = max(stops[-1], r.stop)
-        else:
-            starts.append(r.start)
-            stops.append(r.stop)
-    tp = int(np.count_nonzero(pred < np.array(stops)[np.searchsorted(starts, pred, "right") - 1]))
-    return _prf(tp, pred.size, tp, sum(stops) - sum(starts))
+    starts, stops, _ = covered_runs(((iv.start, iv.end) for iv in truth_intervals), "chew label")
+    tp = int((np.searchsorted(pred, stops) - np.searchsorted(pred, starts)).sum())
+    return _prf(tp, pred.size, tp, sum(stops.tolist()) - sum(starts.tolist()))
 
 
 def per_episode_metrics(
@@ -100,21 +91,16 @@ def per_episode_metrics(
     threshold fraction of the base duration (ground-truth episode duration
     by default).  Many-to-one matches are allowed; each truth episode counts
     once for recall.  Both sides must be disjoint, so each prediction meets
-    only the truth episodes in its overlap range: O((pred + truth) log truth).
+    only the truth episodes ``overlap_pairs`` joins to it: O((pred + truth) log truth).
     """
     check_overlap_rule(overlap_threshold, base)
-    pred_spans = disjoint_spans(((iv.start, iv.end) for iv in pred), "predicted intervals")
-    truth_spans = disjoint_spans(((iv.start, iv.end) for iv in truth), "truth intervals")
-    first, last = overlap_range(truth_spans, *np.reshape(pred_spans, (-1, 2)).T)
-    hits = []
-    for i, (p0, p1) in enumerate(pred_spans):
-        for j in range(first[i], last[i]):
-            t0, t1 = truth_spans[j]
-            ov = min(p1, t1) - max(p0, t0)
-            ref = {"truth": t1 - t0, "pred": p1 - p0, "min": min(p1 - p0, t1 - t0)}[base]
-            if ov > 0 and ov >= overlap_threshold * ref:
-                hits.append((i, j))
-    tp, detected = len({i for i, _ in hits}), len({j for _, j in hits})
+    pred_spans = np.reshape(disjoint_spans(((iv.start, iv.end) for iv in pred), "predicted intervals"), (-1, 2))
+    truth_spans = np.reshape(disjoint_spans(((iv.start, iv.end) for iv in truth), "truth intervals"), (-1, 2))
+    i, j, overlap = overlap_pairs(truth_spans, *pred_spans.T)
+    p, t = np.diff(pred_spans)[i, 0], np.diff(truth_spans)[j, 0]
+    ref = {"truth": t, "pred": p, "min": np.minimum(p, t)}[base]
+    hit = (overlap > 0) & (overlap >= overlap_threshold * ref)
+    tp, detected = (int(np.count_nonzero(np.bincount(k[hit]))) for k in (i, j))
     return _prf(tp, len(pred_spans), detected, len(truth_spans))
 
 

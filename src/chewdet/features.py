@@ -47,7 +47,7 @@ import numpy as np
 
 from .peaks import window_peak_counts
 from .periodic import CandidateWindow
-from .records import NOMINAL_RATE_HZ, LabeledInterval, disjoint_spans, overlap_range
+from .records import NOMINAL_RATE_HZ, LabeledInterval, disjoint_spans, overlap_pairs
 from .signals import SIGNALS, DerivedTrace
 from .tables import read_table, write_table
 
@@ -288,19 +288,15 @@ def label_candidates(
 ) -> np.ndarray:
     """Binary training labels: 1 when >= min_overlap of a candidate's span
     is covered by ground-truth chewing intervals, which must not overlap.
-    Each candidate sums only the chews in its overlap range:
-    O((candidates + chews) log chews)."""
-    labels = np.zeros(len(candidates), dtype=int)
+    Each candidate sums, in span order, the chews ``overlap_pairs`` joins to
+    it: O((candidates + chews) log chews + pairs)."""
     spans = disjoint_spans(((iv.start, iv.end) for iv in chews), "chew labels")
-    first, last = overlap_range(spans, [c.c1 for c in candidates], [c.c2 for c in candidates])
-    for k, cand in enumerate(candidates):
-        covered = 0.0
-        for a, b in spans[first[k]:last[k]]:
-            covered += max(0.0, min(b, cand.c2) - max(a, cand.c1))
-        duration = cand.c2 - cand.c1
-        if duration > 0 and covered / duration >= min_overlap:
-            labels[k] = 1
-    return labels
+    c1, c2 = np.array([(c.c1, c.c2) for c in candidates], dtype=float).reshape(-1, 2).T
+    query, _, overlap = overlap_pairs(spans, c1, c2)
+    covered = np.bincount(query, np.maximum(overlap, 0.0), minlength=len(candidates))
+    duration = c2 - c1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((duration > 0) & (covered / duration >= min_overlap)).astype(int)
 
 
 @dataclass

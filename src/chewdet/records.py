@@ -5,9 +5,10 @@ On-disk formats are two small CSVs: a sensor log at the configured rate
 (``participant,kind,start_s,end_s``) with ``kind`` in ``{chew, episode}``.
 
 ``check_increasing`` is the one time-order check and ``check_range`` the one
-range check for every numeric setting.  The interval rules live here too, for
-ground truth and predictions alike: ``covered_seconds`` maps an interval to
-whole seconds, ``disjoint_spans`` decides when spans are disjoint, and
+range check for every numeric setting.  All interval arithmetic lives here,
+for truth and predictions alike: ``covered_seconds`` maps an interval to whole
+seconds and ``covered_runs`` sweeps many into counted runs, ``disjoint_spans``
+decides when spans are disjoint, ``overlap_pairs`` joins queries to them, and
 ``episode_intervals`` merges spans into episodes.
 """
 
@@ -197,14 +198,17 @@ def disjoint_spans(spans: Iterable[tuple[float, float]], what: str) -> list[tupl
     return ordered
 
 
-def overlap_range(spans: Sequence[tuple[float, float]], lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Per query [lo, hi], the index range [first, last) of ``spans`` (sorted
-    by start, maybe overlapping) outside which no span shares positive measure
-    with the query: two searches, on the running max of the ends and on the
-    starts.  O((spans + queries) log spans)."""
-    arr = np.asarray(spans, dtype=float).reshape(-1, 2)
-    first = np.searchsorted(np.maximum.accumulate(arr[:, 1]), lo, side="right")
-    return first, np.maximum(first, np.searchsorted(arr[:, 0], hi, side="left"))
+def overlap_pairs(spans: Sequence[tuple[float, float]], lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per query [lo, hi], the ``spans`` (sorted and disjoint, as ``disjoint_spans`` gives them)
+    ending after lo and starting before hi, as ``(query, span, overlap)`` arrays, query by query,
+    spans ascending, with ``overlap = min(hi, b) - max(lo, a)``.  O((spans + queries) log spans + pairs)."""
+    arr = np.reshape(np.asarray(spans, dtype=float), (-1, 2))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    first = np.searchsorted(arr[:, 1], lo, side="right")
+    n = np.maximum(np.searchsorted(arr[:, 0], hi, side="left") - first, 0)
+    query = np.repeat(np.arange(lo.size), n)
+    span = np.repeat(first + n - np.cumsum(n), n) + np.arange(n.sum())
+    return query, span, np.minimum(hi[query], arr[span, 1]) - np.maximum(lo[query], arr[span, 0])
 
 
 def check_increasing(t: np.ndarray) -> None:
@@ -240,13 +244,11 @@ def episode_intervals(
     """``participant``'s EPISODE intervals: disjoint ``spans`` (touching ends
     allowed) merged across gaps <= ``delta``.  O(n log n)."""
     check_range("delta", delta, "(0, inf)")
-    merged: list[list[float]] = []
-    for start, end in disjoint_spans(spans, "intervals"):
-        if merged and start - merged[-1][1] <= delta:
-            merged[-1][1] = end
-        else:
-            merged.append([start, end])
-    return [LabeledInterval(a, b, IntervalKind.EPISODE, participant) for a, b in merged]
+    arr = np.reshape(disjoint_spans(spans, "intervals"), (-1, 2))
+    cut = arr[1:, 0] - arr[:-1, 1] > delta
+    starts = np.concatenate([arr[:1, 0], arr[1:, 0][cut]]).tolist()
+    ends = np.concatenate([arr[:-1, 1][cut], arr[-1:, 1]]).tolist()
+    return [LabeledInterval(a, b, IntervalKind.EPISODE, participant) for a, b in zip(starts, ends)]
 
 
 def derive_episode_labels(
@@ -291,3 +293,22 @@ def covered_seconds(start: float, end: float) -> range:
     if not end > start:
         raise ValueError(f"need end > start, got [{start}, {end}]")
     return range(math.floor(start), math.ceil(end))
+
+
+def covered_runs(spans: Iterable[tuple[float, float]], what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seconds ``covered_seconds`` gives the spans, as ascending, disjoint int64 runs
+    ``(starts, stops, counts)``: ``counts[i] >= 1`` spans cover each second of [starts[i], stops[i]).
+    An endpoint sweep: +1 at each covered range's start, -1 at its stop, one sort and a running
+    sum.  O(n log n) for n spans, however long."""
+    ranges = []
+    for a, b in spans:
+        r = covered_seconds(a, b)
+        if not -(2**63) <= r.start < r.stop < 2**63:
+            raise ValueError(f"{what} [{a}, {b}] covers seconds outside int64")
+        ranges.append(r)
+    edges = np.array([r.start for r in ranges] + [r.stop for r in ranges], dtype=np.int64)
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    counts = np.cumsum(np.repeat([1, -1], len(ranges))[order])[:-1]
+    keep = (counts > 0) & (edges[1:] > edges[:-1])  # counts[i] covers [edges[i], edges[i + 1])
+    return edges[:-1][keep], edges[1:][keep], counts[keep]

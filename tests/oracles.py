@@ -14,15 +14,17 @@ itself checked against the brute-force search).
 
 The all-pairs interval oracles (naive_label_candidates,
 naive_per_episode_metrics, loop_cluster) are the earlier bodies of the
-functions they check, kept so that the overlap-range rewrites can be held
-to the same results bit for bit; the episode oracle reports its counts
-through evaluation._prf, the precision/recall arithmetic both share.
+functions they check, kept so that the array rewrites over
+records.overlap_pairs and the spine spans can be held to the same results
+bit for bit; the episode oracle reports its counts through evaluation._prf,
+the precision/recall arithmetic both share.
 stack_prominences and searched_build_tree are kept the same way: the
 earlier prominence stack, and the earlier tree builder that searches every
 node, on the booster's own split search and order filter.  So are
 set_per_second_metrics, the per-second scorer that builds a set of every
 truth second, counter_score_seconds, the scorer that counts every covered
-second in a Counter, and walked_segment, the segmenter whose screen
+second in a Counter, loop_episode_intervals, the episode merge that
+takes one span at a time, and walked_segment, the segmenter whose screen
 searches each band's widened windows and whose DP keeps a max-deque, then
 walks back from each optimum to join the chain starts level by level.
 """
@@ -47,7 +49,7 @@ from chewdet.features import (
     WINDOWS,
 )
 from chewdet.peaks import Peak, find_prominent_peaks
-from chewdet.records import LabeledInterval, covered_seconds
+from chewdet.records import IntervalKind, LabeledInterval, check_range, covered_seconds, disjoint_spans
 from chewdet.periodic import (
     CandidateWindow,
     PeriodicSubsequence,
@@ -701,3 +703,15 @@ def naive_extract(
             f"candidate [{cand.c1}, {cand.c2}]: non-finite feature at index {bad}"
         )
     return vec
+
+
+def loop_episode_intervals(spans, delta: float, participant: str) -> list[LabeledInterval]:
+    """records.episode_intervals merging one sorted span at a time."""
+    check_range("delta", delta, "(0, inf)")
+    merged: list[list[float]] = []
+    for start, end in disjoint_spans(spans, "intervals"):
+        if merged and start - merged[-1][1] <= delta:
+            merged[-1][1] = end
+        else:
+            merged.append([start, end])
+    return [LabeledInterval(a, b, IntervalKind.EPISODE, participant) for a, b in merged]

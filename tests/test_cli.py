@@ -665,6 +665,21 @@ class TestLongSpans:
         assert err.startswith("chewdet evaluate: error: ") and err.count("\n") == 1
         assert "candidate [1e+19, 1.5e+19] covers seconds outside int64" in err
 
+    def test_label_past_int64_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        labels = read_label_csv(out / "labels_SYN.csv")
+        last = max(i for i, iv in enumerate(labels) if iv.kind is IntervalKind.CHEW)
+        labels[last] = replace(labels[last], end=1e19)
+        write_label_csv(tmp_path / "long_labels.csv", labels)
+        capsys.readouterr()
+        assert run("evaluate", "--participant", "SYN", "--labels", tmp_path / "long_labels.csv",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chewdet evaluate: error: ") and err.count("\n") == 1
+        assert f"chew label [{labels[last].start}, 1e+19] covers seconds outside int64" in err
+        assert "Traceback" not in err
+
 
 class TestBrokenModel:
     """A damaged model.txt is refused when predict loads it: exit 1, no traceback."""

@@ -104,11 +104,21 @@ class TestPerSecond:
 
     def test_label_length_costs_nothing(self):
         # A 1e8 s chew spans 1e8 seconds, which a set of truth seconds would
-        # hold one by one; the merged ranges hold one.
+        # hold one by one; covered_runs holds two runs.
         start = time.perf_counter()
         m = per_second_metrics(range(100), [chew(0, 50), chew(10, 1e8), chew(2e8, 2e8 + 0.5)])
         assert time.perf_counter() - start < 1.0
         assert (m.tp, m.fp, m.fn) == (100, 0, 1e8 + 1 - 100)
+
+    def test_label_longer_than_2_63_seconds_counts_exactly(self):
+        # Its run's length leaves int64, so the truth is counted in Python ints.
+        m = per_second_metrics([0, 1], [chew(-5e18, 5e18)])
+        assert (m.tp, m.fp, m.fn) == (2, 0, 10**19 - 2)
+
+    def test_label_past_int64_seconds_refused(self):
+        # Refused by the rule that refuses such a prediction, not scored as 2**63 seconds.
+        with pytest.raises(ValueError, match=r"^chew label \[-1e\+19, 5\] covers seconds outside int64$"):
+            per_second_metrics(range(10), [chew(-1e19, 5)])
 
     def test_translation_invariance(self):
         pred = set(range(10, 60))

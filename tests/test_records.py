@@ -1,9 +1,12 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from oracles import loop_episode_intervals
 
 from chewdet.records import (
     GAP_FACTOR,
@@ -17,7 +20,7 @@ from chewdet.records import (
     episode_intervals,
     ingest_sensor_csv,
     inter_sequence_gap_cdf,
-    overlap_range,
+    overlap_pairs,
     read_label_csv,
     write_label_csv,
 )
@@ -37,6 +40,15 @@ def write(tmp_path, text, name="sensors.csv"):
 
 def chew(start, end, participant="P1"):
     return LabeledInterval(start=start, end=end, kind=IntervalKind.CHEW, participant=participant)
+
+
+def chained(start, steps):
+    """Sorted, disjoint spans from (gap, width) steps; a gap of 0 lets the ends touch."""
+    spans = []
+    for gap, width in steps:
+        a = spans[-1][1] + gap if spans else start
+        spans.append((a, a + width))
+    return spans
 
 
 class TestIngest:
@@ -265,6 +277,26 @@ class TestEpisodeIntervals:
         with pytest.raises(ValueError, match=r"^delta must be in \(0, inf\), got 0$"):
             episode_intervals([], 0, "P1")
 
+    @settings(max_examples=300, deadline=None)
+    @example([], 1.0, 0, 0)
+    @example([(0.0, 1.0)], 1.0, 0, 0)
+    @given(
+        st.lists(st.tuples(st.just(0.0) | st.floats(0, 30), st.floats(0.001, 20)), max_size=8),
+        st.floats(0.001, 40),
+        st.integers(0, 7),
+        st.sampled_from([-1, 0, 1]),
+    )
+    def test_matches_the_merge_loop_bit_for_bit(self, steps, delta, k, ulps):
+        spans = chained(0.0, steps)
+        if len(spans) > 1:  # delta on one of the gaps, or one ulp either side of it
+            gap = spans[k % (len(spans) - 1) + 1][0] - spans[k % (len(spans) - 1)][1]
+            delta = {-1: math.nextafter(gap, 0.0), 0: gap, 1: math.nextafter(gap, math.inf)}[ulps]
+            delta = max(delta, 5e-324)  # delta must be positive
+        got = episode_intervals(spans[::-1], delta, "P1")
+        want = loop_episode_intervals(spans[::-1], delta, "P1")
+        assert [(e.start.hex(), e.end.hex()) for e in got] == [(e.start.hex(), e.end.hex()) for e in want]
+        assert got == want
+
 
 class TestSpans:
     def test_overlap_message_names_both_spans(self):
@@ -279,22 +311,31 @@ class TestSpans:
         with pytest.raises(ValueError, match=r"^meals overlap: \[0\.0, 5\.0\] and \[4\.0, 6\.0\]"):
             disjoint_spans([(4, 6), (0, 5)], "meals")
 
-    def test_overlap_range_keeps_spans_a_long_one_contains(self):
-        spans = [(0.0, 100.0), (10.0, 20.0), (30.0, 40.0), (200.0, 210.0)]
-        first, last = overlap_range(spans, [50.0, 100.0, 205.0, 300.0], [60.0, 150.0, 300.0, 400.0])
-        assert list(zip(first, last)) == [(0, 3), (3, 3), (3, 4), (4, 4)]
+    def test_overlap_pairs_go_query_by_query(self):
+        spans = [(0.0, 10.0), (10.0, 20.0), (30.0, 40.0)]
+        query, span, overlap = overlap_pairs(spans, [5.0, 10.0, 45.0, -5.0], [35.0, 10.0, 50.0, 0.5])
+        assert list(zip(query.tolist(), span.tolist(), overlap.tolist())) == [
+            (0, 0, 5.0), (0, 1, 10.0), (0, 2, 5.0), (3, 0, 0.5)
+        ]
 
-    def test_overlap_range_misses_no_overlapping_span(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            starts = np.sort(rng.integers(0, 40, size=rng.integers(0, 12))).astype(float)
-            spans = [(a, a + float(rng.integers(1, 15))) for a in starts]
-            lo = rng.integers(0, 50, size=8).astype(float)
-            hi = lo + rng.integers(0, 10, size=8)
-            first, last = overlap_range(spans, lo, hi)
-            for q in range(8):
-                hit = [j for j, (a, b) in enumerate(spans) if min(b, hi[q]) - max(a, lo[q]) > 0]
-                assert all(first[q] <= j < last[q] for j in hit)
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-50, 50), st.lists(st.tuples(st.just(0.0) | st.floats(0, 20), st.floats(0.001, 20)), max_size=8),
+           st.data())
+    def test_overlap_pairs_match_an_all_pairs_scan(self, start, steps, data):
+        spans = disjoint_spans(chained(start, steps), "spans")
+        # Queries on span edges, of zero width, and past both ends.
+        point = st.sampled_from([x for span in spans for x in span] or [0.0]) | st.floats(-100, 500)
+        query_st = st.tuples(point, point).map(sorted) | point.map(lambda x: (x, x))
+        queries = data.draw(st.lists(query_st, max_size=8))
+        lo, hi = [q[0] for q in queries], [q[1] for q in queries]
+        query, span, overlap = overlap_pairs(spans, lo, hi)
+        pairs = list(zip(query.tolist(), span.tolist()))
+        assert pairs == sorted(set(pairs))
+        for (q, j), ov in zip(pairs, overlap.tolist()):
+            a, b = spans[j]
+            assert ov.hex() == (min(hi[q], b) - max(lo[q], a)).hex()
+        assert {(q, j) for q in range(len(lo)) for j, (a, b) in enumerate(spans)
+                if min(hi[q], b) - max(lo[q], a) > 0} <= set(pairs)
 
 
 class TestGapCdf:
