@@ -36,6 +36,7 @@ import sys
 import tempfile
 from dataclasses import astuple, replace
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .boosting import classify_candidates, load_model, save_model
@@ -191,7 +192,7 @@ def _participants(args) -> list[str]:
     return pids
 
 
-def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
+def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> Iterator[Session]:
     data_dir = Path(args.data)
     sensor_files = {p.stem[len("sensors_"):]: p for p in sorted(data_dir.glob("sensors_*.csv"))}
     if not sensor_files:
@@ -201,11 +202,11 @@ def _load_sessions(args, cfg: PipelineConfig, rec: Recorder) -> list[Session]:
     if missing:
         raise StageError(f"no sensors_<id>.csv in {data_dir} for participants {missing}")
     labels = [iv for f in sorted(data_dir.glob("labels*.csv")) for iv in rec.read(f, "synth", read_label_csv)]
-    return [
+    return (
         _read_log(rec, path, "synth", pid, cfg).with_labels(_chews(labels, pid))
         for pid, path in sensor_files.items()
         if pid in wanted
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

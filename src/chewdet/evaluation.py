@@ -268,25 +268,24 @@ def train_fold(
     """Train one fold's model from the training participants' tables only."""
     if not tables:
         raise ValueError("no training tables")
-    names = tables[0].names
-    for tb in tables:
-        if tb.names != names:
-            raise ValueError("feature layouts differ across training tables")
+    if any(tb.names != tables[0].names for tb in tables):
+        raise ValueError("feature layouts differ across training tables")
     X = np.vstack([tb.X for tb in tables])
     y = np.concatenate([tb.label for tb in tables])
     if np.any(y < 0):
         raise ValueError("training tables contain unlabeled candidates")
-    return train(X, y, boost_cfg, names)
+    return train(X, y, boost_cfg, tables[0].names)
 
 
-# One participant's (session, candidates, feature table).
-_Prepared = tuple[Session, list, FeatureTable]
+# One participant's (participant, chew labels, candidates, feature table): what scoring reads.
+_Prepared = tuple[str, Sequence[LabeledInterval], list, FeatureTable]
 
 
 def _prepare_all(
-    sessions: Sequence[Session], cfg: PipelineConfig, signals: Sequence[str] = SIGNALS
+    sessions: Iterable[Session], cfg: PipelineConfig, signals: Sequence[str] = SIGNALS
 ) -> list[_Prepared]:
-    return [(session, *session_candidates(session, cfg, signals)) for session in sessions]
+    # map, not a comprehension, whose variable would hold session k while k + 1 is read.
+    return list(map(lambda s: (s.participant, s.chew_labels(), *session_candidates(s, cfg, signals)), sessions))
 
 
 def _evaluate_one(
@@ -296,20 +295,20 @@ def _evaluate_one(
     cfg: PipelineConfig,
     flags: Sequence[str] = (),
 ) -> ParticipantScore:
-    session, cands, table = item
+    participant, chews, cands, table = item
     flags = [*flags] if model.trees else [*flags, "zero_trees"]
     if not cands:
         flags.append("no_candidates")
-    if not session.chew_labels():
+    if not chews:
         flags.append("no_truth")
     scores, episodes = predict_session(
         model, cands, table, dbscan_cfg, cfg.threshold, cfg.delta
     )
-    return score_participant(scores, episodes, session, cfg, flags)
+    return score_chews(participant, scores, episodes, chews, cfg, flags)
 
 
 def losocv(
-    sessions: Sequence[Session],
+    sessions: Iterable[Session],
     boost_grid: Sequence[BoostConfig] | None = None,
     dbscan_grid: Sequence[DbscanConfig] | None = None,
     cfg: PipelineConfig = PipelineConfig(),
@@ -317,6 +316,7 @@ def losocv(
 ) -> EvalReport:
     """Leave-one-subject-out evaluation with optional inner grid selection.
 
+    ``sessions``, any iterable, is consumed once, each session dropped once featurized.
     Each fold trains on every other participant.  With more than one grid
     point, the point is chosen by a nested leave-one-out over the training
     participants only (mean of the two F1 levels; ties keep grid order), so
@@ -324,16 +324,15 @@ def losocv(
     whose training labels hold one class has no vote; a fold where no point
     gets one uses the first point and is flagged ``no_grid_vote``.
     """
-    participants = [s.participant for s in sessions]
-    if len(participants) != len(set(participants)):
-        raise ValueError("duplicate participant ids across sessions")
-    if len(sessions) < 2:
-        raise ValueError(f"LOSOCV needs at least 2 participants, got {len(sessions)}")
     boost_grid = list(boost_grid) if boost_grid else [cfg.boost()]
     dbscan_grid = list(dbscan_grid) if dbscan_grid else [cfg.dbscan()]
     grid = [(b, d) for b in boost_grid for d in dbscan_grid]
 
     prepared = _prepare_all(sessions, cfg, signals)
+    if len({pid for pid, *_ in prepared}) != len(prepared):
+        raise ValueError("duplicate participant ids across sessions")
+    if len(prepared) < 2:
+        raise ValueError(f"LOSOCV needs at least 2 participants, got {len(prepared)}")
     models: dict[tuple, TrainedModel | None] = {}
     scores: list[ParticipantScore] = []
     for held_idx, held in enumerate(prepared):
@@ -343,7 +342,7 @@ def losocv(
             chosen = _select_grid_point(train_items, grid, cfg, models)
         flags = [] if chosen else ["no_grid_vote"]
         boost_cfg, dbscan_cfg = chosen or grid[0]
-        model = train_fold([table for _, _, table in train_items], boost_cfg)
+        model = train_fold([table for *_, table in train_items], boost_cfg)
         scores.append(_evaluate_one(model, held, dbscan_cfg, cfg, flags))
     return EvalReport(scores=tuple(scores), manifest=tuple(cfg.manifest_items()))
 
@@ -361,7 +360,7 @@ def _select_grid_point(
         boost_cfg, dbscan_cfg = point
         fold_scores = []
         for inner_idx, inner_held in enumerate(train_items):
-            inner_train = [t for i, (_, _, t) in enumerate(train_items) if i != inner_idx]
+            inner_train = [t for i, (*_, t) in enumerate(train_items) if i != inner_idx]
             key = (boost_cfg, tuple(map(id, inner_train)))
             if key not in models:
                 classes = np.unique(np.concatenate([t.label for t in inner_train]))
@@ -379,7 +378,7 @@ def _select_grid_point(
 
 
 def ablate_sensors(
-    sessions: Sequence[Session],
+    sessions: Iterable[Session],
     sensors: Sequence[str],
     boost_grid: Sequence[BoostConfig] | None = None,
     dbscan_grid: Sequence[DbscanConfig] | None = None,
@@ -387,7 +386,7 @@ def ablate_sensors(
 ) -> EvalReport:
     """LOSOCV with features restricted to a sensor subset.
 
-    Proximity must stay in the subset: segmentation runs on it.
+    ``sessions``, any iterable, is consumed once.  Proximity must stay in the subset: segmentation runs on it.
     """
     sensors = tuple(sensors)
     if not sensors:

@@ -303,7 +303,7 @@ def covered_runs(spans: Iterable[tuple[float, float]], what: str) -> tuple[np.nd
     ranges = []
     for a, b in spans:
         r = covered_seconds(a, b)
-        if not -(2**63) <= r.start < r.stop < 2**63:
+        if not -(2**63) <= r.start < r.stop < 2**63 or r.stop - r.start >= 2**63:
             raise ValueError(f"{what} [{a}, {b}] covers seconds outside int64")
         ranges.append(r)
     edges = np.array([r.start for r in ranges] + [r.stop for r in ranges], dtype=np.int64)

@@ -12,7 +12,7 @@ every field and parses the body in bulk with :func:`numpy.loadtxt`, whose
 float parser is correctly rounded.  Numeric fields must be finite both
 ways, and ``i`` and ``m`` fields integral.  Cost: O(rows x columns) time
 both ways; beyond the columns themselves, a write holds one block of
-formatted cells and a read one block of lines.
+formatted cells, a read one block of lines plus the parsed blocks.
 
 A flat file (run config, scenario, model header) holds ``key = value``
 lines; ``#`` starts a comment and blank lines are skipped.  Each key may
@@ -82,13 +82,13 @@ def write_table(path: str | Path, header: Sequence[str], kinds: str, columns: Se
 @dataclass(frozen=True)
 class Table:
     """A table as read: ``columns`` holds float arrays for ``f`` and ``m``,
-    int64 arrays for ``i`` and lists of str for ``s``; ``lines`` holds the
-    file line of each row."""
+    int64 arrays for ``i`` and lists of str for ``s``; ``lines``, an int64
+    array, holds the file line of each row."""
 
     path: Path
     header: tuple[str, ...]
     columns: list
-    lines: list[int]
+    lines: np.ndarray
 
     def rows(self, make: Callable = lambda *row: row) -> list:
         """``make(*row)`` per row of Python floats, ints and strs (default: the
@@ -176,17 +176,17 @@ def read_table(path: str | Path, header: Sequence[str], kinds: str, lead: str = 
         kinds = lead * extra + kinds
         nums = [np.empty((0, len(kinds) - kinds.count("s")))]
         texts = [np.empty((0, kinds.count("s")), dtype=object)]
-        lines: list[int] = []
+        lines = [np.empty(0, dtype=np.int64)]
         while block := list(islice(numbered, max(1, BLOCK_CELLS // len(kinds)))):
             num, text = _read_block(path, block, names, kinds)
             nums.append(num)
             texts.append(text)
-            lines.extend(n for n, _ in block)
-    numeric = iter(np.concatenate(nums).T)
+            lines.append(np.array([n for n, _ in block], dtype=np.int64))
+    numeric = (np.concatenate([num[:, j] for num in nums]) for j in range(nums[0].shape[1]))
     strings = ([s.strip() for s in col] for col in np.concatenate(texts).T.tolist())
-    convert = {"f": np.copy, "i": lambda v: v.astype(np.int64), "m": lambda v: v / 1000.0}
+    convert = {"f": lambda v: v, "i": lambda v: v.astype(np.int64), "m": lambda v: v / 1000.0}
     columns = [next(strings) if k == "s" else convert[k](next(numeric)) for k in kinds]
-    return Table(path, names, columns, lines)
+    return Table(path, names, columns, np.concatenate(lines))
 
 
 # ---------------------------------------------------------------------------

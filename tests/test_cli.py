@@ -665,6 +665,22 @@ class TestLongSpans:
         assert err.startswith("chewdet evaluate: error: ") and err.count("\n") == 1
         assert "candidate [1e+19, 1.5e+19] covers seconds outside int64" in err
 
+    def test_prediction_longer_than_2_63_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
+        # Both ends lie inside int64, but its 10**19 covered seconds do not.
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        judged = cli._read_predictions_csv(out / "predictions_SYN.csv")
+        last = max(i for i, (_, positive, _) in enumerate(judged) if positive)
+        cand, positive, proba = judged[last]
+        judged[last] = (replace(cand, c1=-5e18, c2=5e18), positive, proba)
+        cli._write_predictions_csv(out / "predictions_SYN.csv", judged)
+        capsys.readouterr()
+        assert run("evaluate", "--participant", "SYN", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chewdet evaluate: error: ") and err.count("\n") == 1
+        assert "candidate [-5e+18, 5e+18] covers seconds outside int64" in err
+        assert "Traceback" not in err
+
     def test_label_past_int64_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(chain_dir, out)

@@ -1,4 +1,5 @@
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from chewdet.evaluation import (
 )
 from chewdet.features import FeatureTable
 from chewdet.periodic import CandidateWindow
-from chewdet.records import IntervalKind, LabeledInterval, Session, derive_episode_labels
+from chewdet.records import IntervalKind, LabeledInterval, derive_episode_labels
 from chewdet.signals import derive
 from chewdet.synthetic import generate
 from conftest import quick_config, two_meal_scenario
@@ -110,10 +111,13 @@ class TestPerSecond:
         assert time.perf_counter() - start < 1.0
         assert (m.tp, m.fp, m.fn) == (100, 0, 1e8 + 1 - 100)
 
-    def test_label_longer_than_2_63_seconds_counts_exactly(self):
-        # Its run's length leaves int64, so the truth is counted in Python ints.
-        m = per_second_metrics([0, 1], [chew(-5e18, 5e18)])
-        assert (m.tp, m.fp, m.fn) == (2, 0, 10**19 - 2)
+    def test_label_longer_than_2_63_seconds_refused(self):
+        # Its ends lie inside int64 but its 10**19 covered seconds do not: the
+        # label is refused, and so is a candidate on the same span.
+        with pytest.raises(ValueError, match=r"^chew label \[-5e\+18, 5e\+18\] covers seconds outside int64$"):
+            per_second_metrics([0, 1], [chew(-5e18, 5e18)])
+        with pytest.raises(ValueError, match=r"^candidate \[-5e\+18, 5e\+18\] covers seconds outside int64$"):
+            score_seconds([CandidateWindow(-5e18, 5e18, 0.5, 0.6, 0.2, 5)])
 
     def test_label_past_int64_seconds_refused(self):
         # Refused by the rule that refuses such a prediction, not scored as 2**63 seconds.
@@ -241,6 +245,36 @@ class TestPipeline:
         with pytest.raises(ValueError, match="at least 2"):
             losocv(clean_sessions[:1], cfg=quick_config())
 
+    def test_losocv_refuses_a_repeated_participant(self, clean_sessions):
+        sessions = (s for s in clean_sessions[:1] * 2)
+        with pytest.raises(ValueError, match="^duplicate participant ids across sessions$"):
+            losocv(sessions, cfg=quick_config())
+
+    def test_losocv_holds_one_session_at_a_time(self):
+        # Each session is featurized and dropped before the next one is built,
+        # so a generator of whole days costs one day's frames at a time.
+        refs, most = [], 0
+
+        def sessions():
+            nonlocal most
+            for k, pid in enumerate(("G1", "G2", "G3")):
+                session, _ = generate(two_meal_scenario(seed=300 + k, participant=pid))
+                refs.append(weakref.ref(session))
+                most = max(most, sum(ref() is not None for ref in refs))
+                yield session
+                del session
+
+        report = losocv(sessions(), cfg=quick_config())
+        assert [s.participant for s in report.scores] == ["G1", "G2", "G3"]
+        assert most == 1
+
+    def test_generator_and_list_give_the_same_report(self, clean_sessions):
+        cfg = quick_config()
+        for run in (lambda s: losocv(s, cfg=cfg), lambda s: ablate_sensors(s, ("prox", "ambient"), cfg=cfg)):
+            listed, generated = run(clean_sessions), run(s for s in clean_sessions)
+            assert generated.to_csv_rows() == listed.to_csv_rows()
+            assert [s.flags for s in generated.entries()] == [s.flags for s in listed.entries()]
+
     def test_always_negative_threshold_conventions(self, clean_sessions):
         # threshold > 1 turns the classifier into an always-negative stub.
         cfg = quick_config(threshold=1.01)
@@ -326,12 +360,12 @@ class TestPipeline:
         for pid, label in labels.items():
             table = FeatureTable(("f0", "f1"), rng.normal(size=(20, 2)), np.zeros(20),
                                  np.ones(20), [pid] * 20, np.array(label))
-            session = Session(pid, [], [], [], np.zeros((0, 4)), np.zeros((0, 3)))
-            prepared.append((session, [], table))
+            prepared.append((pid, (), [], table))
+        # The patched preparation ignores the sessions it is given.
         monkeypatch.setattr(evaluation, "_prepare_all", lambda *args: prepared)
         cfg = quick_config()
         grid = [cfg.boost(), replace(cfg.boost(), n_rounds=5)]
-        report = losocv([session for session, _, _ in prepared], boost_grid=grid, cfg=cfg)
+        report = losocv((), boost_grid=grid, cfg=cfg)
         assert ["no_grid_vote" in s.flags for s in report.scores] == [True, False, False]
         assert "no_grid_vote" in report.to_text()
 
