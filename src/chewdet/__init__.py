@@ -20,7 +20,6 @@ from .periodic import (
     PeriodicSubsequence,
     SweepConfig,
     longest_abs_periodic,
-    longest_rel_periodic,
     segment,
 )
 from .records import (
@@ -71,7 +70,6 @@ __all__ = [
     "lean_forward_angle",
     "load_model",
     "longest_abs_periodic",
-    "longest_rel_periodic",
     "losocv",
     "per_episode_metrics",
     "per_second_metrics",

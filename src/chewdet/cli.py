@@ -19,11 +19,13 @@ name, help, body and own flags, added after the two common flags,
 A command body does no file plumbing of its own: it reads every input,
 the ``--config`` file included, through its ``Recorder``'s ``read``, which
 fails with "run `chewdet <producer>` first" when an artifact is missing,
-and writes every output through ``write``, which writes atomically (temp
-file + rename).  The recorder keeps both lists, and ``main`` appends the
-configuration and a digest of exactly those files to ``manifest.txt`` in
-the output directory.  Identical command sequences with identical inputs
-produce byte-identical artifacts and manifests, and errors exit nonzero.
+and writes every output through ``write``, which stages it in a temp file.
+Once the body returns, ``main`` commits: the recorder renames the staged
+files into place with a ``manifest.txt`` entry holding the configuration
+and a digest of exactly the files read and written, the manifest last.  A
+command that fails leaves every file as it was and appends no entry.
+Identical command sequences with identical inputs produce byte-identical
+artifacts and manifests, and errors exit nonzero.
 The computations are the library's: ``featurize`` and ``detect_episodes``
 are the calls the in-memory pipeline makes too.
 """
@@ -86,25 +88,17 @@ class StageError(RuntimeError):
     pass
 
 
-def _atomic(path: Path, writer, *args) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(tmp, *args)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 class Recorder:
-    """The files one command reads and writes, in its output directory ``out``."""
+    """The files one command reads and writes, in its output directory ``out``.
+
+    Outputs are staged, each in a temp file beside its target, until
+    ``commit`` renames them into place with the command's manifest entry;
+    ``discard`` deletes whatever is still staged."""
 
     def __init__(self, out: Path) -> None:
         self.out = out
         self.inputs: list[Path] = []
-        self.outputs: list[Path] = []
+        self.staged: dict[Path, str] = {}  # target -> temp file, in write order
 
     def read(self, path: Path, producer: str | None, reader, *args):
         """``reader(path, *args)``; ``producer`` is the command that writes
@@ -117,28 +111,39 @@ class Recorder:
         return reader(path, *args)
 
     def write(self, name: str, writer, *args) -> None:
-        """``writer(tmp, *args)``, then rename ``tmp`` to ``out/name``."""
-        path = self.out / name
-        _atomic(path, writer, *args)
-        self.outputs.append(path)
+        """``writer(tmp, *args)``, with ``tmp`` a temp file staged as ``out/name``."""
+        fd, tmp = tempfile.mkstemp(dir=self.out, prefix=name, suffix=".tmp")
+        os.close(fd)
+        self.staged[self.out / name] = tmp
+        writer(tmp, *args)
+
+    def commit(self, command: str, cfg: PipelineConfig) -> None:
+        """Stage ``manifest.txt`` with one more entry, for ``command`` over the
+        files read and staged, then rename every staged file into place, the
+        manifest last.  The digests, the manifest text and a check that no
+        target is a directory all come before the first rename."""
+        items = [("command", command), ("tool", f"chewdet {__version__}"), *cfg.manifest_items()]
+        items.extend((f"input.{p.name}", file_digest(p)) for p in sorted(set(self.inputs)))
+        items.extend((f"output.{p.name}", file_digest(self.staged[p])) for p in sorted(self.staged))
+        items.append(("entry_hash", manifest_hash(items)))
+        manifest = self.out / "manifest.txt"
+        existing = manifest.read_text(encoding="utf-8") if manifest.exists() else ""
+        entry = "\n".join(f"{k} = {v}" for k, v in items) + "\n\n"
+        self.write(manifest.name, _write_text, existing + entry)
+        if clash := next(filter(Path.is_dir, self.staged), None):
+            raise StageError(f"output {clash} is a directory")
+        for path, tmp in self.staged.items():
+            os.replace(tmp, path)
+        self.staged.clear()
+
+    def discard(self) -> None:
+        """Delete every staged temp file."""
+        while self.staged:
+            Path(self.staged.popitem()[1]).unlink(missing_ok=True)
 
 
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
-
-
-def _append_manifest(rec: Recorder, command: str, cfg: PipelineConfig) -> None:
-    items: list[tuple[str, str]] = [("command", command), ("tool", f"chewdet {__version__}")]
-    items.extend(cfg.manifest_items())
-    for p in sorted(set(rec.inputs)):
-        items.append((f"input.{p.name}", file_digest(p)))
-    for p in sorted(rec.outputs):
-        items.append((f"output.{p.name}", file_digest(p)))
-    items.append(("entry_hash", manifest_hash(items)))
-    block = "\n".join(f"{k} = {v}" for k, v in items) + "\n\n"
-    manifest = rec.out / "manifest.txt"
-    existing = manifest.read_text(encoding="utf-8") if manifest.exists() else ""
-    _atomic(manifest, _write_text, existing + block)
 
 
 def _write_peaks_csv(path: str, pks: list[Peak]) -> None:
@@ -385,15 +390,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    rec = Recorder(Path(args.out))
     try:
-        rec = Recorder(Path(args.out))
         cfg = rec.read(Path(args.config), None, read_config) if args.config else PipelineConfig()
         rec.out.mkdir(parents=True, exist_ok=True)
         args.func(args, cfg, rec)
-        _append_manifest(rec, args.command, cfg)
+        rec.commit(args.command, cfg)
     except (ValueError, StageError, OSError, MemoryError, OverflowError) as exc:
         print(f"chewdet {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    finally:
+        rec.discard()
     return 0
 
 if __name__ == "__main__":

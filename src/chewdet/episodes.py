@@ -47,10 +47,13 @@ def score_seconds(positives: Sequence) -> np.ndarray:
     A candidate scores the seconds ``covered_seconds`` gives it, the rule
     that counts ground truth: those sharing positive measure with its span,
     so a candidate ending exactly on a whole second does not score it.
+    Candidates that together cover 2**63 seconds or more are refused.
     """
     starts, stops, counts = covered_runs(((c.c1, c.c2) for c in positives), "candidate")
     lengths = stops - starts
-    seconds = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+    if (total := sum(lengths.tolist())) >= 2**63:
+        raise ValueError(f"candidates together cover {total} seconds, 2**63 or more: outside int64")
+    seconds = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(total)
     return np.column_stack([seconds, np.repeat(counts, lengths)])
 
 

@@ -31,7 +31,7 @@ most peaks in any union window: O(n log n) for the search, O(B K n) for the
 windows with O(B n) extra memory, O(B n) per screen round, and per passed
 pair O(sum of window lengths) for the DP plus O(events x distinct starts)
 for the start sets.  Peaks of a 20 Hz trace are at least 2 samples apart,
-so K <= 12 for the default sweep.  Only the reference searches ``longest_*_periodic`` enumerate
+so K <= 12 for the default sweep.  Only the reference search ``longest_abs_periodic`` enumerates
 every tied chain, as ``PeriodicSubsequence``.
 """
 
@@ -229,20 +229,6 @@ def longest_abs_periodic(t, p_min: float, p_max: float) -> list[PeriodicSubseque
                     stack.append((j, tail + [j]))
     epsilon = max(p_max / p_min - 1.0, 1e-12)
     return [PeriodicSubsequence(c, p_min, p_max, epsilon) for c in sorted(chains)]
-
-
-def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
-    """Per-band optima over the whole sweep, deduplicated across bands.
-
-    Each band is solved independently; a subsequence found in two adjacent
-    bands (all gaps on the shared edge) is kept once, tagged with the lower
-    band.  Results are ordered by start time, then band.
-    """
-    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
-    for p_min, p_max in cfg.bands():
-        for s in longest_abs_periodic(t, p_min, p_max):
-            found.setdefault(s.timestamps, PeriodicSubsequence(s.timestamps, p_min, p_max, cfg.epsilon))
-    return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 
 
 def _screen(first: np.ndarray, stop: np.ndarray, bounds: np.ndarray, min_len: int):

@@ -12,7 +12,7 @@ every field and parses the body in bulk with :func:`numpy.loadtxt`, whose
 float parser is correctly rounded.  Numeric fields must be finite both
 ways, and ``i`` and ``m`` fields integral.  Cost: O(rows x columns) time
 both ways; beyond the columns themselves, a write holds one block of
-formatted cells, a read one block of lines plus the parsed blocks.
+formatted cells, a read one block of lines and its parsed cells.
 
 A flat file (run config, scenario, model header) holds ``key = value``
 lines; ``#`` starts a comment and blank lines are skipped.  Each key may
@@ -174,18 +174,20 @@ def read_table(path: str | Path, header: Sequence[str], kinds: str, lead: str = 
                 expected = f"{lead!r} columns, then {expected}"
             raise ValueError(f"{path}: bad header {raw!r}, expected {expected}")
         kinds = lead * extra + kinds
-        nums = [np.empty((0, len(kinds) - kinds.count("s")))]
-        texts = [np.empty((0, kinds.count("s")), dtype=object)]
+        # Each column's pieces, copied out of its block so that the block is freed.
+        parts: list[list] = [[] if k == "s" else [np.empty(0)] for k in kinds]
         lines = [np.empty(0, dtype=np.int64)]
         while block := list(islice(numbered, max(1, BLOCK_CELLS // len(kinds)))):
             num, text = _read_block(path, block, names, kinds)
-            nums.append(num)
-            texts.append(text)
+            numeric, strings = iter(num.T), iter(text.T.tolist())
+            for part, k in zip(parts, kinds):
+                if k == "s":
+                    part.extend(s.strip() for s in next(strings))
+                else:
+                    part.append(next(numeric).copy())
             lines.append(np.array([n for n, _ in block], dtype=np.int64))
-    numeric = (np.concatenate([num[:, j] for num in nums]) for j in range(nums[0].shape[1]))
-    strings = ([s.strip() for s in col] for col in np.concatenate(texts).T.tolist())
     convert = {"f": lambda v: v, "i": lambda v: v.astype(np.int64), "m": lambda v: v / 1000.0}
-    columns = [next(strings) if k == "s" else convert[k](next(numeric)) for k in kinds]
+    columns = [parts.pop(0) if k == "s" else convert[k](np.concatenate(parts.pop(0))) for k in kinds]
     return Table(path, names, columns, np.concatenate(lines))
 
 

@@ -10,7 +10,9 @@ share no code with the implementations they validate, apart from the
 feature layout's constants, the peak finder the catalogue counts peaks
 with (itself checked against naive_prominent_peaks), and the one-band
 search naive_segment runs on each fragment and band (longest_abs_periodic,
-itself checked against the brute-force search).
+itself checked against the brute-force search).  longest_rel_periodic, the
+whole-sweep search over one stream on that same one-band search, lives
+here too: only the tests call it.
 
 The all-pairs interval oracles (naive_label_candidates,
 naive_per_episode_metrics, loop_cluster) are the earlier bodies of the
@@ -95,6 +97,20 @@ def brute_force_longest_periodic(
                 elif length == best:
                     optima.add(sub)
     return best, optima
+
+
+def longest_rel_periodic(t, cfg: SweepConfig) -> list[PeriodicSubsequence]:
+    """Per-band optima over the whole sweep, deduplicated across bands.
+
+    Each band is solved independently; a subsequence found in two adjacent
+    bands (all gaps on the shared edge) is kept once, tagged with the lower
+    band.  Results are ordered by start time, then band.
+    """
+    found: dict[tuple[float, ...], PeriodicSubsequence] = {}
+    for p_min, p_max in cfg.bands():
+        for s in longest_abs_periodic(t, p_min, p_max):
+            found.setdefault(s.timestamps, PeriodicSubsequence(s.timestamps, p_min, p_max, cfg.epsilon))
+    return sorted(found.values(), key=lambda s: (s.c1, s.p_min, s.timestamps))
 
 
 def naive_segment(

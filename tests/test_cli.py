@@ -681,6 +681,24 @@ class TestLongSpans:
         assert "candidate [-5e+18, 5e+18] covers seconds outside int64" in err
         assert "Traceback" not in err
 
+    def test_positives_together_past_2_63_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
+        # Each positive's run fits int64; the seconds they cover together do not.
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        judged = cli._read_predictions_csv(out / "predictions_SYN.csv")
+        positives = [i for i, (_, positive, _) in enumerate(judged) if positive]
+        assert len(positives) >= 2
+        for i, (c1, c2) in ((positives[0], (-5e18, 0.0)), (positives[-1], (1.0, 5e18))):
+            cand, positive, proba = judged[i]
+            judged[i] = (replace(cand, c1=c1, c2=c2), positive, proba)
+        cli._write_predictions_csv(out / "predictions_SYN.csv", judged)
+        capsys.readouterr()
+        assert run("episodes", "--participant", "SYN", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chewdet episodes: error: ") and err.count("\n") == 1
+        assert "2**63 or more: outside int64" in err
+        assert (out / "episodes_SYN.csv").read_bytes() == (chain_dir / "episodes_SYN.csv").read_bytes()
+
     def test_label_past_int64_seconds_is_one_error_line(self, chain_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(chain_dir, out)
@@ -735,6 +753,86 @@ class TestBrokenModel:
                 "expected finite float, got 'nan'") in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "predictions_SYN.csv").exists()
+
+
+def snapshot(out):
+    """Every path under out, with each file's bytes (None for a directory)."""
+    return {p.relative_to(out): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+
+# Each README command and losocv: its own flags and the last output it writes.
+LAST_OUTPUTS = {
+    "synth": (["--scenario", "{other}"], "labels_SYN.csv"),
+    "derive": (["--participant", "SYN"], "derived_SYN.csv"),
+    "peaks": (["--participant", "SYN"], "peaks_SYN.csv"),
+    "segment": (["--participant", "SYN"], "candidates_SYN.csv"),
+    "featurize": (["--participant", "SYN"], "features_SYN.csv"),
+    "train": (["--participants", "SYN"], "model.txt"),
+    "predict": (["--participant", "SYN"], "predictions_SYN.csv"),
+    "episodes": (["--participant", "SYN"], "episodes_SYN.csv"),
+    "evaluate": (["--participant", "SYN"], "report_SYN.csv"),
+    "losocv": (["--data", "{out}"], "report.txt"),
+}
+
+
+class TestFailedCommand:
+    """A command that fails leaves every file as it was: no file changed or
+    added, no temp file left and no manifest entry appended."""
+
+    @pytest.fixture()
+    def out(self, chain_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(chain_dir, out)
+        # A second participant for losocv: SYN's log and chews under another name.
+        shutil.copy(out / "sensors_SYN.csv", out / "sensors_B.csv")
+        chews = read_label_csv(out / "labels_SYN.csv")
+        write_label_csv(out / "labels_B.csv", [replace(iv, participant="B") for iv in chews])
+        return out
+
+    def argv(self, command, out, tmp_path):
+        flags, _ = LAST_OUTPUTS[command]
+        # Another day than the chain's, so that a synth that went through would change sensors_SYN.csv.
+        other = write_scenario(tmp_path, SCENARIO.replace("duration = 1500", "duration = 1400"), "other.txt")
+        return [command, *(f.format(other=other, out=out) for f in flags),
+                "--config", write_config(tmp_path), "--out", out]
+
+    def fails_changing_nothing(self, out, argv, capsys):
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"chewdet {argv[0]}: error: ") and err.count("\n") == 1, err
+        assert snapshot(out) == before
+        assert not list(out.glob("*.tmp"))
+        return err
+
+    @pytest.mark.parametrize("command", LAST_OUTPUTS)
+    def test_directory_in_place_of_the_last_output(self, out, tmp_path, capsys, command):
+        last = out / LAST_OUTPUTS[command][1]
+        last.unlink(missing_ok=True)
+        last.mkdir()
+        err = self.fails_changing_nothing(out, self.argv(command, out, tmp_path), capsys)
+        assert err.endswith(f"output {last} is a directory\n")
+
+    def test_synth_whose_second_writer_fails_after_writing(self, out, tmp_path, capsys, monkeypatch):
+        def write_then_fail(path, labels):
+            write_label_csv(path, labels)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_label_csv", write_then_fail)
+        err = self.fails_changing_nothing(out, self.argv("synth", out, tmp_path), capsys)
+        assert err.endswith("No space left on device\n")
+
+    def test_interrupted_synth_changes_nothing(self, out, tmp_path, monkeypatch):
+        def write_then_interrupt(path, labels):
+            write_label_csv(path, labels)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_label_csv", write_then_interrupt)
+        before = snapshot(out)
+        with pytest.raises(KeyboardInterrupt):
+            run(*self.argv("synth", out, tmp_path))
+        assert snapshot(out) == before
 
 
 class TestDeterminism:

@@ -95,6 +95,12 @@ class TestScoreSeconds:
         assert out.dtype == np.int64 and out.shape == (len(out), 2)
         assert [tuple(row) for row in out.tolist()] == counter_score_seconds(cands)
 
+    def test_runs_that_together_reach_2_63_seconds_refused(self):
+        # Each run fits int64, but their 10**19 - 1 seconds together do not.
+        with pytest.raises(ValueError, match=r"^candidates together cover 9999999999999999999 seconds, "
+                                             r"2\*\*63 or more: outside int64$"):
+            score_seconds([cand(-5e18, 0.0), cand(1.0, 5e18)])
+
     def test_long_candidate_scores_at_once(self):
         start = time.perf_counter()
         out = score_seconds([cand(0.5, 1e7)])

@@ -16,12 +16,17 @@ from chewdet.periodic import (
     _screen,
     _windows,
     longest_abs_periodic,
-    longest_rel_periodic,
     read_candidate_csv,
     segment,
     write_candidate_csv,
 )
-from oracles import brute_force_longest_periodic, deque_optima, naive_segment, walked_segment
+from oracles import (
+    brute_force_longest_periodic,
+    deque_optima,
+    longest_rel_periodic,
+    naive_segment,
+    walked_segment,
+)
 
 # Segment's windows must widen from finite times only and leave inf - inf
 # unreported: an infinite peak time must not compute spacing(inf), and any

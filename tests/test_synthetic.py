@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chewdet.peaks import find_prominent_peaks
-from chewdet.periodic import SweepConfig, longest_rel_periodic
+from chewdet.periodic import SweepConfig
 from chewdet.records import IntervalKind, write_sensor_csv, ingest_sensor_csv
 from chewdet.signals import derive
 from chewdet.synthetic import (
@@ -12,6 +12,7 @@ from chewdet.synthetic import (
     generate,
     read_scenario,
 )
+from oracles import longest_rel_periodic
 
 
 def one_meal_spec(**overrides):

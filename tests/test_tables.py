@@ -4,6 +4,7 @@ reader, and typed, line-numbered flat ``key = value`` files."""
 import csv
 import io
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from chewdet.peaks import Peak
 from chewdet.periodic import CandidateWindow, read_candidate_csv, write_candidate_csv
 from chewdet.records import (
     GAP_CDF_HEADER,
+    SENSOR_HEADER,
+    SENSOR_KINDS,
     IntervalKind,
     LabeledInterval,
     Session,
@@ -366,6 +369,23 @@ def test_every_reader_skips_blank_lines(tmp_path, fmt):
     plain.write_text("\n".join([header, *rows]) + "\n")
     spaced.write_text("\n".join([" " + header.replace(",", " , "), "", rows[0], "\t", rows[1], ""]))
     assert repr(reader(plain)) == repr(reader(spaced))
+
+
+def test_read_holds_one_parsed_block_at_a_time(tmp_path):
+    # A 2 h sensor log at 20 Hz: every parsed block copied out into its
+    # columns and freed keeps the peak near the columns, not twice them.
+    n = 144_000
+    rng = np.random.default_rng(0)
+    path = tmp_path / "sensors.csv"
+    write_table(path, SENSOR_HEADER, SENSOR_KINDS, [np.arange(n) * 0.05, *rng.normal(size=(9, n))])
+    tracemalloc.start()
+    try:
+        table = read_table(path, SENSOR_HEADER, SENSOR_KINDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(c.nbytes for c in table.columns)
+    assert len(table.lines) == n and peak < 2 * columns, (peak, columns)
 
 
 @dataclass(frozen=True)
